@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import netcore
-from .composite import BetaWeights
-from .losses import LossKind, loss_output_grad, loss_value
+from .composite import BetaWeights, power_mean, weight_vector
+from .losses import LossKind
 from .netcore import Batch, MLPSpec
 
 MAX_GRID_POINTS = int(1e7)
@@ -115,10 +115,6 @@ class BoltzmannResult:
     density: GridField
     log_z: float
 
-    @property
-    def z(self) -> float:
-        return float(np.exp(self.log_z))
-
 
 def boltzmann(field: GridField, beta: float) -> BoltzmannResult:
     """Normalized density exp(-beta f)/Z via log-sum-exp shifting."""
@@ -164,11 +160,8 @@ def gibbs_divergence(P: GridField, objective: GridField) -> float:
 
 def _objective_field(L1: GridField, L2: GridField, betas: BetaWeights,
                      p: float, mode: str) -> GridField:
-    b = betas.as_array() if mode == "weighted" else np.ones(2)
-    v1 = np.maximum(L1.values, 1e-300)
-    v2 = np.maximum(L2.values, 1e-300)
-    vals = (b[0] * v1 ** p + b[1] * v2 ** p) ** (1.0 / p)
-    return GridField(L1.grid, vals)
+    stack = np.stack([L1.values, L2.values])
+    return GridField(L1.grid, power_mean(stack, weight_vector(betas, mode, 2), p))
 
 
 @dataclass
@@ -304,14 +297,9 @@ def generalized_entropy(fields: Sequence[GridField], betas: BetaWeights, p: floa
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("fields must share a grid")
-    b = betas.as_array() if mode == "weighted" else np.ones(len(fields))
-    if b.size != len(fields):
-        raise ValueError("one weight per field required")
-    stack = np.stack([np.maximum(f.values, 1e-300) for f in fields])
-    objective = np.einsum("m,mx->x", b, stack ** p) ** (1.0 / p)
-    a = -objective
-    shift = a.max()
-    return float(shift + np.log(np.exp(a - shift).sum() * grid.cell_volume))
+    b = weight_vector(betas, mode, len(fields))
+    objective = power_mean(np.stack([f.values for f in fields]), b, p)
+    return boltzmann(GridField(grid, objective), 1.0).log_z
 
 
 @dataclass(frozen=True)
@@ -341,10 +329,8 @@ def generalized_entropy_mc(loss_fns: Sequence[Callable], betas: BetaWeights, p: 
     dens = sampler.pdf(pts)
     if np.any(dens <= 0):
         raise ValueError("proposal density vanished on its own samples")
-    b = (betas.as_array() if mode == "weighted"
-         else np.ones(len(loss_fns)))
-    terms = np.stack([np.maximum(fn(pts), 1e-300) for fn in loss_fns])
-    objective = np.einsum("m,mx->x", b, terms ** p) ** (1.0 / p)
+    b = weight_vector(betas, mode, len(loss_fns))
+    objective = power_mean(np.stack([fn(pts) for fn in loss_fns]), b, p)
     weights = np.exp(-objective) / dens
     z_hat = float(weights.mean())
     z_se = float(weights.std(ddof=1) / np.sqrt(n_draws))
@@ -411,15 +397,11 @@ def box_sharpness(risk_fn: Callable[[np.ndarray], float],
 
 
 def _risk_and_grad(spec: MLPSpec, batch: Batch, kind: LossKind):
-    def risk(p: np.ndarray) -> float:
-        return loss_value(kind, netcore.forward(spec, p, batch), batch.targets).value
-
     def grad(p: np.ndarray) -> np.ndarray:
-        preds, cache = netcore._forward_cache(spec, p, batch.inputs)
-        return netcore._backward_from_cache(
-            spec, cache, loss_output_grad(kind, preds, batch.targets))
+        _, _, (g,) = netcore.term_values_and_grads(spec, p, batch, (), (kind,))
+        return g
 
-    return risk, grad
+    return netcore.term_loss_fn(spec, batch, kind), grad
 
 
 def sharpness(spec: MLPSpec, params: np.ndarray, batch: Batch, alpha: float,
@@ -452,13 +434,3 @@ def sharpness_sweep(spec: MLPSpec, params: np.ndarray, batch: Batch,
         out.append(value)
     return out
 
-
-def expected_sharpness_bound(kl_term: float, m: int, delta: float) -> float:
-    """Slack 4 sqrt((kl + ln(2m/delta)) / m) of the expected-sharpness bound."""
-    if kl_term < 0:
-        raise ValueError("kl term must be nonnegative")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must be in (0, 1]")
-    return float(4.0 * np.sqrt((kl_term + np.log(2.0 * m / delta)) / m))

@@ -246,6 +246,16 @@ def _model_from(doc: dict) -> MLPSpec:
                    output_kind=doc.get("output_kind", "softmax"))
 
 
+def _check_widths(spec: MLPSpec, train_set: data.Dataset) -> None:
+    """Reject a model whose input or output width the dataset cannot feed."""
+    want = (train_set.inputs.shape[1], train_set.targets.shape[1])
+    got = (spec.input_dim, spec.output_dim)
+    if got != want:
+        raise ConfigError(
+            f"config field model/layer_widths: input/output widths {got[0]}/{got[1]} "
+            f"do not match the dataset's {want[0]}/{want[1]}")
+
+
 def _train_config_from(doc: dict, scheme: Scheme, seed: int) -> optim.TrainConfig:
     kwargs = dict(doc)
     if "terms" in kwargs:
@@ -296,12 +306,13 @@ def cmd_train(args) -> int:
     out = _out_dir(args, "train", digest)
     spec = _model_from(config["model"])
     train_set, val_set = _dataset_from(config["dataset"])
+    _check_widths(spec, train_set)
     schemes = [_scheme_from(s) for s in config["schemes"]]
     seeds = ([args.seed_override] if args.seed_override is not None
              else list(config["seeds"]))
     bound_doc = config.get("bound")
-    if bound_doc is not None:
-        _bound_params_from(bound_doc, m=train_set.n)  # validate before any run
+    # built before any run, so a bad bound block fails validation up front
+    bound = None if bound_doc is None else _bound_params_from(bound_doc, m=train_set.n)
 
     jobs = []
     for scheme in schemes:
@@ -314,14 +325,10 @@ def cmd_train(args) -> int:
         record = optim.train(spec, train_set, val_set, cfg)
         run_dir = out / f"{_slug(scheme)}-seed{seed}"
         extra = {}
-        if bound_doc is not None:
-            params = pacbayes.BoundParams(
-                lam=bound_doc["lambda"], l_max=bound_doc["l_max"],
-                delta=bound_doc["delta"], m=bound_doc.get("m", train_set.n),
-                eps_dp=bound_doc.get("eps_dp", 0.0))
+        if bound is not None:
             q = pacbayes.GaussianPosterior(mean=record.final_params, sigma=0.05)
             prior = pacbayes.GaussianPrior(lambda_p=1.0)
-            cert = pacbayes.risk_certificate(q, prior, spec, val_set, params,
+            cert = pacbayes.risk_certificate(q, prior, spec, val_set, bound,
                                              n_samples=50, seed=seed)
             extra["certificate"] = cert.to_json_dict()
         optim.save_run(run_dir, record, cfg, config_hash=digest, extra_meta=extra)
@@ -391,6 +398,7 @@ def cmd_bounds(args) -> int:
     out = _out_dir(args, "bounds", digest)
     spec = _model_from(config["model"])
     train_set, val_set = _dataset_from(config["dataset"])
+    _check_widths(spec, train_set)
     seed = (args.seed_override if args.seed_override is not None
             else config.get("seed", 0))
     post_doc = config["posterior"]
@@ -420,22 +428,30 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a validation failure: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lossmix",
         description="Experiment runner for the composed-loss training lab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in [("verify", False), ("train", True),
-                               ("klsweep", True), ("spectral", True),
-                               ("bounds", True)]:
+    for name in ("verify", "train", "klsweep", "spectral", "bounds"):
         cmd = sub.add_parser(name)
-        if needs_config:
+        if name != "verify":
             cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--out", default=None, help="output directory root")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="concurrent runs where a config lists several")
-        cmd.add_argument("--seed-override", type=int, default=None,
-                         help="replace every seed in the config")
+        if name == "train":
+            cmd.add_argument("--jobs", type=int, default=1,
+                             help="concurrent runs where a config lists several")
+        if name in ("train", "spectral", "bounds"):
+            cmd.add_argument("--seed-override", type=int, default=None,
+                             help="replace every seed in the config")
     return parser
 
 

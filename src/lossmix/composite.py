@@ -4,9 +4,10 @@ The composite objective is (sum_m beta_m v_m^p)^(1/p) over per-term loss
 values v_m, with simplex weights beta and a fixed power p >= 1. Two modes
 exist because the weighted form and the bare lp-norm form behave
 differently in p: the weighted power mean is non-decreasing in p, the
-unweighted norm non-increasing. This module provides the value, its exact
-gradient and p-derivative, the adaptive weight rules, and the curvature
-constraint whose sign flip marks the critical power.
+unweighted norm non-increasing. This module provides the power-sum kernel
+(also used for the analysis module's objective fields), the value, its
+exact gradient and p-derivative, the adaptive weight rules, and the
+curvature constraint whose sign flip marks the critical power.
 """
 
 from __future__ import annotations
@@ -106,51 +107,46 @@ class Scheme:
         return f"nonlinear(p={self.p:g})"
 
 
-@dataclass(frozen=True)
-class CompositeObjective:
-    """Term list, weights, power, and mode bundled for a training run."""
+def weight_vector(betas: BetaWeights, mode: str, k: int) -> np.ndarray:
+    """The per-term weights of a mode: the betas, or all ones when unweighted."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "unweighted":
+        return np.ones(k)
+    b = betas.as_array()
+    if b.size != k:
+        raise ValueError(f"{b.size} weights for {k} values")
+    return b
 
-    terms: tuple
-    betas: BetaWeights
-    p: float = 1.0
-    mode: str = "weighted"
 
-    def __post_init__(self):
-        if len(self.terms) < 1:
-            raise ValueError("need at least one loss term")
-        if len(self.betas) != len(self.terms):
-            raise ValueError("one weight per term required")
-        if self.p < 1.0:
-            raise ValueError("power must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+def power_sum(stack, b: np.ndarray, p: float):
+    """Floored values v and M = sum_m b_m v_m^p over the term axis of stack.
 
-    def value(self, values: Sequence[float]) -> float:
-        return composite_value(values, self.betas, self.p, self.mode)
+    Every composite quantity is built on this one reduction. stack is a
+    1-d vector of term values (M is then a numpy scalar) or a 2-d
+    (terms, points) array of fields (M is then one value per point).
+    """
+    v = np.maximum(np.asarray(stack, dtype=np.float64), VALUE_FLOOR)
+    return v, np.dot(b, v ** p)
+
+
+def power_mean(stack, b: np.ndarray, p: float):
+    """(sum_m b_m v_m^p)^(1/p) over the term axis of stack; see power_sum."""
+    return power_sum(stack, b, p)[1] ** (1.0 / p)
 
 
 def _prep(values: Sequence[float], betas: BetaWeights, p: float, mode: str):
     if p < 1.0:
         raise ValueError(f"power p={p} is below 1, outside the analyzed regime")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    v = np.maximum(np.asarray(values, dtype=np.float64), VALUE_FLOOR)
-    if mode == "weighted":
-        b = betas.as_array()
-        if b.size != v.size:
-            raise ValueError(f"{b.size} weights for {v.size} values")
-    else:
-        b = np.ones_like(v)
-    return v, b
+    values = np.asarray(values, dtype=np.float64)
+    return values, weight_vector(betas, mode, values.size)
 
 
 def composite_value(values: Sequence[float], betas: BetaWeights, p: float,
                     mode: str = "weighted") -> float:
     """(sum_m beta_m v_m^p)^(1/p); unweighted mode drops the betas."""
-    v, b = _prep(values, betas, p, mode)
-    if p == 1.0:
-        return float(np.dot(b, v))
-    return float(np.dot(b, v ** p) ** (1.0 / p))
+    values, b = _prep(values, betas, p, mode)
+    return float(power_mean(values, b, p))
 
 
 def composite_grad(values: Sequence[float], grads: Sequence[np.ndarray],
@@ -159,17 +155,14 @@ def composite_grad(values: Sequence[float], grads: Sequence[np.ndarray],
 
     M = sum_m beta_m v_m^p; the g_m are the per-term parameter gradients.
     """
-    v, b = _prep(values, betas, p, mode)
+    values, b = _prep(values, betas, p, mode)
     gs = [np.asarray(g, dtype=np.float64) for g in grads]
-    if len(gs) != v.size:
-        raise ValueError(f"{len(gs)} gradients for {v.size} values")
+    if len(gs) != values.size:
+        raise ValueError(f"{len(gs)} gradients for {values.size} values")
     if len({g.shape for g in gs}) > 1:
         raise ValueError("gradient vectors must share one shape")
-    if p == 1.0:
-        coeffs = b
-    else:
-        m = float(np.dot(b, v ** p))
-        coeffs = m ** (1.0 / p - 1.0) * b * v ** (p - 1.0)
+    v, m = power_sum(values, b, p)
+    coeffs = m ** (1.0 / p - 1.0) * b * v ** (p - 1.0)
     total = np.zeros_like(gs[0])
     for c, g in zip(coeffs, gs):
         total += c * g
@@ -210,11 +203,10 @@ def dvalue_dp(values: Sequence[float], betas: BetaWeights, p: float,
     Both terms are kept; dropping the -ln(M)/p^2 piece flips signs in the
     weighted mode, so every monotonicity claim is checked numerically.
     """
-    v, b = _prep(values, betas, p, mode)
-    vp = v ** p
-    m = float(np.dot(b, vp))
-    term = float(np.dot(b, vp * np.log(v)))
-    return m ** (1.0 / p) * (-np.log(m) / p ** 2 + term / (p * m))
+    values, b = _prep(values, betas, p, mode)
+    v, m = power_sum(values, b, p)
+    term = float(np.dot(b, v ** p * np.log(v)))
+    return float(m ** (1.0 / p) * (-np.log(m) / p ** 2 + term / (p * m)))
 
 
 def constraint9_check(L: float, g: float, h: float, p: float) -> bool:

@@ -3,7 +3,6 @@ binary-format loader. Everything is deterministic under its seed."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,15 +17,6 @@ CIFAR_CLASSES = 10
 
 class CifarFormatError(ValueError):
     """Malformed CIFAR-10 binary file, with the offending byte offset."""
-
-
-@dataclass(frozen=True)
-class RandomizationLevel:
-    r: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"randomization level must be in [0, 1], got {self.r}")
 
 
 @dataclass
@@ -132,19 +122,20 @@ def freq_target_1d(frequencies, amplitudes, n_points: int) -> Dataset:
                    meta={"frequencies": frequencies, "amplitudes": amplitudes})
 
 
-def randomize_labels(data: Dataset, r, seed: int) -> Dataset:
+def randomize_labels(data: Dataset, r: float, seed: int) -> Dataset:
     """Replace a seeded fraction r of labels with uniform draws over all classes.
 
     A replacement may repeat the original class, so the expected changed
     fraction is r (1 - 1/K). The selection mask is kept in meta so either
     statistic can be recovered.
     """
-    level = r if isinstance(r, RandomizationLevel) else RandomizationLevel(float(r))
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"randomization level must be in [0, 1], got {r}")
     if not data.is_classification:
         raise ValueError("label randomization needs a classification dataset")
     n, k = data.n, data.k_classes
     rng = np.random.default_rng(seed)
-    n_pick = int(round(level.r * n))
+    n_pick = int(round(r * n))
     mask = np.zeros(n, dtype=bool)
     targets = data.targets.copy()
     if n_pick > 0:
@@ -152,9 +143,9 @@ def randomize_labels(data: Dataset, r, seed: int) -> Dataset:
         mask[picked] = True
         targets[picked] = _one_hot(rng.integers(0, k, size=n_pick), k)
     meta = dict(data.meta)
-    meta.update({"randomized_mask": mask, "randomization_level": level.r})
+    meta.update({"randomized_mask": mask, "randomization_level": r})
     return Dataset(inputs=data.inputs.copy(), targets=targets,
-                   name=f"{data.name}_r{level.r:g}", k_classes=k, meta=meta)
+                   name=f"{data.name}_r{r:g}", k_classes=k, meta=meta)
 
 
 def load_cifar10_bin(path, max_records: int) -> Dataset:
@@ -216,12 +207,3 @@ def train_val_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset,
     val = data.subset(perm[n_train:], name=f"{data.name}_val")
     return train, val
 
-
-def to_csv(data: Dataset, path) -> None:
-    """Flat CSV dump (x_0..x_{d-1}, y_0..y_{K-1}) for offline inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        d, k = data.inputs.shape[1], data.targets.shape[1]
-        writer.writerow([f"x_{i}" for i in range(d)] + [f"y_{j}" for j in range(k)])
-        for xi, yi in zip(data.inputs, data.targets):
-            writer.writerow([f"{v:.17g}" for v in xi] + [f"{v:.17g}" for v in yi])

@@ -15,8 +15,6 @@ import numpy as np
 
 CLAMP = 1e-12
 
-_clamp_events = 0
-
 
 class LossKind(str, enum.Enum):
     MSE = "mse"
@@ -38,23 +36,9 @@ class LossValue:
         if not np.isfinite(self.value):
             raise ValueError(f"non-finite {self.kind.value} loss")
 
-    @property
-    def in_practical_range(self) -> bool:
-        # the composite analysis assumes 0 < loss < 1; checked, never enforced
-        return 0.0 < self.value < 1.0
-
-
-def clamp_event_count() -> int:
-    """How many times probability clamping actually changed a value."""
-    return _clamp_events
-
 
 def _clip_probs(p: np.ndarray) -> np.ndarray:
-    global _clamp_events
-    clipped = np.clip(p, CLAMP, 1.0 - CLAMP)
-    if np.any(clipped != p):
-        _clamp_events += 1
-    return clipped
+    return np.clip(p, CLAMP, 1.0 - CLAMP)
 
 
 def _check_pair(predictions: np.ndarray, targets: np.ndarray):
@@ -133,38 +117,3 @@ def loss_output_grad(kind: LossKind, predictions: np.ndarray,
         return g
     raise ValueError(f"unknown loss kind {kind!r}")
 
-
-class ScaleNormalizer:
-    """Running rescaler: divides a loss stream by the EMA of its magnitude.
-
-    Confined to one training run; not thread-safe across runs by design.
-    """
-
-    def __init__(self, decay: float = 0.99):
-        if not 0.0 < decay < 1.0:
-            raise ValueError("decay must be in (0, 1)")
-        self.decay = decay
-        self.ema = 1.0
-
-    def update(self, value: float) -> float:
-        self.ema = self.decay * self.ema + (1.0 - self.decay) * abs(value)
-        return value / self.ema
-
-
-def uniform_dimension(value: LossValue, mode: str = "literal", offset: float = 1.0,
-                      normalizer: ScaleNormalizer | None = None) -> LossValue:
-    """Dimension uniformization of a loss value.
-
-    ``literal`` applies the log-Gibbs affine flip -L + offset. The
-    ``scale-normalize`` alternative divides by a running EMA of the
-    loss's own magnitude (pass a ScaleNormalizer to hold the state).
-    The affine flip is exposed but deliberately not routed into the
-    composite by default: the composite needs positive inputs.
-    """
-    if mode == "literal":
-        return LossValue(value=-value.value + offset, kind=value.kind)
-    if mode == "scale-normalize":
-        if normalizer is None:
-            raise ValueError("scale-normalize mode needs a ScaleNormalizer")
-        return LossValue(value=normalizer.update(value.value), kind=value.kind)
-    raise ValueError(f"unknown uniformization mode {mode!r}")

@@ -2,19 +2,22 @@
 
 Everything downstream treats the network as a differentiable black box:
 ``forward`` produces predictions, ``backward`` pulls an output-space
-gradient back to a flat parameter gradient, and ``finite_diff_grad`` is
-the independent central-difference oracle used to check both. All
-arithmetic is float64; the verification suite asserts 1e-6-level
-gradient agreement, which float32 cannot sustain.
+gradient back to a flat parameter gradient, ``term_values_and_grads``
+shares one forward pass among every loss term's value and gradient, and
+``finite_diff_grad`` is the independent central-difference oracle used to
+check them. All arithmetic is float64; the verification suite asserts
+1e-6-level gradient agreement, which float32 cannot sustain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit
+
+from .losses import LossKind, loss_output_grad, loss_value
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "tanh", "relu")
 OUTPUT_KINDS = ("linear", "softmax", "sigmoid")
@@ -218,6 +221,30 @@ def backward(spec: MLPSpec, params: np.ndarray, batch: Batch,
     """Gradient of sum_ij output_grad_ij * predictions_ij w.r.t. the flat params."""
     _, cache = _forward_cache(spec, params, batch.inputs)
     return _backward_from_cache(spec, cache, output_grad)
+
+
+def term_values_and_grads(spec: MLPSpec, params: np.ndarray, batch: Batch,
+                          kinds: Sequence[LossKind],
+                          grad_kinds: Sequence[LossKind] | None = None):
+    """One forward pass, then the loss value of every term in ``kinds`` and
+    the parameter gradient of every term in ``grad_kinds`` (default: kinds).
+
+    Returns (predictions, values, gradients); each term's numbers are the
+    bits ``forward`` and ``backward`` give for that term alone.
+    """
+    preds, cache = _forward_cache(spec, params, batch.inputs)
+    vals = [loss_value(k, preds, batch.targets).value for k in kinds]
+    grads = [_backward_from_cache(spec, cache,
+                                  loss_output_grad(k, preds, batch.targets))
+             for k in (kinds if grad_kinds is None else grad_kinds)]
+    return preds, vals, grads
+
+
+def term_loss_fn(spec: MLPSpec, batch: Batch, kind: LossKind):
+    """params -> the mean loss of one term on the batch."""
+    def fn(params: np.ndarray) -> float:
+        return loss_value(kind, forward(spec, params, batch), batch.targets).value
+    return fn
 
 
 def finite_diff_grad(loss_fn: Callable[[np.ndarray], float], params: np.ndarray,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import netcore
 from .composite import (BetaWeights, Scheme, adaptive_betas, composite_grad,
                         composite_value, constraint9_check, directional_curvature)
 from .data import Dataset
-from .losses import LossKind, loss_output_grad, loss_value
+from .losses import LossKind, loss_value
 from .netcore import Batch, MLPSpec
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
@@ -75,10 +75,15 @@ class TrainConfig:
             raise ValueError(f"unknown beta rule {self.beta_rule!r}")
         if self.beta_rule == "fixed" and self.fixed_betas is not None:
             BetaWeights(self.fixed_betas)  # validate early
+            if len(self.fixed_betas) != len(self.terms):
+                raise ValueError(f"{len(self.fixed_betas)} fixed_betas for "
+                                 f"{len(self.terms)} terms")
         if self.beta_rule == "paper-max" and len(self.terms) != 2:
             raise ValueError("paper-max rule needs exactly two terms")
         if self.scheme.kind == "single" and not 0 <= self.scheme.index < len(self.terms):
             raise ValueError(f"single-scheme index {self.scheme.index} out of range")
+        if LossKind.ZERO_ONE in self.terms:
+            raise ValueError("the zero_one loss has no gradient to train on")
         if self.warmup_epochs > 0 and LossKind.CE not in self.terms:
             raise ValueError("warm-start needs a cross-entropy term")
 
@@ -125,9 +130,9 @@ class TrajectoryRecord:
                 + [f"gnorm_{i + 1}" for i in range(n)]
                 + ["constraint9", "seconds"])
 
-    def to_csv_text(self, include_timing: bool = False) -> str:
-        """Canonical CSV; timing is zeroed unless asked for, so the text is
-        reproducible bit for bit across reruns of the same config."""
+    def to_csv_text(self) -> str:
+        """Canonical CSV; timing is zeroed, so the text is reproducible bit
+        for bit across reruns of the same config."""
         lines = [",".join(self.header())]
         for r in self.rows:
             cells = ([str(r.epoch), f"{r.train_acc:.17g}", f"{r.val_acc:.17g}"]
@@ -135,8 +140,7 @@ class TrajectoryRecord:
                      + [f"{r.composite:.17g}"]
                      + [f"{b:.17g}" for b in r.betas]
                      + [f"{g:.17g}" for g in r.grad_norms]
-                     + [str(r.constraint9),
-                        f"{r.seconds:.6f}" if include_timing else "0"])
+                     + [str(r.constraint9), "0"])
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -178,29 +182,20 @@ def optimizer_step(kind: str, state: dict | None, params: np.ndarray,
     raise ValueError(f"unknown optimizer {kind!r}")
 
 
-def _accuracy(spec: MLPSpec, params: np.ndarray, data: Dataset) -> float:
+def _accuracy(spec: MLPSpec, params: np.ndarray, data: Dataset,
+              preds: np.ndarray | None = None) -> float:
     # accuracy is reported as 0 for regression targets
     if not data.is_classification:
         return 0.0
-    preds = netcore.forward(spec, params, data.as_batch())
+    if preds is None:
+        preds = netcore.forward(spec, params, data.as_batch())
     return 1.0 - loss_value(LossKind.ZERO_ONE, preds, data.targets).value
-
-
-def _term_loss_fn(spec: MLPSpec, batch: Batch, kind: LossKind):
-    def fn(p: np.ndarray) -> float:
-        return loss_value(kind, netcore.forward(spec, p, batch), batch.targets).value
-    return fn
 
 
 def _epoch_row(spec, params, data, val, config, betas, epoch, warmup, seconds):
     """Full-dataset telemetry at the epoch's final parameters."""
     batch = data.as_batch()
-    preds, cache = netcore._forward_cache(spec, params, batch.inputs)
-    vals, grads = [], []
-    for kind in config.terms:
-        vals.append(loss_value(kind, preds, batch.targets).value)
-        grads.append(netcore._backward_from_cache(
-            spec, cache, loss_output_grad(kind, preds, batch.targets)))
+    preds, vals, grads = netcore.term_values_and_grads(spec, params, batch, config.terms)
     gnorms = [float(np.linalg.norm(g)) for g in grads]
     p_eff = config.effective_p
     if warmup:
@@ -217,13 +212,13 @@ def _epoch_row(spec, params, data, val, config, betas, epoch, warmup, seconds):
         satisfied = True
         for kind, v in zip(config.terms, vals):
             g_dir, h_dir = directional_curvature(
-                _term_loss_fn(spec, batch, kind), params, direction, CURVATURE_H)
+                netcore.term_loss_fn(spec, batch, kind), params, direction, CURVATURE_H)
             if not constraint9_check(max(v, 1e-12), g_dir, h_dir, p_eff):
                 satisfied = False
                 break
     return TrajectoryRow(
         epoch=epoch,
-        train_acc=_accuracy(spec, params, data),
+        train_acc=_accuracy(spec, params, data, preds),
         val_acc=_accuracy(spec, params, val),
         losses=tuple(vals),
         composite=composite,
@@ -265,38 +260,34 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, config: TrainConfig,
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         warmup = epoch < config.warmup_epochs
+        # warm-up and single schemes step along one term's gradient alone
+        if warmup:
+            direct = LossKind.CE
+        elif config.scheme.kind == "single":
+            direct = config.terms[config.scheme.index]
+        else:
+            direct = None
         order = rng.permutation(data.n)
         for start in range(0, data.n, config.batch_size):
             idx = order[start:start + config.batch_size]
             batch = Batch(inputs=data.inputs[idx], targets=data.targets[idx])
             try:
-                preds, cache = netcore._forward_cache(spec, params, batch.inputs)
-                vals = [loss_value(k, preds, batch.targets).value
-                        for k in config.terms]
+                _, vals, grads = netcore.term_values_and_grads(
+                    spec, params, batch, config.terms,
+                    config.terms if direct is None else (direct,))
             except netcore.ShapeError:
                 raise
             except ValueError as exc:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}: {exc}", record) from exc
 
-            if warmup:
-                grad = netcore._backward_from_cache(
-                    spec, cache,
-                    loss_output_grad(LossKind.CE, preds, batch.targets))
-            elif config.scheme.kind == "single":
-                kind = config.terms[config.scheme.index]
-                grad = netcore._backward_from_cache(
-                    spec, cache, loss_output_grad(kind, preds, batch.targets))
+            if direct is not None:
+                grad = grads[0]
             else:
-                term_grads = [
-                    netcore._backward_from_cache(
-                        spec, cache, loss_output_grad(k, preds, batch.targets))
-                    for k in config.terms
-                ]
                 if config.beta_rule in ("softmax", "paper-max"):
-                    norms = [float(np.linalg.norm(g)) for g in term_grads]
+                    norms = [float(np.linalg.norm(g)) for g in grads]
                     betas = adaptive_betas(norms, rule=config.beta_rule)
-                grad = composite_grad(vals, term_grads, betas, p_eff, config.mode)
+                grad = composite_grad(vals, grads, betas, p_eff, config.mode)
 
             if config.l2_reg > 0:
                 grad = grad + config.l2_reg * params
@@ -324,52 +315,6 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, config: TrainConfig,
 
     record.final_params = params
     return record
-
-
-@dataclass
-class SchemeComparison:
-    """Cross product of schemes and seeds with per-epoch accuracy summaries."""
-
-    schemes: list[Scheme]
-    seeds: list[int]
-    records: dict  # (scheme label, seed) -> TrajectoryRecord
-
-    def summary_rows(self) -> list[dict]:
-        rows = []
-        for scheme in self.schemes:
-            label = scheme.label()
-            runs = [self.records[(label, s)] for s in self.seeds]
-            n_epochs = len(runs[0].rows)
-            for e in range(n_epochs):
-                train = np.array([r.rows[e].train_acc for r in runs])
-                valid = np.array([r.rows[e].val_acc for r in runs])
-                rows.append({
-                    "scheme": label, "epoch": e,
-                    "train_mean": float(train.mean()), "train_std": float(train.std()),
-                    "val_mean": float(valid.mean()), "val_std": float(valid.std()),
-                })
-        return rows
-
-    def to_csv_text(self) -> str:
-        lines = ["scheme,epoch,train_mean,train_std,val_mean,val_std"]
-        for r in self.summary_rows():
-            lines.append(
-                f"{r['scheme']},{r['epoch']},{r['train_mean']:.17g},"
-                f"{r['train_std']:.17g},{r['val_mean']:.17g},{r['val_std']:.17g}")
-        return "\n".join(lines) + "\n"
-
-
-def run_scheme_comparison(spec: MLPSpec, data: Dataset, val: Dataset,
-                          base_config: TrainConfig, schemes: list[Scheme],
-                          seeds: list[int]) -> SchemeComparison:
-    if not schemes or not seeds:
-        raise ValueError("need at least one scheme and one seed")
-    records = {}
-    for scheme in schemes:
-        for seed in seeds:
-            cfg = replace(base_config, scheme=scheme, seed=seed)
-            records[(scheme.label(), seed)] = train(spec, data, val, cfg)
-    return SchemeComparison(schemes=list(schemes), seeds=list(seeds), records=records)
 
 
 def save_run(out_dir, record: TrajectoryRecord, config: TrainConfig,

@@ -18,7 +18,7 @@ from scipy.optimize import bisect
 
 from . import netcore
 from .data import Dataset
-from .losses import LossKind, loss_value
+from .losses import LossKind
 from .netcore import MLPSpec
 
 
@@ -110,12 +110,10 @@ def empirical_risk(Q: GaussianPosterior, spec: MLPSpec, data: Dataset,
     if Q.dim != spec.n_params:
         raise ValueError("posterior dimension does not match the network")
     rng = np.random.default_rng(seed)
-    batch = data.as_batch()
+    risk = netcore.term_loss_fn(spec, data.as_batch(), loss)
     draws = np.empty(n_samples)
     for i in range(n_samples):
-        w = Q.sample(rng)
-        preds = netcore.forward(spec, w, batch)
-        draws[i] = loss_value(loss, preds, batch.targets).value
+        draws[i] = risk(Q.sample(rng))
     se = float(draws.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return EmpiricalRisk(value=float(draws.mean()), std_error=se, n_samples=n_samples)
 

@@ -6,7 +6,7 @@ import pytest
 from lossmix import analysis, netcore
 from lossmix.analysis import (Grid, GridField, SupportError, UniformBoxSampler,
                               boltzmann, box_sharpness, default_kl_testbed,
-                              expected_sharpness_bound, generalized_entropy,
+                              generalized_entropy,
                               generalized_entropy_mc, gibbs_divergence,
                               kl_divergence, scheme_kl_report, sharpness,
                               sharpness_sweep)
@@ -251,26 +251,6 @@ class TestSharpness:
                                  seed=10)
         assert all(v >= 0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-class TestExpectedSharpnessBound:
-    def test_arithmetic(self):
-        # 4 sqrt(ln(2*100/0.05)/100), computed independently
-        got = expected_sharpness_bound(0.0, 100, 0.05)
-        assert got == pytest.approx(4 * math.sqrt(math.log(4000.0) / 100), abs=1e-12)
-        assert got == pytest.approx(1.1519756691945904, abs=1e-9)
-
-    def test_boundary_m1(self):
-        got = expected_sharpness_bound(0.0, 1, 1.0)
-        assert got == pytest.approx(3.3302184446307908, abs=1e-9)
-
-    def test_monotone(self):
-        kls = np.linspace(0, 10, 20)
-        up = [expected_sharpness_bound(k, 200, 0.1) for k in kls]
-        assert all(b > a for a, b in zip(up, up[1:]))
-        ms = [50, 100, 500, 1000]
-        down = [expected_sharpness_bound(1.0, m, 0.1) for m in ms]
-        assert all(b < a for a, b in zip(down, down[1:]))
 
 
 def test_gibbs_divergence_drops_with_pointwise_drop():

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from lossmix import cli, composite, data
 
@@ -88,6 +89,16 @@ class TestTrainCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert "1/2" in captured.err
+
+    def test_width_mismatch_is_config_error(self, tmp_path, capsys):
+        # a 3-wide softmax head cannot fit the 2-class two-moons targets
+        doc = moons_train_config()
+        doc["model"]["layer_widths"] = [2, 8, 3]
+        cfg = write_config(tmp_path, doc)
+        code = run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "model/layer_widths" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, moons_train_config(seeds=[5, 6]))
@@ -181,6 +192,15 @@ class TestBoundsCommand:
             next((tmp_path / "o").rglob("certificate.json")).read_text())
         assert cert["risk_upper"] >= cert["emp_risk"]
 
+    def test_width_mismatch_is_config_error(self, tmp_path, capsys):
+        doc = self.bounds_config()
+        doc["model"]["layer_widths"] = [3, 6, 2]
+        cfg = write_config(tmp_path, doc)
+        code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "model/layer_widths" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_model_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.bounds_config(
             {"params_file": str(tmp_path / "nope.npz")}))
@@ -198,3 +218,21 @@ class TestBoundsCommand:
             {"params_file": str(tmp_path / "model.npz")}))
         assert run_cli(["bounds", "--config", cfg,
                         "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--jobs", "4"],
+    ["verify", "--seed-override", "3"],
+    ["klsweep", "--config", "c.json", "--jobs", "2"],
+    ["klsweep", "--config", "c.json", "--seed-override", "3"],
+    ["spectral", "--config", "c.json", "--jobs", "2"],
+    ["bounds", "--config", "c.json", "--jobs", "2"],
+    ["nosuchcommand"],
+])
+def test_usage_error_exits_one(argv, capsys):
+    # flags a command would ignore are refused, and a bad command line is a
+    # validation failure (1), not a runtime failure (2)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err

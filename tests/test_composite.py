@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from lossmix import composite
-from lossmix.composite import (BetaWeights, CompositeObjective, Scheme,
-                               adaptive_betas, composite_grad, composite_value,
+from lossmix.composite import (BetaWeights, Scheme, adaptive_betas,
+                               composite_grad, composite_value,
                                constraint9_check, critical_p,
                                directional_curvature, dvalue_dp)
-from lossmix.losses import LossKind
 
 
 class TestBetaWeights:
@@ -89,13 +88,6 @@ class TestValue:
             got = composite_value(vals, betas, float(rng.uniform(1, 6)))
             assert vals.min() - 1e-12 <= got <= vals.max() + 1e-12
 
-    def test_objective_bundle_validates(self):
-        with pytest.raises(ValueError):
-            CompositeObjective(terms=(LossKind.CE,), betas=BetaWeights.uniform(2))
-        obj = CompositeObjective(terms=(LossKind.CE, LossKind.MSE),
-                                 betas=BetaWeights.uniform(2), p=2.0)
-        assert obj.value([0.2, 0.8]) == pytest.approx(0.5830951894845301)
-
 
 class TestGrad:
     def test_worked_scalar_example(self):
@@ -130,6 +122,36 @@ class TestGrad:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="gradients"):
             composite_grad([0.2, 0.8], [np.zeros(2)], BetaWeights.uniform(2), 2.0)
+
+    @pytest.mark.parametrize("mode", composite.MODES)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bit_identical_to_np_dot_formulas(self, k, mode):
+        # the value and gradient as written before the shared power-sum
+        # kernel: np.dot over the floored values, with a p == 1 branch
+        def reference(vals, grads, b, p):
+            v = np.maximum(vals, composite.VALUE_FLOOR)
+            if p == 1.0:
+                return float(np.dot(b, v)), b
+            m = float(np.dot(b, v ** p))
+            return (float(np.dot(b, v ** p) ** (1.0 / p)),
+                    m ** (1.0 / p - 1.0) * b * v ** (p - 1.0))
+
+        rng = np.random.default_rng(40 + k)
+        for trial in range(300):
+            vals = rng.uniform(0.0, 1.5, k)
+            vals[rng.random(k) < 0.1] = 1e-14  # below the floor
+            w = rng.uniform(0.05, 1.0, k)
+            betas = BetaWeights(tuple(w / w.sum()))
+            b = betas.as_array() if mode == "weighted" else np.ones(k)
+            p = 1.0 if trial % 5 == 0 else float(rng.uniform(1.0, 5.0))
+            grads = [rng.standard_normal(4) for _ in range(k)]
+            want_value, coeffs = reference(vals, grads, b, p)
+            want_grad = np.zeros(4)
+            for c, g in zip(coeffs, grads):
+                want_grad += c * g
+            assert composite_value(vals, betas, p, mode) == want_value
+            np.testing.assert_array_equal(
+                composite_grad(vals, grads, betas, p, mode), want_grad)
 
 
 class TestAdaptiveBetas:

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from lossmix import data
-from lossmix.data import (CifarFormatError, Dataset, RandomizationLevel,
-                          freq_target_1d, gaussian_blobs, load_cifar10_bin,
-                          randomize_labels, train_val_split, two_moons,
-                          write_cifar10_bin)
+from lossmix.data import (CifarFormatError, Dataset, freq_target_1d,
+                          gaussian_blobs, load_cifar10_bin, randomize_labels,
+                          train_val_split, two_moons, write_cifar10_bin)
 
 
 def linear_probe_accuracy(ds: Dataset) -> float:
@@ -82,8 +81,9 @@ class TestRandomizeLabels:
             randomize_labels(ds, 0.2, seed=0)
 
     def test_level_validation(self):
+        ds = gaussian_blobs(3, 10, 2, 0.5, seed=12)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            RandomizationLevel(1.2)
+            randomize_labels(ds, 1.2, seed=0)
 
 
 class TestCifarLoader:
@@ -158,11 +158,3 @@ class TestSplit:
         with pytest.raises(ValueError, match="empty"):
             train_val_split(ds, 0.01, seed=19)
 
-
-def test_csv_export(tmp_path):
-    ds = two_moons(10, 0.0, seed=20)
-    out = tmp_path / "ds.csv"
-    data.to_csv(ds, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x_0,x_1,y_0,y_1"
-    assert len(lines) == 11

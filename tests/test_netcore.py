@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lossmix import netcore
+from lossmix.losses import LossKind, loss_output_grad, loss_value
 from lossmix.netcore import Batch, MLPSpec, ShapeError
 
 
@@ -120,6 +121,29 @@ class TestBackward:
         params = np.zeros(spec.n_params)
         with pytest.raises(ShapeError):
             netcore.backward(spec, params, make_batch(), np.zeros((6, 3)))
+
+
+@pytest.mark.parametrize("output_kind", ["linear", "softmax", "sigmoid"])
+def test_term_values_and_grads_match_forward_and_backward(output_kind):
+    k = 1 if output_kind == "sigmoid" else 3
+    spec = MLPSpec((3, 6, k), hidden_activation="tanh", output_kind=output_kind)
+    params = netcore.init_params(spec, 21, 0.6)
+    batch = make_batch(k=k, seed=22)
+    kinds = (LossKind.CE, LossKind.MSE, LossKind.JSD)
+    preds, vals, grads = netcore.term_values_and_grads(spec, params, batch, kinds)
+    want_preds = netcore.forward(spec, params, batch)
+    assert np.array_equal(preds, want_preds)
+    for kind, value, grad in zip(kinds, vals, grads, strict=True):
+        assert value == loss_value(kind, want_preds, batch.targets).value
+        want = netcore.backward(spec, params, batch,
+                                loss_output_grad(kind, want_preds, batch.targets))
+        assert np.array_equal(grad, want)
+        assert netcore.term_loss_fn(spec, batch, kind)(params) == value
+    # values of every term, a gradient for the listed ones only
+    _, vals_one, grads_one = netcore.term_values_and_grads(
+        spec, params, batch, kinds, (LossKind.JSD,))
+    assert vals_one == vals
+    assert len(grads_one) == 1 and np.array_equal(grads_one[0], grads[2])
 
 
 class TestFiniteDiff:

@@ -5,8 +5,7 @@ from lossmix import data, netcore, optim
 from lossmix.composite import Scheme
 from lossmix.losses import LossKind
 from lossmix.netcore import MLPSpec
-from lossmix.optim import (TrainConfig, TrainingDiverged, optimizer_step,
-                           run_scheme_comparison, train)
+from lossmix.optim import TrainConfig, TrainingDiverged, optimizer_step, train
 
 
 def moons_setup(seed=0):
@@ -63,6 +62,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="two"):
             TrainConfig(scheme=Scheme.multi(), terms=(LossKind.CE,),
                         beta_rule="paper-max")
+
+    def test_fixed_betas_one_per_term(self):
+        with pytest.raises(ValueError, match="3 fixed_betas for 2 terms"):
+            TrainConfig(scheme=Scheme.multi(), beta_rule="fixed",
+                        fixed_betas=(0.2, 0.3, 0.5))
+
+    def test_zero_one_term_rejected(self):
+        with pytest.raises(ValueError, match="zero_one"):
+            TrainConfig(scheme=Scheme.multi(),
+                        terms=(LossKind.CE, LossKind.ZERO_ONE))
 
     def test_paper_values_recorded(self):
         # the tested noise and regularization magnitudes pass through verbatim
@@ -171,29 +180,6 @@ class TestTrain:
         eps = 2e-3
         draws = optim.sample_gradient_noise(rng, eps, 150_000)
         assert abs(draws.var() / eps ** 2 - 1.0) <= 0.05
-
-
-class TestComparison:
-    def test_three_schemes_table(self):
-        spec, train_set, val_set = moons_setup()
-        base = TrainConfig(scheme=Scheme.multi(), epochs=3, seed=0,
-                           warmup_epochs=1)
-        schemes = [Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0)]
-        comparison = run_scheme_comparison(spec, train_set, val_set, base,
-                                           schemes, [1, 2])
-        assert len(comparison.records) == 6
-        labels = {r["scheme"] for r in comparison.summary_rows()}
-        assert labels == {"single[0]", "multi", "nonlinear(p=2)"}
-
-    def test_single_run_matches_trajectory(self):
-        spec, train_set, val_set = moons_setup()
-        base = TrainConfig(scheme=Scheme.multi(), epochs=3, seed=0)
-        comparison = run_scheme_comparison(spec, train_set, val_set, base,
-                                           [Scheme.multi()], [5])
-        record = comparison.records[("multi", 5)]
-        for row, summary in zip(record.rows, comparison.summary_rows()):
-            assert summary["train_mean"] == row.train_acc
-            assert summary["train_std"] == 0.0
 
 
 def test_save_run_layout(tmp_path):
