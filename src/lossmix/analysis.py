@@ -55,10 +55,6 @@ class Grid:
             raise ValueError("grid exceeds the point budget")
 
     @property
-    def dims(self) -> int:
-        return len(self.bounds)
-
-    @property
     def n_points(self) -> int:
         return int(np.prod(self.resolution))
 
@@ -72,14 +68,6 @@ class Grid:
     def axes(self) -> list[np.ndarray]:
         return [np.linspace(lo, hi, r) for (lo, hi), r in
                 zip(self.bounds, self.resolution)]
-
-    def points(self) -> np.ndarray:
-        """(n_points, dims) coordinates in row-major axis order."""
-        axes = self.axes()
-        if self.dims == 1:
-            return axes[0][:, None]
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 @dataclass(frozen=True)
@@ -97,13 +85,6 @@ class GridField:
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite field values")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable) -> "GridField":
-        pts = grid.points()
-        if grid.dims == 1:
-            return cls(grid, np.asarray([fn(float(x)) for x in pts[:, 0]]))
-        return cls(grid, np.asarray([fn(float(x), float(y)) for x, y in pts]))
 
     def is_density(self, tol: float = DENSITY_TOL) -> bool:
         return (self.values.min() >= 0.0 and

@@ -116,7 +116,6 @@ TRAIN_SCHEMA = {
                   "additionalProperties": False},
         "schemes": {"type": "array", "items": _SCHEME_SCHEMA, "minItems": 1},
         "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "bound": _BOUND_SCHEMA,
     },
     "required": ["dataset", "model", "schemes", "seeds"],
     "additionalProperties": False,
@@ -310,9 +309,6 @@ def cmd_train(args) -> int:
     schemes = [_scheme_from(s) for s in config["schemes"]]
     seeds = ([args.seed_override] if args.seed_override is not None
              else list(config["seeds"]))
-    bound_doc = config.get("bound")
-    # built before any run, so a bad bound block fails validation up front
-    bound = None if bound_doc is None else _bound_params_from(bound_doc, m=train_set.n)
 
     jobs = []
     for scheme in schemes:
@@ -324,14 +320,7 @@ def cmd_train(args) -> int:
         cfg = _train_config_from(config.get("train", {}), scheme, seed)
         record = optim.train(spec, train_set, val_set, cfg)
         run_dir = out / f"{_slug(scheme)}-seed{seed}"
-        extra = {}
-        if bound is not None:
-            q = pacbayes.GaussianPosterior(mean=record.final_params, sigma=0.05)
-            prior = pacbayes.GaussianPrior(lambda_p=1.0)
-            cert = pacbayes.risk_certificate(q, prior, spec, val_set, bound,
-                                             n_samples=50, seed=seed)
-            extra["certificate"] = cert.to_json_dict()
-        optim.save_run(run_dir, record, cfg, config_hash=digest, extra_meta=extra)
+        optim.save_run(run_dir, record, cfg, config_hash=digest)
         return run_dir
 
     if args.jobs > 1:
@@ -402,6 +391,9 @@ def cmd_bounds(args) -> int:
     seed = (args.seed_override if args.seed_override is not None
             else config.get("seed", 0))
     post_doc = config["posterior"]
+    # built before any training, so a bad bound or prior block fails up front
+    prior = pacbayes.GaussianPrior(lambda_p=config["prior"]["lambda_p"])
+    params = _bound_params_from(config["bound"], m=train_set.n)
     if "params_file" in post_doc:
         path = Path(post_doc["params_file"])
         if not path.exists():
@@ -414,8 +406,6 @@ def cmd_bounds(args) -> int:
         record = optim.train(spec, train_set, val_set, cfg)
         mean = record.final_params
     q = pacbayes.GaussianPosterior(mean=mean, sigma=post_doc["sigma"])
-    prior = pacbayes.GaussianPrior(lambda_p=config["prior"]["lambda_p"])
-    params = _bound_params_from(config["bound"], m=train_set.n)
     cert = pacbayes.risk_certificate(q, prior, spec, val_set, params,
                                      n_samples=config.get("n_samples", 100),
                                      seed=seed)

@@ -19,7 +19,7 @@ class CifarFormatError(ValueError):
     """Malformed CIFAR-10 binary file, with the offending byte offset."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Inputs plus one-hot labels (classification) or real targets (regression)."""
 
@@ -28,14 +28,14 @@ class Dataset:
     name: str = "dataset"
     k_classes: int = 0  # 0 marks regression
     meta: dict = field(default_factory=dict)
+    _batch: Batch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.inputs.ndim != 2 or self.targets.ndim != 2:
-            raise ValueError("inputs and targets must be 2-d")
-        if self.inputs.shape[0] != self.targets.shape[0] or self.inputs.shape[0] < 1:
-            raise ValueError("inputs and targets must align on a nonempty sample axis")
+        # the Batch checks shape, alignment and finite inputs, once per dataset
+        batch = Batch(inputs=self.inputs, targets=self.targets)
+        object.__setattr__(self, "_batch", batch)
+        object.__setattr__(self, "inputs", batch.inputs)
+        object.__setattr__(self, "targets", batch.targets)
         if self.k_classes:
             if self.targets.shape[1] != self.k_classes:
                 raise ValueError(
@@ -54,7 +54,7 @@ class Dataset:
         return self.k_classes > 0
 
     def as_batch(self) -> Batch:
-        return Batch(inputs=self.inputs, targets=self.targets)
+        return self._batch
 
     def subset(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
         return Dataset(inputs=self.inputs[idx], targets=self.targets[idx],

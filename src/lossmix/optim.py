@@ -318,7 +318,7 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, config: TrainConfig,
 
 
 def save_run(out_dir, record: TrajectoryRecord, config: TrainConfig,
-             config_hash: str = "", extra_meta: dict | None = None) -> Path:
+             config_hash: str = "") -> Path:
     """Write trajectory.csv plus a config/timing sidecar and final params."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -331,8 +331,6 @@ def save_run(out_dir, record: TrajectoryRecord, config: TrainConfig,
             "total_seconds": float(sum(record.epoch_seconds)),
         },
     }
-    if extra_meta:
-        meta.update(extra_meta)
     (out / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     if record.final_params is not None:
         np.savez(out / "params.npz", params=record.final_params)

@@ -9,7 +9,6 @@ evaluators reject anything at or below that threshold.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -184,9 +183,6 @@ class Certificate:
             "eps_dp": self.eps_dp, "dp_bound": self.dp_bound,
             "risk_upper": self.risk_upper,
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def risk_certificate(Q: GaussianPosterior, P: GaussianPrior, spec: MLPSpec,

@@ -79,13 +79,10 @@ def check_losses_grad_oracle():
     worst = 0.0
     for kind in (LossKind.MSE, LossKind.CE, LossKind.JSD):
         analytic = losses.loss_output_grad(kind, preds, targets)
-        numeric = np.zeros_like(preds)
-        h = 1e-6
-        for idx in np.ndindex(preds.shape):
-            hi = preds.copy(); hi[idx] += h
-            lo = preds.copy(); lo[idx] -= h
-            numeric[idx] = (losses.loss_value(kind, hi, targets).value
-                            - losses.loss_value(kind, lo, targets).value) / (2 * h)
+        numeric = netcore.finite_diff_grad(
+            lambda flat: losses.loss_value(kind, flat.reshape(preds.shape),
+                                           targets).value,
+            preds.ravel(), 1e-6).reshape(preds.shape)
         worst = max(worst, _rel_vec(analytic, numeric))
     return worst <= 1e-7, f"max relative error {worst:.2e}"
 
@@ -131,14 +128,10 @@ def check_composite_grad_oracle():
         mode = rng.choice(["weighted", "unweighted"])
         eye = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         analytic = composite.composite_grad(vals, eye, betas, p, mode)
-        h = 1e-5
-        for i in range(2):
-            hi = vals.copy(); hi[i] += h
-            lo = vals.copy(); lo[i] -= h
-            num = (composite.composite_value(hi, betas, p, mode)
-                   - composite.composite_value(lo, betas, p, mode)) / (2 * h)
-            denom = max(abs(num), abs(analytic[i]), 1e-300)
-            worst = max(worst, abs(analytic[i] - num) / denom)
+        numeric = netcore.finite_diff_grad(
+            lambda v: composite.composite_value(v, betas, p, mode), vals, 1e-5)
+        for a, num in zip(analytic, numeric):
+            worst = max(worst, abs(a - num) / max(abs(num), abs(a), 1e-300))
     return worst <= 1e-8, f"max relative error {worst:.2e}"
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lossmix import cli, composite, data
+from lossmix import cli, composite, data, optim
 
 
 def run_cli(argv):
@@ -81,14 +81,14 @@ class TestTrainCommand:
         assert run_cli(["train", "--config", cfg,
                         "--out", str(tmp_path / "o")]) == 1
 
-    def test_bad_lambda_rejected(self, tmp_path, capsys):
+    def test_bound_block_is_unknown_key(self, tmp_path, capsys):
+        # certificates come from `bounds` with posterior.params_file only
         doc = moons_train_config(extra={
-            "bound": {"lambda": 0.3, "l_max": 1.0, "delta": 0.1}})
+            "bound": {"lambda": 1.0, "l_max": 1.0, "delta": 0.1}})
         cfg = write_config(tmp_path, doc)
         code = run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
-        captured = capsys.readouterr()
-        assert "1/2" in captured.err
+        assert "'bound' was unexpected" in capsys.readouterr().err
 
     def test_width_mismatch_is_config_error(self, tmp_path, capsys):
         # a 3-wide softmax head cannot fit the 2-class two-moons targets
@@ -191,6 +191,19 @@ class TestBoundsCommand:
         cert = json.loads(
             next((tmp_path / "o").rglob("certificate.json")).read_text())
         assert cert["risk_upper"] >= cert["emp_risk"]
+
+    def test_bad_lambda_rejected_before_training(self, tmp_path, monkeypatch,
+                                                 capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the bound block was checked")
+
+        monkeypatch.setattr(optim, "train", no_training)
+        doc = self.bounds_config()
+        doc["bound"]["lambda"] = 0.3
+        cfg = write_config(tmp_path, doc)
+        code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "1/2" in capsys.readouterr().err
 
     def test_width_mismatch_is_config_error(self, tmp_path, capsys):
         doc = self.bounds_config()

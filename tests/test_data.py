@@ -49,6 +49,15 @@ class TestGenerators:
             Dataset(inputs=np.zeros((2, 2)), targets=np.array([[0.5, 0.4]] * 2),
                     k_classes=2)
 
+    def test_nonfinite_input_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(inputs=np.array([[0.0], [np.nan]]), targets=np.zeros((2, 1)))
+
+    def test_as_batch_is_built_once(self):
+        ds = two_moons(20, 0.1, seed=2)
+        assert ds.as_batch() is ds.as_batch()
+        assert ds.as_batch().inputs is ds.inputs
+
 
 class TestRandomizeLabels:
     def test_zero_level_identity(self):
@@ -62,13 +71,6 @@ class TestRandomizeLabels:
             out = randomize_labels(ds, level, seed=7)
             assert out.meta["randomization_level"] == level
             assert out.meta["randomized_mask"].sum() == round(level * ds.n)
-
-    def test_full_randomization_binomial(self):
-        ds = gaussian_blobs(10, 1000, 2, 0.5, seed=8)
-        out = randomize_labels(ds, 1.0, seed=9)
-        changed = np.mean(np.argmax(out.targets, 1) != np.argmax(ds.targets, 1))
-        sd = np.sqrt(0.9 * 0.1 / ds.n)
-        assert abs(changed - 0.9) <= 3 * sd
 
     def test_labels_stay_one_hot(self):
         ds = gaussian_blobs(4, 50, 2, 0.5, seed=10)

@@ -5,6 +5,7 @@ import pytest
 
 from lossmix.losses import (LossKind, NonDifferentiableLoss, loss_output_grad,
                             loss_value)
+from lossmix.netcore import finite_diff_grad
 
 
 def onehot_rows(labels, k):
@@ -98,13 +99,9 @@ class TestGrads:
         else:
             targets = onehot_rows(rng.integers(0, k, 5), k)
         analytic = loss_output_grad(kind, preds, targets)
-        numeric = np.zeros_like(preds)
-        h = 1e-6
-        for idx in np.ndindex(preds.shape):
-            hi = preds.copy(); hi[idx] += h
-            lo = preds.copy(); lo[idx] -= h
-            numeric[idx] = (loss_value(kind, hi, targets).value
-                            - loss_value(kind, lo, targets).value) / (2 * h)
+        numeric = finite_diff_grad(
+            lambda flat: loss_value(kind, flat.reshape(preds.shape), targets).value,
+            preds.ravel(), 1e-6).reshape(preds.shape)
         scale = max(np.abs(numeric).max(), 1e-300)
         assert np.abs(analytic - numeric).max() / scale <= 1e-7
 
