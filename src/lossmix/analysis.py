@@ -34,7 +34,7 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1-d or 2-d lattice with its cell volume."""
+    """Uniform 1-d lattice with its cell width."""
 
     bounds: tuple[tuple[float, float], ...]
     resolution: tuple[int, ...]
@@ -44,30 +44,28 @@ class Grid:
         resolution = tuple(int(r) for r in self.resolution)
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "resolution", resolution)
-        if not 1 <= len(bounds) <= 2 or len(bounds) != len(resolution):
-            raise ValueError("grid must be 1-d or 2-d with matching resolutions")
-        for (lo, hi), r in zip(bounds, resolution):
-            if lo >= hi:
-                raise ValueError(f"bad bounds ({lo}, {hi})")
-            if r < 3:
-                raise ValueError("resolution must be at least 3 per dimension")
-        if np.prod(resolution) > MAX_GRID_POINTS:
+        if len(bounds) != 1 or len(resolution) != 1:
+            raise ValueError("grid must be 1-d: one bounds pair and one resolution")
+        (lo, hi), (r,) = bounds[0], resolution
+        if lo >= hi:
+            raise ValueError(f"bad bounds ({lo}, {hi})")
+        if r < 3:
+            raise ValueError("resolution must be at least 3")
+        if r > MAX_GRID_POINTS:
             raise ValueError("grid exceeds the point budget")
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.resolution))
+        return self.resolution[0]
 
     @property
     def cell_volume(self) -> float:
-        vol = 1.0
-        for (lo, hi), r in zip(self.bounds, self.resolution):
-            vol *= (hi - lo) / (r - 1)
-        return vol
+        (lo, hi), (r,) = self.bounds[0], self.resolution
+        return (hi - lo) / (r - 1)
 
-    def axes(self) -> list[np.ndarray]:
-        return [np.linspace(lo, hi, r) for (lo, hi), r in
-                zip(self.bounds, self.resolution)]
+    def axis(self) -> np.ndarray:
+        (lo, hi), (r,) = self.bounds[0], self.resolution
+        return np.linspace(lo, hi, r)
 
 
 @dataclass(frozen=True)
@@ -260,7 +258,7 @@ def default_kl_testbed(lo: float = -3.0, hi: float = 3.0, points: int = 601):
     concentrated on the optimal set.
     """
     grid = Grid(bounds=((lo, hi),), resolution=(points,))
-    x = grid.axes()[0]
+    x = grid.axis()
     L1 = GridField(grid, np.clip(0.05 + 0.15 * (x - 1.0) ** 2, 0.01, 0.99))
     L2 = GridField(grid, np.clip(0.05 + 0.15 * (x + 1.0) ** 2, 0.01, 0.99))
     min_field = GridField(grid, np.minimum(L1.values, L2.values))

@@ -226,9 +226,16 @@ def critical_p(L: float, g: float, h: float) -> float:
     return (g * g - L * h) / (g * g)
 
 
-def directional_curvature(loss_fn: Callable[[np.ndarray], float], params: np.ndarray,
-                          direction: np.ndarray, h: float) -> tuple[float, float]:
-    """Central-difference first and second derivatives along a unit direction."""
+def directional_curvature(loss_fn: Callable[[np.ndarray], float | Sequence[float]],
+                          params: np.ndarray, direction: np.ndarray, h: float,
+                          f0: float | Sequence[float] | None = None):
+    """Central-difference first and second derivatives along a unit direction.
+
+    loss_fn returns one value, giving a (g, h) pair of floats, or a vector
+    of per-term values, giving a pair of arrays with one entry per term;
+    each entry is the bits the scalar form gives for that term alone. f0 is
+    loss_fn(params) when the caller already holds it, which saves a call.
+    """
     if h <= 0:
         raise ValueError("h must be positive")
     params = np.asarray(params, dtype=np.float64)
@@ -236,11 +243,14 @@ def directional_curvature(loss_fn: Callable[[np.ndarray], float], params: np.nda
     norm = np.linalg.norm(direction)
     if not np.isclose(norm, 1.0, rtol=0, atol=1e-8):
         raise ValueError(f"direction must be a unit vector, norm {norm}")
-    f0 = loss_fn(params)
-    f_hi = loss_fn(params + h * direction)
-    f_lo = loss_fn(params - h * direction)
-    if not (np.isfinite(f0) and np.isfinite(f_hi) and np.isfinite(f_lo)):
+    f0 = np.asarray(loss_fn(params) if f0 is None else f0, dtype=np.float64)
+    f_hi = np.asarray(loss_fn(params + h * direction), dtype=np.float64)
+    f_lo = np.asarray(loss_fn(params - h * direction), dtype=np.float64)
+    if not np.all(np.isfinite(f0) & np.isfinite(f_hi) & np.isfinite(f_lo)):
         raise ValueError("non-finite loss evaluation along direction")
+    # +, -, * and / round the same elementwise as on Python floats
     g = (f_hi - f_lo) / (2.0 * h)
     h2 = (f_hi - 2.0 * f0 + f_lo) / (h * h)
-    return float(g), float(h2)
+    if g.ndim == 0:
+        return float(g), float(h2)
+    return g, h2

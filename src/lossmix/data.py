@@ -31,7 +31,7 @@ class Dataset:
     _batch: Batch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the Batch checks shape, alignment and finite inputs, once per dataset
+        # the Batch checks shape, alignment and finite inputs and targets, once
         batch = Batch(inputs=self.inputs, targets=self.targets)
         object.__setattr__(self, "_batch", batch)
         object.__setattr__(self, "inputs", batch.inputs)

@@ -85,6 +85,8 @@ class Batch:
             raise ShapeError("batch must contain at least one sample")
         if not np.all(np.isfinite(inputs)):
             raise ValueError("non-finite inputs")
+        if not np.all(np.isfinite(targets)):
+            raise ValueError("non-finite targets")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 

@@ -193,7 +193,12 @@ def _accuracy(spec: MLPSpec, params: np.ndarray, data: Dataset,
 
 
 def _epoch_row(spec, params, data, val, config, betas, epoch, warmup, seconds):
-    """Full-dataset telemetry at the epoch's final parameters."""
+    """Full-dataset telemetry at the epoch's final parameters.
+
+    Returns the row and the training-set predictions it was computed from.
+    Constraint 9 is checked for every term from one shared pair of forward
+    passes at params +/- h along the descent direction.
+    """
     batch = data.as_batch()
     preds, vals, grads = netcore.term_values_and_grads(spec, params, batch, config.terms)
     gnorms = [float(np.linalg.norm(g)) for g in grads]
@@ -209,13 +214,11 @@ def _epoch_row(spec, params, data, val, config, betas, epoch, warmup, seconds):
     satisfied = False
     if norm > 0:
         direction = -comp_grad / norm
-        satisfied = True
-        for kind, v in zip(config.terms, vals):
-            g_dir, h_dir = directional_curvature(
-                netcore.term_loss_fn(spec, batch, kind), params, direction, CURVATURE_H)
-            if not constraint9_check(max(v, 1e-12), g_dir, h_dir, p_eff):
-                satisfied = False
-                break
+        g_dir, h_dir = directional_curvature(
+            lambda w: netcore.term_values_and_grads(spec, w, batch, config.terms, ())[1],
+            params, direction, CURVATURE_H, f0=vals)
+        satisfied = all(constraint9_check(max(v, 1e-12), g, h, p_eff)
+                        for v, g, h in zip(vals, g_dir, h_dir))
     return TrajectoryRow(
         epoch=epoch,
         train_acc=_accuracy(spec, params, data, preds),
@@ -226,7 +229,7 @@ def _epoch_row(spec, params, data, val, config, betas, epoch, warmup, seconds):
         grad_norms=tuple(gnorms),
         constraint9=int(satisfied),
         seconds=seconds,
-    )
+    ), preds
 
 
 def train(spec: MLPSpec, data: Dataset, val: Dataset, config: TrainConfig,
@@ -237,6 +240,8 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, config: TrainConfig,
     and gradient, weight update per beta_rule, composition, optional
     Gaussian noise, optimizer step with L2 regularization. Epochs below
     warmup_epochs train on CE alone and record a one-hot CE weight vector.
+    After each epoch's row, epoch_callback(epoch, params, preds) receives the
+    epoch's final parameters and the row's training-set predictions.
     """
     if data.n < 1 or val.n < 1:
         raise ValueError("datasets must be nonempty")
@@ -302,16 +307,16 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, config: TrainConfig,
         row_betas = ce_betas if warmup else betas
         seconds = time.perf_counter() - t0
         try:
-            record.rows.append(_epoch_row(
-                spec, params, data, val, config, row_betas, epoch, warmup,
-                seconds))
+            row, preds = _epoch_row(spec, params, data, val, config, row_betas,
+                                    epoch, warmup, seconds)
         except netcore.ShapeError:
             raise
         except ValueError as exc:
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}: {exc}", record) from exc
+        record.rows.append(row)
         if epoch_callback is not None:
-            epoch_callback(epoch, params)
+            epoch_callback(epoch, params, preds)
 
     record.final_params = params
     return record

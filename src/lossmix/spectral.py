@@ -252,8 +252,7 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
                       batch_size=target.n_points)
         snapshots: list[np.ndarray] = []
 
-        def keep(epoch: int, params: np.ndarray, _spec=spec, _out=snapshots):
-            preds = optim.netcore.forward(_spec, params, data.as_batch())
+        def keep(epoch: int, params: np.ndarray, preds: np.ndarray, _out=snapshots):
             _out.append(preds[:, 0].copy())
 
         optim.train(spec, data, data, cfg, epoch_callback=keep)

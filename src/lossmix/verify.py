@@ -384,7 +384,7 @@ def check_analysis_density_normalization():
 
 def check_analysis_kl_gaussian_oracle():
     grid = analysis.Grid(bounds=((-8.0, 8.0),), resolution=(4001,))
-    x = grid.axes()[0]
+    x = grid.axis()
     p = analysis.boltzmann(analysis.GridField(grid, 0.5 * x ** 2), 1.0).density
     q = analysis.boltzmann(analysis.GridField(grid, 0.5 * (x - 1.0) ** 2), 1.0).density
     got = analysis.kl_divergence(p, q)

@@ -25,11 +25,9 @@ class TestGrid:
         with pytest.raises(ValueError, match="resolution"):
             Grid(bounds=((0.0, 1.0),), resolution=(2,))
         with pytest.raises(ValueError, match="budget"):
-            Grid(bounds=((0.0, 1.0), (0.0, 1.0)), resolution=(4000, 4000))
-
-    def test_cell_volume_2d(self):
-        grid = Grid(bounds=((0.0, 1.0), (0.0, 2.0)), resolution=(11, 21))
-        assert grid.cell_volume == pytest.approx(0.1 * 0.1)
+            Grid(bounds=((0.0, 1.0),), resolution=(analysis.MAX_GRID_POINTS + 1,))
+        with pytest.raises(ValueError, match="1-d"):
+            Grid(bounds=((0.0, 1.0), (0.0, 2.0)), resolution=(11, 21))
 
     def test_field_length_checked(self):
         with pytest.raises(ValueError, match="values"):
@@ -46,7 +44,7 @@ class TestBoltzmann:
 
     def test_quadratic_symmetric_peak(self):
         grid = line_grid(points=601)
-        x = grid.axes()[0]
+        x = grid.axis()
         res = boltzmann(GridField(grid, x ** 2), 1.0)
         dens = res.density.values
         assert np.argmax(dens) == 300
@@ -63,7 +61,7 @@ class TestBoltzmann:
 
     def test_extreme_field_survives_shifting(self):
         grid = line_grid(points=101)
-        x = grid.axes()[0]
+        x = grid.axis()
         res = boltzmann(GridField(grid, 500.0 * x ** 2), 10.0)
         assert res.density.is_density()
         assert np.isfinite(res.log_z)
@@ -72,7 +70,7 @@ class TestBoltzmann:
 class TestKLDivergence:
     def test_self_zero(self):
         grid = line_grid(points=201)
-        p = boltzmann(GridField(grid, grid.axes()[0] ** 2), 1.0).density
+        p = boltzmann(GridField(grid, grid.axis() ** 2), 1.0).density
         assert kl_divergence(p, p) == 0.0
 
     def test_nonnegative_sweep(self):

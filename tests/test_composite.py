@@ -243,6 +243,34 @@ class TestDirectionalCurvature:
             directional_curvature(lambda w: 0.0, np.array([1.0]),
                                   np.array([2.0]), 1e-4)
 
+    @pytest.mark.parametrize("given_f0", [False, True])
+    def test_vector_form_matches_scalar_calls(self, given_f0):
+        # one call over a vector of terms gives each term's scalar-call bits
+        terms = [lambda w: float((w ** 2).sum()),
+                 lambda w: float(np.sin(w).sum() + 1.0),
+                 lambda w: float(np.exp(0.3 * w[0]) * np.cosh(w[-1]))]
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            params = rng.uniform(-2.0, 2.0, 3)
+            d = rng.standard_normal(3)
+            d /= np.linalg.norm(d)
+            h = float(rng.choice([1e-5, 1e-4, 1e-3]))
+            f0 = [t(params) for t in terms] if given_f0 else None
+            g, h2 = directional_curvature(lambda w: [t(w) for t in terms],
+                                          params, d, h, f0=f0)
+            assert g.shape == h2.shape == (3,)
+            for k, t in enumerate(terms):
+                assert (g[k], h2[k]) == directional_curvature(t, params, d, h)
+                # the scalar form's arithmetic on Python floats
+                f_0, f_hi, f_lo = t(params), t(params + h * d), t(params - h * d)
+                assert g[k] == (f_hi - f_lo) / (2.0 * h)
+                assert h2[k] == (f_hi - 2.0 * f_0 + f_lo) / (h * h)
+
+    def test_vector_form_rejects_any_nonfinite_term(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            directional_curvature(lambda w: [1.0, np.inf if w[0] > 0 else 1.0],
+                                  np.array([0.0]), np.array([1.0]), 1e-4)
+
 
 class TestScheme:
     def test_multi_is_nonlinear_p1(self):

@@ -53,6 +53,13 @@ class TestGenerators:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(inputs=np.array([[0.0], [np.nan]]), targets=np.zeros((2, 1)))
 
+    def test_nonfinite_target_rejected_at_construction(self):
+        # bad data is a config error (exit 1), not divergence 30 epochs in
+        targets = np.linspace(-1.0, 1.0, 20)[:, None]
+        targets[7, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite targets"):
+            Dataset(inputs=np.zeros((20, 2)), targets=targets, k_classes=0)
+
     def test_as_batch_is_built_once(self):
         ds = two_moons(20, 0.1, seed=2)
         assert ds.as_batch() is ds.as_batch()

@@ -1,8 +1,12 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lossmix import data, netcore, optim
-from lossmix.composite import Scheme
+from lossmix import composite, data, netcore, optim
+from lossmix.composite import (BetaWeights, Scheme, composite_grad, composite_value,
+                               constraint9_check)
 from lossmix.losses import LossKind
 from lossmix.netcore import MLPSpec
 from lossmix.optim import TrainConfig, TrainingDiverged, optimizer_step, train
@@ -172,14 +176,87 @@ class TestTrain:
         seen = []
         cfg = TrainConfig(scheme=Scheme.multi(), epochs=3, seed=10)
         train(spec, train_set, val_set, cfg,
-              epoch_callback=lambda e, p: seen.append((e, p.copy())))
-        assert [e for e, _ in seen] == [0, 1, 2]
+              epoch_callback=lambda e, p, y: seen.append((e, p.copy(), y)))
+        assert [e for e, _, _ in seen] == [0, 1, 2]
+        for _, params, preds in seen:
+            # the row's predictions, handed over instead of recomputed
+            assert np.array_equal(
+                preds, netcore.forward(spec, params, train_set.as_batch()))
 
     def test_noise_statistics(self):
         rng = np.random.default_rng(11)
         eps = 2e-3
         draws = optim.sample_gradient_noise(rng, eps, 150_000)
         assert abs(draws.var() / eps ** 2 - 1.0) <= 0.05
+
+
+def per_term_row(spec, params, data, val, config, betas, epoch, warmup):
+    """_epoch_row as written with one three-forward curvature probe per term."""
+    batch = data.as_batch()
+    preds, vals, grads = netcore.term_values_and_grads(spec, params, batch, config.terms)
+    p_eff = config.effective_p
+    if warmup:
+        comp = vals[config.terms.index(LossKind.CE)]
+    elif config.scheme.kind == "single":
+        comp = vals[config.scheme.index]
+    else:
+        comp = composite_value(vals, betas, p_eff, config.mode)
+    comp_grad = composite_grad(vals, grads, betas, p_eff, config.mode)
+    norm = float(np.linalg.norm(comp_grad))
+    satisfied = False
+    if norm > 0:
+        direction = -comp_grad / norm
+        h = optim.CURVATURE_H
+        satisfied = True
+        for kind, v in zip(config.terms, vals):
+            fn = netcore.term_loss_fn(spec, batch, kind)
+            f0, f_hi, f_lo = fn(params), fn(params + h * direction), fn(params - h * direction)
+            g_dir = (f_hi - f_lo) / (2.0 * h)
+            h_dir = (f_hi - 2.0 * f0 + f_lo) / (h * h)
+            if not constraint9_check(max(v, 1e-12), g_dir, h_dir, p_eff):
+                satisfied = False
+                break
+    return optim.TrajectoryRow(
+        epoch=epoch,
+        train_acc=optim._accuracy(spec, params, data, preds),
+        val_acc=optim._accuracy(spec, params, val),
+        losses=tuple(vals), composite=comp, betas=tuple(betas.betas),
+        grad_norms=tuple(float(np.linalg.norm(g)) for g in grads),
+        constraint9=int(satisfied), seconds=0.0)
+
+
+def sigmoid_regression_setup():
+    raw = data.freq_target_1d([1.0, 3.0], [1.0, 0.5], 48)
+    y = raw.targets[:, 0]
+    scaled = 0.1 + 0.8 * (y - y.min()) / (y.max() - y.min())
+    ds = data.Dataset(inputs=raw.inputs, targets=scaled[:, None], k_classes=0)
+    spec = MLPSpec((1, 10, 1), hidden_activation="sigmoid", output_kind="sigmoid")
+    return spec, ds, ds
+
+
+@pytest.mark.parametrize("net", ["softmax-classification", "sigmoid-regression"])
+def test_epoch_row_matches_per_term_curvature_loop(net):
+    spec, train_set, val_set = (moons_setup(3) if net == "softmax-classification"
+                                else sigmoid_regression_setup())
+    schemes = [Scheme.single(0), Scheme.single(1), Scheme.multi(),
+               Scheme.nonlinear(2.0), Scheme.nonlinear(4.0)]
+    term_sets = [(LossKind.CE, LossKind.MSE, LossKind.JSD), (LossKind.MSE, LossKind.CE)]
+    flags = []
+    for terms, scheme, mode in itertools.product(term_sets, schemes, composite.MODES):
+        cfg = TrainConfig(scheme=scheme, mode=mode, terms=terms, epochs=6,
+                          batch_size=16, learning_rate=0.3, init_scale=1.0,
+                          warmup_epochs=1, seed=4)
+        snapshots = []
+        record = train(spec, train_set, val_set, cfg,
+                       epoch_callback=lambda e, p, y: snapshots.append(p.copy()))
+        for row, params in zip(record.rows, snapshots, strict=True):
+            want = per_term_row(spec, params, train_set, val_set, cfg,
+                                BetaWeights(row.betas), row.epoch,
+                                row.epoch < cfg.warmup_epochs)
+            assert replace(row, seconds=0.0) == want
+            flags.append(want.constraint9)
+    # both outcomes of constraint 9 are pinned, not just one
+    assert set(flags) == {0, 1}
 
 
 def test_save_run_layout(tmp_path):

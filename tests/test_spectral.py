@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lossmix import spectral
+from lossmix import netcore, spectral
 from lossmix.optim import TrainConfig
 from lossmix.composite import Scheme
 from lossmix.spectral import (SigmoidUnit, SpectralDomainError,
@@ -165,6 +165,24 @@ class TestSchemeCompare:
                                              target, epochs=10, seed=2, width=8)
         assert a.to_csv_text() == b.to_csv_text()
         assert set(a.reports) == {"single[0]", "multi", "nonlinear(p=2)"}
+
+    def test_four_forwards_per_epoch(self, monkeypatch):
+        # one train step, one telemetry row, one shared +/- h pair for every
+        # term's curvature; the capture callback reuses the row's predictions
+        calls = []
+        cached = netcore._forward_cache
+
+        def counting(*args):
+            calls.append(1)
+            return cached(*args)
+
+        monkeypatch.setattr(netcore, "_forward_cache", counting)
+        target = SpectralTarget(frequencies=(1.0, 3.0), amplitudes=(1.0, 1.0),
+                                n_points=32)
+        schemes = [Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0)]
+        spectral.spectral_scheme_compare(self.base_config(5), schemes, target,
+                                         epochs=5, seed=4, width=8)
+        assert len(calls) == 4 * 5 * len(schemes)
 
     def test_csv_and_json_exports(self):
         import json
