@@ -377,7 +377,8 @@ def box_sharpness(risk_fn: Callable[[np.ndarray], float],
 
 def _risk_and_grad(spec: MLPSpec, batch: Batch, kind: LossKind):
     def grad(p: np.ndarray) -> np.ndarray:
-        _, _, (g,) = netcore.term_values_and_grads(spec, p, batch, (), (kind,))
+        _, _, (g,) = netcore.term_values_and_grads(spec, p, batch.inputs, batch.targets,
+                                                     (), (kind,))
         return g
 
     return netcore.term_loss_fn(spec, batch, kind), grad

@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -310,25 +309,27 @@ def cmd_train(args) -> int:
     seeds = ([args.seed_override] if args.seed_override is not None
              else list(config["seeds"]))
 
-    jobs = []
-    for scheme in schemes:
-        for seed in seeds:
-            jobs.append((scheme, seed))
+    configs = [_train_config_from(config.get("train", {}), scheme, seed)
+               for scheme in schemes for seed in seeds]
 
-    def run_one(job):
-        scheme, seed = job
-        cfg = _train_config_from(config.get("train", {}), scheme, seed)
-        record = optim.train(spec, train_set, val_set, cfg)
-        run_dir = out / f"{_slug(scheme)}-seed{seed}"
-        optim.save_run(run_dir, record, cfg, config_hash=digest)
-        return run_dir
+    def save(record):
+        cfg = record.config
+        return optim.save_run(out / f"{_slug(cfg.scheme)}-seed{cfg.seed}", record, cfg,
+                              config_hash=digest)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            dirs = list(pool.map(run_one, jobs))
-    else:
-        dirs = [run_one(j) for j in jobs]
-    print(f"{len(dirs)} runs written under {out}")
+    try:
+        records = optim.train(spec, train_set, val_set, configs)
+    except optim.TrainingDiverged as exc:
+        for record in exc.finished:
+            save(record)
+        run_dir = save(exc.record)
+        failure = {"run": run_dir.name, "epoch": exc.epoch, "message": str(exc)}
+        (run_dir / "failure.json").write_text(json.dumps(failure, indent=2, sort_keys=True))
+        print(f"runtime error: {exc}; partial trajectory in {run_dir}", file=sys.stderr)
+        return EXIT_RUNTIME
+    for record in records:
+        save(record)
+    print(f"{len(records)} runs written under {out}")
     return EXIT_OK
 
 
@@ -403,8 +404,7 @@ def cmd_bounds(args) -> int:
     else:
         scheme = _scheme_from(config.get("scheme", {"kind": "multi"}))
         cfg = _train_config_from(config.get("train", {}), scheme, seed)
-        record = optim.train(spec, train_set, val_set, cfg)
-        mean = record.final_params
+        mean = optim.train(spec, train_set, val_set, [cfg])[0].final_params
     q = pacbayes.GaussianPosterior(mean=mean, sigma=post_doc["sigma"])
     cert = pacbayes.risk_certificate(q, prior, spec, val_set, params,
                                      n_samples=config.get("n_samples", 100),
@@ -416,6 +416,13 @@ def cmd_bounds(args) -> int:
         json.dumps(payload, indent=2, sort_keys=True))
     print(f"certificate written to {out / 'certificate.json'}")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -437,8 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--out", default=None, help="output directory root")
         if name == "train":
-            cmd.add_argument("--jobs", type=int, default=1,
-                             help="concurrent runs where a config lists several")
+            cmd.add_argument("--jobs", type=_positive_int, default=1,
+                             help="kept for old command lines; a config's runs "
+                                  "train as stacks in one process")
         if name in ("train", "spectral", "bounds"):
             cmd.add_argument("--seed-override", type=int, default=None,
                              help="replace every seed in the config")

@@ -235,13 +235,15 @@ def directional_curvature(loss_fn: Callable[[np.ndarray], float | Sequence[float
     of per-term values, giving a pair of arrays with one entry per term;
     each entry is the bits the scalar form gives for that term alone. f0 is
     loss_fn(params) when the caller already holds it, which saves a call.
+    Stacked (R, P) params and directions, one unit direction per run, take
+    a loss_fn returning (R, terms) and give (R, terms) arrays.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     params = np.asarray(params, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
-    norm = np.linalg.norm(direction)
-    if not np.isclose(norm, 1.0, rtol=0, atol=1e-8):
+    norm = np.linalg.norm(direction, axis=-1)
+    if not np.all(np.isclose(norm, 1.0, rtol=0, atol=1e-8)):
         raise ValueError(f"direction must be a unit vector, norm {norm}")
     f0 = np.asarray(loss_fn(params) if f0 is None else f0, dtype=np.float64)
     f_hi = np.asarray(loss_fn(params + h * direction), dtype=np.float64)

@@ -7,6 +7,11 @@ shares one forward pass among every loss term's value and gradient, and
 ``finite_diff_grad`` is the independent central-difference oracle used to
 check them. All arithmetic is float64; the verification suite asserts
 1e-6-level gradient agreement, which float32 cannot sustain.
+
+Parameters are one flat vector (P,) or a stack (R, P) of R runs of the
+same architecture; inputs are (n, d), shared by every run, or (R, n, d).
+A stacked pass runs each run's slice through the same numpy kernels as an
+unstacked pass, and the tests pin that each run gets the same bits.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .losses import LossKind, loss_output_grad, loss_value
+from .losses import LossKind, loss_means, loss_output_grad, loss_value
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "tanh", "relu")
 OUTPUT_KINDS = ("linear", "softmax", "sigmoid")
@@ -105,33 +110,36 @@ def init_params(spec: MLPSpec, seed: int, scale: float = 0.5) -> np.ndarray:
 
 def check_params(spec: MLPSpec, params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1 or params.size != spec.n_params:
+    if params.ndim not in (1, 2) or params.shape[-1] != spec.n_params:
         raise ShapeError(
-            f"parameter vector has length {params.size}, spec needs {spec.n_params}"
+            f"parameters of shape {params.shape}; spec needs vectors of length "
+            f"{spec.n_params}, alone or stacked as (runs, {spec.n_params})"
         )
     return params
 
 
 def unpack_params(spec: MLPSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector into per-layer (weight, bias) views."""
+    """Split flat parameters into per-layer (weight, bias) views; a stack
+    (R, P) gives (R, n_in, n_out) weights and (R, n_out) biases."""
     params = check_params(spec, params)
+    lead = params.shape[:-1]
     ws = spec.layer_widths
     layers = []
     pos = 0
     for i in range(len(ws) - 1):
         n_in, n_out = ws[i], ws[i + 1]
-        w = params[pos:pos + n_in * n_out].reshape(n_in, n_out)
+        w = params[..., pos:pos + n_in * n_out].reshape(lead + (n_in, n_out))
         pos += n_in * n_out
-        b = params[pos:pos + n_out]
+        b = params[..., pos:pos + n_out]
         pos += n_out
         layers.append((w, b))
     return layers
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _hidden(z: np.ndarray, kind: str) -> np.ndarray:
@@ -154,16 +162,20 @@ def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray):
     """Forward pass keeping pre/post activations for a later backward pass."""
     layers = unpack_params(spec, params)
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
+    if inputs.ndim not in (2, 3) or inputs.shape[-1] != spec.input_dim:
         raise ShapeError(
             f"layer 0 expects input dim {spec.input_dim}, got shape {inputs.shape}"
         )
+    lead = layers[0][1].shape[:-1]
+    if inputs.ndim == 3 and inputs.shape[:1] != lead:
+        raise ShapeError(f"{inputs.shape[0]} input blocks for parameters "
+                         f"of shape {lead + (spec.n_params,)}")
     acts = [inputs]
     zs = []
     a = inputs
     n_layers = len(layers)
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
+        z = a @ w + b[..., None, :]
         zs.append(z)
         if i < n_layers - 1:
             a = _hidden(z, spec.hidden_activation)
@@ -195,25 +207,26 @@ def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray) -> np.nd
     n_layers = len(layers)
     if spec.output_kind == "softmax":
         # softmax jacobian-vector product, row by row
-        inner = (output_grad * preds).sum(axis=1, keepdims=True)
+        inner = (output_grad * preds).sum(axis=-1, keepdims=True)
         delta = preds * (output_grad - inner)
     elif spec.output_kind == "sigmoid":
         delta = output_grad * preds * (1.0 - preds)
     else:
         delta = output_grad
 
-    grad = np.empty(spec.n_params)
-    pos = grad.size
+    lead = layers[0][1].shape[:-1]
+    grad = np.empty(lead + (spec.n_params,))
+    pos = spec.n_params
     for i in range(n_layers - 1, -1, -1):
         w, _ = layers[i]
-        gb = delta.sum(axis=0)
-        gw = acts[i].T @ delta
-        pos -= gb.size
-        grad[pos:pos + gb.size] = gb
-        pos -= gw.size
-        grad[pos:pos + gw.size] = gw.ravel()
+        n_in, n_out = w.shape[-2:]
+        pos -= n_out
+        grad[..., pos:pos + n_out] = delta.sum(axis=-2)
+        pos -= n_in * n_out
+        gw = acts[i].swapaxes(-1, -2) @ delta
+        grad[..., pos:pos + n_in * n_out] = gw.reshape(lead + (-1,))
         if i > 0:
-            da = delta @ w.T
+            da = delta @ w.swapaxes(-1, -2)
             delta = da * _hidden_deriv(zs[i - 1], acts[i], spec.hidden_activation)
     return grad
 
@@ -225,19 +238,21 @@ def backward(spec: MLPSpec, params: np.ndarray, batch: Batch,
     return _backward_from_cache(spec, cache, output_grad)
 
 
-def term_values_and_grads(spec: MLPSpec, params: np.ndarray, batch: Batch,
-                          kinds: Sequence[LossKind],
+def term_values_and_grads(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
+                          targets: np.ndarray, kinds: Sequence[LossKind],
                           grad_kinds: Sequence[LossKind] | None = None):
-    """One forward pass, then the loss value of every term in ``kinds`` and
+    """One forward pass, then the mean loss of every term in ``kinds`` and
     the parameter gradient of every term in ``grad_kinds`` (default: kinds).
 
     Returns (predictions, values, gradients); each term's numbers are the
-    bits ``forward`` and ``backward`` give for that term alone.
+    bits ``forward`` and ``backward`` give for that term alone. With
+    stacked (R, P) params each value holds one mean per run and each
+    gradient is (R, P). Nothing is checked for finiteness: the caller
+    decides what a non-finite run means.
     """
-    preds, cache = _forward_cache(spec, params, batch.inputs)
-    vals = [loss_value(k, preds, batch.targets).value for k in kinds]
-    grads = [_backward_from_cache(spec, cache,
-                                  loss_output_grad(k, preds, batch.targets))
+    preds, cache = _forward_cache(spec, params, inputs)
+    vals = [loss_means(k, preds, targets) for k in kinds]
+    grads = [_backward_from_cache(spec, cache, loss_output_grad(k, preds, targets))
              for k in (kinds if grad_kinds is None else grad_kinds)]
     return preds, vals, grads
 

@@ -12,8 +12,9 @@ sidecar.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,20 +23,29 @@ from . import netcore
 from .composite import (BetaWeights, Scheme, adaptive_betas, composite_grad,
                         composite_value, constraint9_check, directional_curvature)
 from .data import Dataset
-from .losses import LossKind, loss_value
-from .netcore import Batch, MLPSpec
+from .losses import LossKind, loss_means
+from .netcore import MLPSpec
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
 BETA_RULES = ("softmax", "paper-max", "fixed")
 CURVATURE_H = 1e-4
+STACK_ELEMENTS = 2 ** 16
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss mid-run; carries the trajectory built so far."""
+    """A run's predictions, losses or gradients stopped being finite.
 
-    def __init__(self, message: str, record: "TrajectoryRecord"):
+    Carries that run's index among the configs passed to train, the epoch,
+    its trajectory up to the last complete epoch, and the finished records
+    of the stacks trained before it.
+    """
+
+    def __init__(self, message: str, record: "TrajectoryRecord", run: int, epoch: int):
         super().__init__(message)
         self.record = record
+        self.run = run
+        self.epoch = epoch
+        self.finished: list[TrajectoryRecord] = []
 
 
 @dataclass(frozen=True)
@@ -120,6 +130,7 @@ class TrajectoryRecord:
     rows: list[TrajectoryRow] = field(default_factory=list)
     final_params: np.ndarray | None = None
     config: TrainConfig | None = None
+    stack_size: int = 1  # runs trained together; row seconds are the stack's
 
     def header(self) -> list[str]:
         n = len(self.terms)
@@ -182,144 +193,225 @@ def optimizer_step(kind: str, state: dict | None, params: np.ndarray,
     raise ValueError(f"unknown optimizer {kind!r}")
 
 
+def stack_size(spec: MLPSpec, data: Dataset, val: Dataset) -> int:
+    """How many runs train as one stack on these datasets.
+
+    Runs go together while runs x (largest row count a forward sees) x
+    (widest layer) stays within STACK_ELEMENTS float64 elements: small
+    nets share their numpy calls, while wide ones, whose matmuls already
+    fill the cache, train one at a time.
+    """
+    work = max(data.n, val.n) * max(spec.layer_widths)
+    return max(1, STACK_ELEMENTS // work)
+
+
 def _accuracy(spec: MLPSpec, params: np.ndarray, data: Dataset,
-              preds: np.ndarray | None = None) -> float:
-    # accuracy is reported as 0 for regression targets
+              preds: np.ndarray | None = None):
+    """Accuracy of each run (0 for regression targets)."""
     if not data.is_classification:
-        return 0.0
+        return np.zeros(np.shape(params)[:-1])
     if preds is None:
         preds = netcore.forward(spec, params, data.as_batch())
-    return 1.0 - loss_value(LossKind.ZERO_ONE, preds, data.targets).value
+    return 1.0 - loss_means(LossKind.ZERO_ONE, preds, data.targets)
 
 
-def _epoch_row(spec, params, data, val, config, betas, epoch, warmup, seconds):
-    """Full-dataset telemetry at the epoch's final parameters.
+def _initial_betas(config: TrainConfig) -> BetaWeights:
+    n_terms = len(config.terms)
+    if config.scheme.kind == "single":
+        return BetaWeights.one_hot(n_terms, config.scheme.index)
+    if config.beta_rule == "fixed" and config.fixed_betas:
+        return BetaWeights(config.fixed_betas)
+    return BetaWeights.uniform(n_terms)
 
-    Returns the row and the training-set predictions it was computed from.
-    Constraint 9 is checked for every term from one shared pair of forward
-    passes at params +/- h along the descent direction.
+
+def _epoch_row(spec, params, data, val, configs, betas, epoch, warmup, seconds,
+               check):
+    """Full-dataset telemetry at the epoch's final parameters, one row per run.
+
+    Returns the rows and the training-set predictions they were computed
+    from. Constraint 9 is checked for every term from one shared pair of
+    forward passes at params +/- h along each run's descent direction.
+    check(stack, what, runs) raises TrainingDiverged for the first run
+    whose entries are not all finite.
     """
-    batch = data.as_batch()
-    preds, vals, grads = netcore.term_values_and_grads(spec, params, batch, config.terms)
-    gnorms = [float(np.linalg.norm(g)) for g in grads]
-    p_eff = config.effective_p
-    if warmup:
-        composite = vals[config.terms.index(LossKind.CE)]
-    elif config.scheme.kind == "single":
-        composite = vals[config.scheme.index]
-    else:
-        composite = composite_value(vals, betas, p_eff, config.mode)
-    comp_grad = composite_grad(vals, grads, betas, p_eff, config.mode)
-    norm = float(np.linalg.norm(comp_grad))
-    satisfied = False
-    if norm > 0:
-        direction = -comp_grad / norm
-        g_dir, h_dir = directional_curvature(
-            lambda w: netcore.term_values_and_grads(spec, w, batch, config.terms, ())[1],
-            params, direction, CURVATURE_H, f0=vals)
-        satisfied = all(constraint9_check(max(v, 1e-12), g, h, p_eff)
-                        for v, g, h in zip(vals, g_dir, h_dir))
-    return TrajectoryRow(
+    config = configs[0]
+    terms = config.terms
+    preds, vals, grads = netcore.term_values_and_grads(
+        spec, params, data.inputs, data.targets, terms)
+    vals = np.stack(vals, axis=-1)
+    check(preds, "predictions")
+    check(vals, "loss")
+    for g in grads:
+        check(g, "gradient")
+    live, directions, parts = [], [], []
+    for r, cfg in enumerate(configs):
+        v, g = vals[r], [gk[r] for gk in grads]
+        p_eff = cfg.effective_p
+        if warmup:
+            composite = v[terms.index(LossKind.CE)]
+        elif cfg.scheme.kind == "single":
+            composite = v[cfg.scheme.index]
+        else:
+            composite = composite_value(v, betas[r], p_eff, config.mode)
+        comp_grad = composite_grad(v, g, betas[r], p_eff, config.mode)
+        norm = float(np.linalg.norm(comp_grad))
+        check(np.array([norm]), "composite gradient", [r])
+        if norm > 0:
+            live.append(r)
+            directions.append(-comp_grad / norm)
+        parts.append((float(composite), tuple(float(np.linalg.norm(x)) for x in g)))
+    satisfied = [False] * len(configs)
+    if live:
+        def along(w):
+            out = np.stack(netcore.term_values_and_grads(
+                spec, w, data.inputs, data.targets, terms, ())[1], axis=-1)
+            check(out, "loss along the descent direction", live)
+            return out
+
+        g_dir, h_dir = directional_curvature(along, params[live], np.stack(directions),
+                                             CURVATURE_H, f0=vals[live])
+        for j, r in enumerate(live):
+            p_eff = configs[r].effective_p
+            satisfied[r] = all(constraint9_check(max(v, 1e-12), g, h, p_eff)
+                               for v, g, h in zip(vals[r], g_dir[j], h_dir[j]))
+    train_acc = _accuracy(spec, params, data, preds)
+    val_acc = _accuracy(spec, params, val)
+    rows = [TrajectoryRow(
         epoch=epoch,
-        train_acc=_accuracy(spec, params, data, preds),
-        val_acc=_accuracy(spec, params, val),
-        losses=tuple(vals),
+        train_acc=float(train_acc[r]),
+        val_acc=float(val_acc[r]),
+        losses=tuple(float(v) for v in vals[r]),
         composite=composite,
-        betas=tuple(betas.betas),
-        grad_norms=tuple(gnorms),
-        constraint9=int(satisfied),
+        betas=tuple(betas[r].betas),
+        grad_norms=gnorms,
+        constraint9=int(satisfied[r]),
         seconds=seconds,
-    ), preds
+    ) for r, (composite, gnorms) in enumerate(parts)]
+    return rows, preds
 
 
-def train(spec: MLPSpec, data: Dataset, val: Dataset, config: TrainConfig,
-          epoch_callback=None) -> TrajectoryRecord:
-    """Run the full loop and return the per-epoch trajectory.
+def train(spec: MLPSpec, data: Dataset, val: Dataset, configs,
+          epoch_callback=None):
+    """Train every config and return one trajectory record per config.
+
+    The configs may differ only in scheme and seed. They train in stacks of
+    stack_size(spec, data, val) runs: one (R, P) parameter array through
+    every forward, backward, loss mean and optimizer step, while each run
+    keeps its own RNG stream, betas and composite. Every run's record is
+    the bits it gets when trained alone. A lone TrainConfig trains as a
+    one-run sequence and returns its record.
 
     Each epoch: seeded shuffle, minibatch loop computing every term's value
     and gradient, weight update per beta_rule, composition, optional
     Gaussian noise, optimizer step with L2 regularization. Epochs below
     warmup_epochs train on CE alone and record a one-hot CE weight vector.
-    After each epoch's row, epoch_callback(epoch, params, preds) receives the
-    epoch's final parameters and the row's training-set predictions.
-    """
-    if data.n < 1 or val.n < 1:
-        raise ValueError("datasets must be nonempty")
-    n_terms = len(config.terms)
-    params = netcore.init_params(spec, config.seed, config.init_scale)
-    rng = np.random.default_rng([config.seed, 1])
-    opt_state = None
-    record = TrajectoryRecord(terms=config.terms, config=config)
+    After each epoch's rows, epoch_callback(run, epoch, params, preds)
+    receives each run's index in configs, its epoch-final parameters and
+    the row's training-set predictions.
 
-    if config.scheme.kind == "single":
-        betas = BetaWeights.one_hot(n_terms, config.scheme.index)
-    elif config.beta_rule == "fixed":
-        betas = (BetaWeights(config.fixed_betas) if config.fixed_betas
-                 else BetaWeights.uniform(n_terms))
-    else:
-        betas = BetaWeights.uniform(n_terms)
-    ce_index = config.terms.index(LossKind.CE) if LossKind.CE in config.terms else -1
-    ce_betas = BetaWeights.one_hot(n_terms, ce_index) if ce_index >= 0 else betas
-    p_eff = config.effective_p
+    Raises TrainingDiverged for the first run whose predictions, losses or
+    gradients stop being finite.
+    """
+    if isinstance(configs, TrainConfig):
+        return train(spec, data, val, [configs], epoch_callback)[0]
+    configs = list(configs)
+    if not configs:
+        raise ValueError("no configs to train")
+    base = configs[0]
+    for cfg in configs[1:]:
+        if replace(cfg, scheme=base.scheme, seed=base.seed) != base:
+            raise ValueError("configs trained together may differ only in "
+                             "scheme and seed")
+    size = stack_size(spec, data, val)
+    records = []
+    for first in range(0, len(configs), size):
+        try:
+            records += _train_stack(spec, data, val, configs[first:first + size],
+                                    first, epoch_callback)
+        except TrainingDiverged as exc:
+            exc.finished = records
+            raise
+    return records
+
+
+def _train_stack(spec, data, val, configs, first, epoch_callback):
+    config = configs[0]  # the hyperparameters every run shares
+    terms = config.terms
+    params = np.stack([netcore.init_params(spec, c.seed, c.init_scale) for c in configs])
+    rngs = [np.random.default_rng([c.seed, 1]) for c in configs]
+    records = [TrajectoryRecord(terms=terms, config=c, stack_size=len(configs))
+               for c in configs]
+    betas = [_initial_betas(c) for c in configs]
+    ce_betas = (BetaWeights.one_hot(len(terms), terms.index(LossKind.CE))
+                if config.warmup_epochs else None)
+    opt_state = None
+
+    def diverged(r, what):
+        cfg = configs[r]
+        return TrainingDiverged(
+            f"non-finite {what} at epoch {epoch} in run {cfg.scheme.label()} "
+            f"seed {cfg.seed}", records[r], first + r, epoch)
+
+    def check(stack, what, runs=range(len(configs))):
+        if np.isfinite(stack).all():
+            return
+        finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+        raise diverged(runs[int(np.argmin(finite))], what)
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         warmup = epoch < config.warmup_epochs
         # warm-up and single schemes step along one term's gradient alone
         if warmup:
-            direct = LossKind.CE
-        elif config.scheme.kind == "single":
-            direct = config.terms[config.scheme.index]
+            direct = [LossKind.CE] * len(configs)
         else:
-            direct = None
-        order = rng.permutation(data.n)
+            direct = [terms[c.scheme.index] if c.scheme.kind == "single" else None
+                      for c in configs]
+        grad_kinds = terms if None in direct else tuple(t for t in terms if t in direct)
+        orders = np.stack([rng.permutation(data.n) for rng in rngs])
         for start in range(0, data.n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            batch = Batch(inputs=data.inputs[idx], targets=data.targets[idx])
-            try:
-                _, vals, grads = netcore.term_values_and_grads(
-                    spec, params, batch, config.terms,
-                    config.terms if direct is None else (direct,))
-            except netcore.ShapeError:
-                raise
-            except ValueError as exc:
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}: {exc}", record) from exc
-
-            if direct is not None:
-                grad = grads[0]
-            else:
+            idx = orders[:, start:start + config.batch_size]
+            preds, vals, grads = netcore.term_values_and_grads(
+                spec, params, data.inputs[idx], data.targets[idx], terms, grad_kinds)
+            # a non-finite term gradient shows up in the norms or in the step
+            check(preds, "predictions")
+            vals = np.stack(vals, axis=-1)
+            check(vals, "loss")
+            step = np.empty_like(params)
+            for r, cfg in enumerate(configs):
+                g = [gk[r] for gk in grads]
+                if direct[r] is not None:
+                    step[r] = g[grad_kinds.index(direct[r])]
+                    continue
                 if config.beta_rule in ("softmax", "paper-max"):
-                    norms = [float(np.linalg.norm(g)) for g in grads]
-                    betas = adaptive_betas(norms, rule=config.beta_rule)
-                grad = composite_grad(vals, grads, betas, p_eff, config.mode)
-
+                    norms = [float(np.linalg.norm(x)) for x in g]
+                    if not all(map(math.isfinite, norms)):
+                        raise diverged(r, "gradient norm")
+                    betas[r] = adaptive_betas(norms, rule=config.beta_rule)
+                step[r] = composite_grad(vals[r], g, betas[r], cfg.effective_p,
+                                         config.mode)
             if config.l2_reg > 0:
-                grad = grad + config.l2_reg * params
+                step = step + config.l2_reg * params
             if config.noise_eps > 0:
-                grad = grad + sample_gradient_noise(rng, config.noise_eps, grad.size)
-            try:
-                params, opt_state = optimizer_step(
-                    config.optimizer, opt_state, params, grad, config)
-            except ValueError as exc:
-                raise TrainingDiverged(f"{exc} at epoch {epoch}", record) from exc
+                step = step + np.stack([
+                    sample_gradient_noise(rng, config.noise_eps, spec.n_params)
+                    for rng in rngs])
+            check(step, "gradient")
+            params, opt_state = optimizer_step(
+                config.optimizer, opt_state, params, step, config)
 
-        row_betas = ce_betas if warmup else betas
         seconds = time.perf_counter() - t0
-        try:
-            row, preds = _epoch_row(spec, params, data, val, config, row_betas,
-                                    epoch, warmup, seconds)
-        except netcore.ShapeError:
-            raise
-        except ValueError as exc:
-            raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch}: {exc}", record) from exc
-        record.rows.append(row)
-        if epoch_callback is not None:
-            epoch_callback(epoch, params, preds)
+        row_betas = [ce_betas] * len(configs) if warmup else betas
+        rows, preds = _epoch_row(spec, params, data, val, configs, row_betas,
+                                 epoch, warmup, seconds, check)
+        for r, (record, row) in enumerate(zip(records, rows)):
+            record.rows.append(row)
+            if epoch_callback is not None:
+                epoch_callback(first + r, epoch, params[r], preds[r])
 
-    record.final_params = params
-    return record
+    for r, record in enumerate(records):
+        record.final_params = params[r]
+    return records
 
 
 def save_run(out_dir, record: TrajectoryRecord, config: TrainConfig,
@@ -331,6 +423,7 @@ def save_run(out_dir, record: TrajectoryRecord, config: TrainConfig,
     meta = {
         "config": config.to_dict(),
         "config_sha256": config_hash,
+        "stack_size": record.stack_size,
         "wall_clock": {
             "epoch_seconds": record.epoch_seconds,
             "total_seconds": float(sum(record.epoch_seconds)),

@@ -246,17 +246,16 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
                    output_kind="sigmoid")
     data, scaled, spacing = target.build()
     bands = default_bands(target.frequencies)
-    reports = {}
-    for scheme in schemes:
-        cfg = replace(base_config, scheme=scheme, seed=seed, epochs=epochs,
-                      batch_size=target.n_points)
-        snapshots: list[np.ndarray] = []
+    configs = [replace(base_config, scheme=scheme, seed=seed, epochs=epochs,
+                       batch_size=target.n_points) for scheme in schemes]
+    snapshots: list[list[np.ndarray]] = [[] for _ in configs]
 
-        def keep(epoch: int, params: np.ndarray, preds: np.ndarray, _out=snapshots):
-            _out.append(preds[:, 0].copy())
+    def keep(run: int, epoch: int, params: np.ndarray, preds: np.ndarray):
+        snapshots[run].append(preds[:, 0].copy())
 
-        optim.train(spec, data, data, cfg, epoch_callback=keep)
-        reports[scheme.label()] = frequency_capture(
-            snapshots, scaled, bands, threshold, spacing=spacing)
+    optim.train(spec, data, data, configs, epoch_callback=keep)
+    reports = {scheme.label(): frequency_capture(snaps, scaled, bands, threshold,
+                                                 spacing=spacing)
+               for scheme, snaps in zip(schemes, snapshots)}
     return SpectralComparison(schemes=list(schemes), reports=reports,
                               bands=bands, threshold=threshold)

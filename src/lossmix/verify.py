@@ -270,7 +270,8 @@ def check_composite_end_to_end_grad():
         vals = [losses.loss_value(k, preds, batch.targets).value for k in terms]
         return composite.composite_value(vals, betas, p)
 
-    _, vals, grads = netcore.term_values_and_grads(spec, params, batch, terms)
+    _, vals, grads = netcore.term_values_and_grads(spec, params, batch.inputs,
+                                                  batch.targets, terms)
     analytic = composite.composite_grad(vals, grads, betas, p)
     numeric = netcore.finite_diff_grad(objective, params, 1e-5)
     err = _rel_vec(analytic, numeric)
@@ -287,7 +288,7 @@ def _tiny_run(seed=1, epochs=4, **overrides):
                   seed=seed, warmup_epochs=1, learning_rate=0.05)
     kwargs.update(overrides)
     cfg = optim.TrainConfig(**kwargs)
-    return optim.train(spec, train, val, cfg), cfg
+    return optim.train(spec, train, val, [cfg])[0], cfg
 
 
 def check_optim_deterministic():

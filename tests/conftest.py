@@ -1,0 +1,13 @@
+"""Marks for the suite. `pytest -m "not slow"` skips the tests listed in
+SLOW; a bare `pytest` still runs every test."""
+
+import pytest
+
+# criterion 08 trains nine 1200-epoch width-200 nets: most of the suite's time
+SLOW = {"test_acceptance.py::test_criterion_08_f_principle_reproduction"}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if f"{item.path.name}::{item.name}" in SLOW:
+            item.add_marker(pytest.mark.slow)

@@ -109,15 +109,46 @@ class TestTrainCommand:
         dirs = [p.name for p in (tmp_path / "o").rglob("*seed*")]
         assert all("seed9" in d for d in dirs)
 
-    def test_jobs_parallel_matches_serial(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, moons_train_config(seeds=[1, 2]))
-        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert run_cli(["train", "--config", cfg, "--out", out_a]) == 0
-        assert run_cli(["train", "--config", cfg, "--out", out_b,
-                        "--jobs", "2"]) == 0
-        for csv_a in (tmp_path / "a").rglob("trajectory.csv"):
-            rel = csv_a.relative_to(tmp_path / "a")
-            assert csv_a.read_bytes() == (tmp_path / "b" / rel).read_bytes()
+    def test_stacked_runs_match_one_config_per_call(self, tmp_path, capsys):
+        schemes = [{"kind": "single", "index": 0}, {"kind": "multi"},
+                   {"kind": "nonlinear", "p": 2.0}]
+        cfg = write_config(tmp_path, moons_train_config(schemes=schemes, seeds=[1, 2]))
+        assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "all"),
+                        "--jobs", "3"]) == 0
+        stacked = {p.parent.name: p for p in (tmp_path / "all").rglob("trajectory.csv")}
+        assert len(stacked) == 6
+        for scheme in schemes:
+            for seed in (1, 2):
+                one = write_config(tmp_path, moons_train_config(
+                    schemes=[scheme], seeds=[seed]), name="one.json")
+                out = tmp_path / "one"
+                assert run_cli(["train", "--config", one, "--out", str(out)]) == 0
+                (csv,) = out.rglob("trajectory.csv")
+                assert csv.read_bytes() == stacked.pop(csv.parent.name).read_bytes()
+                assert json.loads((csv.parent / "run.json").read_text())["stack_size"] == 1
+                for f in csv.parent.iterdir():
+                    f.unlink()
+        assert not stacked
+        meta = json.loads(next((tmp_path / "all").rglob("run.json")).read_text())
+        assert meta["stack_size"] == 6
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_divergence_writes_partial_trajectory_and_failure(self, tmp_path, capsys):
+        doc = moons_train_config(epochs=40, schemes=[{"kind": "single", "index": 0}],
+                                 seeds=[3])
+        # a linear model on MSE with a far too large step blows up after a while
+        doc["model"] = {"layer_widths": [2, 2], "output_kind": "linear"}
+        doc["train"].update(terms=["mse"], optimizer="sgd", learning_rate=100.0)
+        cfg = write_config(tmp_path, doc)
+        assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        (failure_path,) = (tmp_path / "o").rglob("failure.json")
+        failure = json.loads(failure_path.read_text())
+        assert failure["run"] == failure_path.parent.name == "single0-seed3"
+        assert "seed 3" in failure["message"]
+        rows = (failure_path.parent / "trajectory.csv").read_text().splitlines()[1:]
+        assert failure["epoch"] > 0 and len(rows) == failure["epoch"]
 
     def test_outputs_carry_config_hash(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, moons_train_config())
@@ -240,6 +271,7 @@ class TestBoundsCommand:
     ["klsweep", "--config", "c.json", "--seed-override", "3"],
     ["spectral", "--config", "c.json", "--jobs", "2"],
     ["bounds", "--config", "c.json", "--jobs", "2"],
+    ["train", "--config", "c.json", "--jobs", "0"],
     ["nosuchcommand"],
 ])
 def test_usage_error_exits_one(argv, capsys):

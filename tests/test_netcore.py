@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lossmix import netcore
-from lossmix.losses import LossKind, loss_output_grad, loss_value
+from lossmix.losses import LossKind, loss_means, loss_output_grad, loss_value
 from lossmix.netcore import Batch, MLPSpec, ShapeError
 
 
@@ -122,7 +122,8 @@ def test_term_values_and_grads_match_forward_and_backward(output_kind):
     params = netcore.init_params(spec, 21, 0.6)
     batch = make_batch(k=k, seed=22)
     kinds = (LossKind.CE, LossKind.MSE, LossKind.JSD)
-    preds, vals, grads = netcore.term_values_and_grads(spec, params, batch, kinds)
+    preds, vals, grads = netcore.term_values_and_grads(
+        spec, params, batch.inputs, batch.targets, kinds)
     want_preds = netcore.forward(spec, params, batch)
     assert np.array_equal(preds, want_preds)
     for kind, value, grad in zip(kinds, vals, grads, strict=True):
@@ -133,9 +134,40 @@ def test_term_values_and_grads_match_forward_and_backward(output_kind):
         assert netcore.term_loss_fn(spec, batch, kind)(params) == value
     # values of every term, a gradient for the listed ones only
     _, vals_one, grads_one = netcore.term_values_and_grads(
-        spec, params, batch, kinds, (LossKind.JSD,))
+        spec, params, batch.inputs, batch.targets, kinds, (LossKind.JSD,))
     assert vals_one == vals
     assert len(grads_one) == 1 and np.array_equal(grads_one[0], grads[2])
+
+
+@pytest.mark.parametrize("output_kind", ["linear", "softmax", "sigmoid"])
+@pytest.mark.parametrize("shared_inputs", [True, False])
+def test_stacked_pass_matches_each_run_alone(output_kind, shared_inputs):
+    k = 1 if output_kind == "sigmoid" else 3
+    spec = MLPSpec((3, 6, k), hidden_activation="relu", output_kind=output_kind)
+    params = np.stack([netcore.init_params(spec, s, 0.6) for s in (1, 2, 3)])
+    batches = [make_batch(k=k, seed=s) for s in ((22,) * 3 if shared_inputs else (4, 5, 6))]
+    inputs = batches[0].inputs if shared_inputs else np.stack([b.inputs for b in batches])
+    targets = batches[0].targets if shared_inputs else np.stack([b.targets for b in batches])
+    kinds = (LossKind.CE, LossKind.MSE, LossKind.JSD)
+    preds, vals, grads = netcore.term_values_and_grads(spec, params, inputs, targets, kinds)
+    assert preds.shape[0] == 3 and all(g.shape == params.shape for g in grads)
+    for r, batch in enumerate(batches):
+        p_r, v_r, g_r = netcore.term_values_and_grads(
+            spec, params[r], batch.inputs, batch.targets, kinds)
+        assert np.array_equal(preds[r], p_r)
+        assert [v[r] for v in vals] == v_r
+        assert all(np.array_equal(g[r], g1) for g, g1 in zip(grads, g_r, strict=True))
+        assert (loss_means(LossKind.ZERO_ONE, preds, targets)[r]
+                == loss_value(LossKind.ZERO_ONE, p_r, batch.targets).value)
+
+
+def test_stacked_inputs_need_one_block_per_run():
+    spec = MLPSpec((3, 2))
+    params = np.zeros((2, spec.n_params))
+    # inputs shared by every run are fine; a third block for two runs is not
+    assert netcore.forward(spec, params, make_batch()).shape == (2, 6, 2)
+    with pytest.raises(ShapeError, match="input blocks"):
+        netcore._forward_cache(spec, params, np.zeros((3, 6, 3)))
 
 
 class TestFiniteDiff:

@@ -176,7 +176,7 @@ class TestTrain:
         seen = []
         cfg = TrainConfig(scheme=Scheme.multi(), epochs=3, seed=10)
         train(spec, train_set, val_set, cfg,
-              epoch_callback=lambda e, p, y: seen.append((e, p.copy(), y)))
+              epoch_callback=lambda r, e, p, y: seen.append((e, p.copy(), y)))
         assert [e for e, _, _ in seen] == [0, 1, 2]
         for _, params, preds in seen:
             # the row's predictions, handed over instead of recomputed
@@ -193,7 +193,8 @@ class TestTrain:
 def per_term_row(spec, params, data, val, config, betas, epoch, warmup):
     """_epoch_row as written with one three-forward curvature probe per term."""
     batch = data.as_batch()
-    preds, vals, grads = netcore.term_values_and_grads(spec, params, batch, config.terms)
+    preds, vals, grads = netcore.term_values_and_grads(spec, params, batch.inputs,
+                                                      batch.targets, config.terms)
     p_eff = config.effective_p
     if warmup:
         comp = vals[config.terms.index(LossKind.CE)]
@@ -248,7 +249,7 @@ def test_epoch_row_matches_per_term_curvature_loop(net):
                           warmup_epochs=1, seed=4)
         snapshots = []
         record = train(spec, train_set, val_set, cfg,
-                       epoch_callback=lambda e, p, y: snapshots.append(p.copy()))
+                       epoch_callback=lambda r, e, p, y: snapshots.append(p.copy()))
         for row, params in zip(record.rows, snapshots, strict=True):
             want = per_term_row(spec, params, train_set, val_set, cfg,
                                 BetaWeights(row.betas), row.epoch,
@@ -268,3 +269,184 @@ def test_save_run_layout(tmp_path):
     assert (out / "params.npz").exists()
     meta = (out / "run.json").read_text()
     assert "abc123" in meta and "wall_clock" in meta
+
+
+# --- stacked runs --------------------------------------------------------------
+
+def regression_setup(hidden="sigmoid", output_kind="linear"):
+    raw = data.freq_target_1d([1.0, 2.0], [1.0, 0.5], 50)
+    y = raw.targets[:, 0]
+    scaled = 0.1 + 0.8 * (y - y.min()) / (y.max() - y.min())
+    ds = data.Dataset(inputs=raw.inputs, targets=scaled[:, None], k_classes=0)
+    return MLPSpec((1, 10, 1), hidden_activation=hidden, output_kind=output_kind), ds, ds
+
+
+def moons_net(hidden, output_kind, seed=0):
+    _, train_set, val_set = moons_setup(seed)
+    return MLPSpec((2, 10, 2), hidden_activation=hidden,
+                   output_kind=output_kind), train_set, val_set
+
+
+# each case: (spec, train set, val set), shared hyperparameters; the moons
+# sets have 180 training rows, so a minibatch of 32 leaves an uneven 20
+STACK_CASES = {
+    "softmax-tanh-adam-softmax-rule-jsd-warmup-noise-l2": (
+        lambda: moons_net("tanh", "softmax"),
+        dict(optimizer="adam", beta_rule="softmax", warmup_epochs=1,
+             terms=(LossKind.CE, LossKind.MSE, LossKind.JSD),
+             noise_eps=1e-4, l2_reg=5e-4)),
+    "sigmoid-relu-momentum-paper-max": (
+        lambda: moons_net("relu", "sigmoid", seed=1),
+        dict(optimizer="momentum", beta_rule="paper-max", learning_rate=0.05)),
+    "linear-sigmoid-sgd-fixed-jsd": (
+        regression_setup,
+        dict(optimizer="sgd", beta_rule="fixed", fixed_betas=(0.7, 0.3),
+             terms=(LossKind.MSE, LossKind.JSD), learning_rate=0.2,
+             batch_size=16, l2_reg=1e-3)),
+    "sigmoid-tanh-adam-softmax-rule-unweighted": (
+        lambda: regression_setup("tanh", "sigmoid"),
+        dict(optimizer="adam", mode="unweighted", batch_size=12, noise_eps=1e-3,
+             terms=(LossKind.MSE, LossKind.CE, LossKind.JSD))),
+}
+STACK_SCHEMES = [Scheme.single(0), Scheme.single(1), Scheme.multi(),
+                 Scheme.nonlinear(2.5)]
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stacked_runs_match_runs_trained_alone(case):
+    make, hyper = STACK_CASES[case]
+    spec, train_set, val_set = make()
+    base = TrainConfig(scheme=Scheme.multi(), epochs=4, **hyper)
+    configs = [replace(base, scheme=s, seed=seed)
+               for s in STACK_SCHEMES for seed in (1, 2)]
+    assert optim.stack_size(spec, train_set, val_set) >= len(configs)
+    stacked = train(spec, train_set, val_set, configs)
+    for cfg, record in zip(configs, stacked, strict=True):
+        alone = train(spec, train_set, val_set, [cfg])[0]
+        assert (record.config, record.stack_size, alone.stack_size) == (cfg, 8, 1)
+        assert record.to_csv_text() == alone.to_csv_text()
+        assert np.array_equal(record.final_params, alone.final_params)
+
+
+def test_lone_config_is_a_one_run_stack():
+    spec, train_set, val_set = moons_setup()
+    cfg = TrainConfig(scheme=Scheme.nonlinear(2.0), epochs=2, seed=3)
+    record = train(spec, train_set, val_set, cfg)
+    (listed,) = train(spec, train_set, val_set, [cfg])
+    assert record.to_csv_text() == listed.to_csv_text()
+    assert np.array_equal(record.final_params, listed.final_params)
+
+
+def test_stacked_configs_may_differ_only_in_scheme_and_seed():
+    spec, train_set, val_set = moons_setup()
+    a = TrainConfig(scheme=Scheme.multi(), epochs=2, seed=1)
+    with pytest.raises(ValueError, match="scheme and seed"):
+        train(spec, train_set, val_set, [a, replace(a, learning_rate=0.5)])
+
+
+def forward_stack_heights(monkeypatch):
+    heights = []
+    cached = netcore._forward_cache
+
+    def recording(spec, params, inputs):
+        heights.append(np.shape(params)[0])
+        return cached(spec, params, inputs)
+
+    monkeypatch.setattr(netcore, "_forward_cache", recording)
+    return heights
+
+
+def test_spectral_shape_trains_one_run_at_a_time(monkeypatch):
+    # the criterion-08 net: 256 rows through a width-200 layer
+    spec = MLPSpec((1, 200, 1), hidden_activation="sigmoid", output_kind="sigmoid")
+    raw = data.freq_target_1d([1.0, 3.0, 5.0], [1.0, 1.0, 1.0], 256)
+    y = raw.targets[:, 0]
+    ds = data.Dataset(inputs=raw.inputs,
+                      targets=(0.1 + 0.8 * (y - y.min()) / (y.max() - y.min()))[:, None])
+    assert optim.stack_size(spec, ds, ds) == 1
+    heights = forward_stack_heights(monkeypatch)
+    base = TrainConfig(scheme=Scheme.multi(), epochs=1, batch_size=256)
+    train(spec, ds, ds, [replace(base, scheme=s) for s in STACK_SCHEMES[1:]])
+    assert heights and set(heights) == {1}
+
+
+def test_two_moons_shape_trains_nine_runs_as_one_stack(monkeypatch):
+    # the shipped two_moons config: 300 training rows, a 2-16-2 net
+    full = data.two_moons(400, 0.1, seed=7)
+    train_set, val_set = data.train_val_split(full, 0.75, seed=7)
+    spec = MLPSpec((2, 16, 2), hidden_activation="tanh", output_kind="softmax")
+    assert optim.stack_size(spec, train_set, val_set) >= 9
+    heights = forward_stack_heights(monkeypatch)
+    base = TrainConfig(scheme=Scheme.multi(), epochs=1)
+    configs = [replace(base, scheme=s, seed=seed)
+               for s in STACK_SCHEMES[1:] for seed in (1, 2, 3)]
+    records = train(spec, train_set, val_set, configs)
+    assert set(heights) == {9}
+    assert {r.stack_size for r in records} == {9}
+
+
+def test_epoch_callback_sees_every_run_and_epoch(monkeypatch):
+    spec, train_set, val_set = moons_setup()
+    # room for two runs per stack, so the three runs train as stacks of 2 and 1
+    monkeypatch.setattr(optim, "STACK_ELEMENTS", 2 * train_set.n * 12)
+    base = TrainConfig(scheme=Scheme.multi(), epochs=3)
+    configs = [replace(base, scheme=s, seed=5) for s in STACK_SCHEMES[1:]]
+    seen = {}
+    records = train(spec, train_set, val_set, configs,
+                    epoch_callback=lambda r, e, p, y: seen.setdefault((r, e), (p.copy(), y)))
+    assert sorted(seen) == [(r, e) for r in range(3) for e in range(3)]
+    assert [r.stack_size for r in records] == [2, 2, 1]
+    for (run, epoch), (params, preds) in seen.items():
+        assert np.array_equal(preds, netcore.forward(spec, params, train_set.as_batch()))
+        if epoch == 2:
+            assert np.array_equal(params, records[run].final_params)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_divergence_names_the_first_diverged_run(monkeypatch):
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-1, 1, (40, 2))
+    y = 0.5 + 0.2 * (X @ np.array([1.0, 1.0]))[:, None]
+    ds = data.Dataset(inputs=X, targets=y, k_classes=0)
+    spec = MLPSpec((2, 1), output_kind="linear")
+    base = TrainConfig(scheme=Scheme.single(0), terms=(LossKind.JSD, LossKind.MSE),
+                       optimizer="sgd", learning_rate=10.0, epochs=50, batch_size=8)
+    # the bounded JSD run survives; the two MSE runs, the same config twice,
+    # blow up in the same step, and the first of them is named
+    mse = replace(base, scheme=Scheme.single(1), seed=9)
+    configs = [replace(base, seed=9), mse, mse]
+    with pytest.raises(TrainingDiverged) as err:
+        train(spec, ds, ds, configs)
+    exc = err.value
+    assert exc.run == 1 and exc.record.config == configs[1]
+    assert "single[1] seed 9" in str(exc) and f"epoch {exc.epoch}" in str(exc)
+    assert 0 < exc.epoch == len(exc.record.rows)
+    assert exc.finished == []
+    with pytest.raises(TrainingDiverged) as alone:
+        train(spec, ds, ds, [configs[1]])
+    assert alone.value.record.to_csv_text() == exc.record.to_csv_text()
+    # one run per stack: the surviving run's stack finished first, and is kept
+    monkeypatch.setattr(optim, "STACK_ELEMENTS", 1)
+    with pytest.raises(TrainingDiverged) as err:
+        train(spec, ds, ds, configs)
+    assert err.value.run == 1
+    (done,) = err.value.finished
+    assert done.to_csv_text() == train(spec, ds, ds, configs[0]).to_csv_text()
+
+
+def test_value_error_is_not_relabelled_as_divergence(monkeypatch):
+    spec, train_set, val_set = moons_setup()
+    cfg = TrainConfig(scheme=Scheme.multi(), epochs=2)
+
+    def broken(*args, **kwargs):
+        raise ValueError("not about finiteness")
+
+    monkeypatch.setattr(optim, "composite_grad", broken)
+    with pytest.raises(ValueError, match="not about finiteness"):
+        train(spec, train_set, val_set, cfg)
+    # a head wider than the targets is a shape error, not divergence
+    monkeypatch.undo()
+    wide = MLPSpec((2, 12, 3), hidden_activation="tanh", output_kind="softmax")
+    with pytest.raises(ValueError, match="shape mismatch"):
+        train(spec=wide, data=train_set, val=val_set, configs=cfg)
