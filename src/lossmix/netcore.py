@@ -3,7 +3,8 @@
 Everything downstream treats the network as a differentiable black box:
 ``forward`` produces predictions, ``backward`` pulls an output-space
 gradient back to a flat parameter gradient, ``term_values_and_grads``
-shares one forward pass among every loss term's value and gradient, and
+shares one forward pass and one set of hidden-layer derivatives among
+every loss term's value and gradient, and
 ``finite_diff_grad`` is the independent central-difference oracle used to
 check them. All arithmetic is float64; the verification suite asserts
 1e-6-level gradient agreement, which float32 cannot sustain.
@@ -195,8 +196,18 @@ def forward(spec: MLPSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     return preds
 
 
-def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray) -> np.ndarray:
+def _hidden_derivs(spec: MLPSpec, cache) -> list[np.ndarray]:
+    """Activation derivative of each hidden layer, first hidden layer first."""
     layers, acts, zs = cache
+    return [_hidden_deriv(zs[i - 1], acts[i], spec.hidden_activation)
+            for i in range(1, len(layers))]
+
+
+def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
+                         derivs: list[np.ndarray] | None = None) -> np.ndarray:
+    """Backward pass through a forward cache. derivs, _hidden_derivs of
+    that cache, may be passed in so several backward passes share them."""
+    layers, acts, _ = cache
     preds = acts[-1]
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if output_grad.shape != preds.shape:
@@ -213,6 +224,8 @@ def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray) -> np.nd
         delta = output_grad * preds * (1.0 - preds)
     else:
         delta = output_grad
+    if derivs is None:
+        derivs = _hidden_derivs(spec, cache)
 
     lead = layers[0][1].shape[:-1]
     grad = np.empty(lead + (spec.n_params,))
@@ -227,7 +240,7 @@ def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray) -> np.nd
         grad[..., pos:pos + n_in * n_out] = gw.reshape(lead + (-1,))
         if i > 0:
             da = delta @ w.swapaxes(-1, -2)
-            delta = da * _hidden_deriv(zs[i - 1], acts[i], spec.hidden_activation)
+            delta = da * derivs[i - 1]
     return grad
 
 
@@ -252,8 +265,11 @@ def term_values_and_grads(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
     """
     preds, cache = _forward_cache(spec, params, inputs)
     vals = [loss_means(k, preds, targets) for k in kinds]
-    grads = [_backward_from_cache(spec, cache, loss_output_grad(k, preds, targets))
-             for k in (kinds if grad_kinds is None else grad_kinds)]
+    grad_kinds = kinds if grad_kinds is None else grad_kinds
+    derivs = _hidden_derivs(spec, cache) if grad_kinds else None
+    grads = [_backward_from_cache(spec, cache, loss_output_grad(k, preds, targets),
+                                  derivs)
+             for k in grad_kinds]
     return preds, vals, grads
 
 

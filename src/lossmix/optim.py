@@ -2,6 +2,12 @@
 weights, CE warm-start, Gaussian gradient noise, and full per-epoch
 telemetry.
 
+Each epoch ends with a telemetry row at the epoch-final parameters.
+``train(..., rows=False)`` replaces the row with one forward pass on the
+training set, whose checked predictions go to the epoch callback, for
+callers that read nothing else; records then hold ``final_params`` and no
+rows.
+
 A run is deterministic given its config (seed included): the same config
 produces bit-identical trajectories. Wall-clock timings are measured and
 kept on the record, but the canonical trajectory CSV writes zeros in the
@@ -291,7 +297,7 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, warmup, seconds,
 
 
 def train(spec: MLPSpec, data: Dataset, val: Dataset, configs,
-          epoch_callback=None):
+          epoch_callback=None, rows: bool = True):
     """Train every config and return one trajectory record per config.
 
     The configs may differ only in scheme and seed. They train in stacks of
@@ -309,11 +315,16 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs,
     receives each run's index in configs, its epoch-final parameters and
     the row's training-set predictions.
 
+    With rows=False no telemetry row is computed: each epoch ends with one
+    forward pass on the training set, whose predictions are checked for
+    finiteness and handed to epoch_callback (the same bits the row would
+    have given). Records then carry final_params and an empty rows list.
+
     Raises TrainingDiverged for the first run whose predictions, losses or
     gradients stop being finite.
     """
     if isinstance(configs, TrainConfig):
-        return train(spec, data, val, [configs], epoch_callback)[0]
+        return train(spec, data, val, [configs], epoch_callback, rows)[0]
     configs = list(configs)
     if not configs:
         raise ValueError("no configs to train")
@@ -327,14 +338,14 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs,
     for first in range(0, len(configs), size):
         try:
             records += _train_stack(spec, data, val, configs[first:first + size],
-                                    first, epoch_callback)
+                                    first, epoch_callback, rows)
         except TrainingDiverged as exc:
             exc.finished = records
             raise
     return records
 
 
-def _train_stack(spec, data, val, configs, first, epoch_callback):
+def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
     config = configs[0]  # the hyperparameters every run shares
     terms = config.terms
     params = np.stack([netcore.init_params(spec, c.seed, c.init_scale) for c in configs])
@@ -401,12 +412,17 @@ def _train_stack(spec, data, val, configs, first, epoch_callback):
                 config.optimizer, opt_state, params, step, config)
 
         seconds = time.perf_counter() - t0
-        row_betas = [ce_betas] * len(configs) if warmup else betas
-        rows, preds = _epoch_row(spec, params, data, val, configs, row_betas,
-                                 epoch, warmup, seconds, check)
-        for r, (record, row) in enumerate(zip(records, rows)):
-            record.rows.append(row)
-            if epoch_callback is not None:
+        if rows:
+            row_betas = [ce_betas] * len(configs) if warmup else betas
+            epoch_rows, preds = _epoch_row(spec, params, data, val, configs,
+                                           row_betas, epoch, warmup, seconds, check)
+            for record, row in zip(records, epoch_rows):
+                record.rows.append(row)
+        else:
+            preds = netcore.forward(spec, params, data.as_batch())
+            check(preds, "predictions")
+        if epoch_callback is not None:
+            for r in range(len(configs)):
                 epoch_callback(first + r, epoch, params[r], preds[r])
 
     for r, record in enumerate(records):

@@ -253,7 +253,8 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
     def keep(run: int, epoch: int, params: np.ndarray, preds: np.ndarray):
         snapshots[run].append(preds[:, 0].copy())
 
-    optim.train(spec, data, data, configs, epoch_callback=keep)
+    # the capture reads only each epoch's predictions, so no telemetry rows
+    optim.train(spec, data, data, configs, epoch_callback=keep, rows=False)
     reports = {scheme.label(): frequency_capture(snaps, scaled, bands, threshold,
                                                  spacing=spacing)
                for scheme, snaps in zip(schemes, snapshots)}

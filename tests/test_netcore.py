@@ -161,6 +161,25 @@ def test_stacked_pass_matches_each_run_alone(output_kind, shared_inputs):
                 == loss_value(LossKind.ZERO_ONE, p_r, batch.targets).value)
 
 
+@pytest.mark.parametrize("hidden", ["sigmoid", "tanh", "relu"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_shared_hidden_derivatives_give_backwards_bits(hidden, stacked):
+    # two hidden layers, so every term's backward reads two shared derivatives
+    spec = MLPSpec((3, 6, 5, 2), hidden_activation=hidden, output_kind="softmax")
+    seeds = (1, 2, 3) if stacked else (1,)
+    params = np.stack([netcore.init_params(spec, s, 0.8) for s in seeds])
+    if not stacked:
+        params = params[0]
+    batch = make_batch(n=9, k=2, seed=31)
+    kinds = (LossKind.CE, LossKind.MSE, LossKind.JSD)
+    preds, _, grads = netcore.term_values_and_grads(
+        spec, params, batch.inputs, batch.targets, kinds)
+    for kind, grad in zip(kinds, grads, strict=True):
+        want = netcore.backward(spec, params, batch,
+                                loss_output_grad(kind, preds, batch.targets))
+        assert np.array_equal(grad, want)
+
+
 def test_stacked_inputs_need_one_block_per_run():
     spec = MLPSpec((3, 2))
     params = np.zeros((2, spec.n_params))

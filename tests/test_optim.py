@@ -356,13 +356,19 @@ def forward_stack_heights(monkeypatch):
     return heights
 
 
-def test_spectral_shape_trains_one_run_at_a_time(monkeypatch):
-    # the criterion-08 net: 256 rows through a width-200 layer
-    spec = MLPSpec((1, 200, 1), hidden_activation="sigmoid", output_kind="sigmoid")
-    raw = data.freq_target_1d([1.0, 3.0, 5.0], [1.0, 1.0, 1.0], 256)
+def tone_setup(width, n_points):
+    """The criterion-08 net and target at a given width and grid size."""
+    spec = MLPSpec((1, width, 1), hidden_activation="sigmoid", output_kind="sigmoid")
+    raw = data.freq_target_1d([1.0, 3.0, 5.0], [1.0, 1.0, 1.0], n_points)
     y = raw.targets[:, 0]
     ds = data.Dataset(inputs=raw.inputs,
                       targets=(0.1 + 0.8 * (y - y.min()) / (y.max() - y.min()))[:, None])
+    return spec, ds
+
+
+def test_spectral_shape_trains_one_run_at_a_time(monkeypatch):
+    # the criterion-08 net: 256 rows through a width-200 layer
+    spec, ds = tone_setup(200, 256)
     assert optim.stack_size(spec, ds, ds) == 1
     heights = forward_stack_heights(monkeypatch)
     base = TrainConfig(scheme=Scheme.multi(), epochs=1, batch_size=256)
@@ -402,9 +408,7 @@ def test_epoch_callback_sees_every_run_and_epoch(monkeypatch):
             assert np.array_equal(params, records[run].final_params)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_divergence_names_the_first_diverged_run(monkeypatch):
+def diverging_recipe():
     rng = np.random.default_rng(9)
     X = rng.uniform(-1, 1, (40, 2))
     y = 0.5 + 0.2 * (X @ np.array([1.0, 1.0]))[:, None]
@@ -415,7 +419,39 @@ def test_divergence_names_the_first_diverged_run(monkeypatch):
     # the bounded JSD run survives; the two MSE runs, the same config twice,
     # blow up in the same step, and the first of them is named
     mse = replace(base, scheme=Scheme.single(1), seed=9)
-    configs = [replace(base, seed=9), mse, mse]
+    return spec, ds, [replace(base, seed=9), mse, mse]
+
+
+@pytest.mark.parametrize("lone", [False, True], ids=["three-scheme-stack", "lone-config"])
+def test_rows_false_hands_the_callback_the_same_bits(lone):
+    spec, ds = tone_setup(8, 64)
+    base = TrainConfig(scheme=Scheme.nonlinear(2.0), epochs=6, batch_size=16,
+                       learning_rate=0.02, init_scale=3.0, seed=4)
+    configs = base if lone else [replace(base, scheme=s) for s in
+                                 (Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0))]
+
+    def run(rows):
+        seen = []
+        out = train(spec, ds, ds, configs, rows=rows,
+                    epoch_callback=lambda r, e, p, y: seen.append((r, e, p.copy(), y.copy())))
+        return ([out] if lone else out), seen
+
+    full, seen_full = run(True)
+    bare, seen_bare = run(False)
+    assert len(seen_bare) == len(seen_full) == 6 * len(full)
+    for (r, e, p, y), (r1, e1, p1, y1) in zip(seen_bare, seen_full, strict=True):
+        assert (r, e) == (r1, e1)
+        assert np.array_equal(p, p1) and np.array_equal(y, y1)
+    assert [r.stack_size for r in bare] == [r.stack_size for r in full]
+    for record, want in zip(bare, full, strict=True):
+        assert record.rows == [] and len(want.rows) == 6
+        assert np.array_equal(record.final_params, want.final_params)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_divergence_names_the_first_diverged_run(monkeypatch):
+    spec, ds, configs = diverging_recipe()
     with pytest.raises(TrainingDiverged) as err:
         train(spec, ds, ds, configs)
     exc = err.value
@@ -433,6 +469,37 @@ def test_divergence_names_the_first_diverged_run(monkeypatch):
     assert err.value.run == 1
     (done,) = err.value.finished
     assert done.to_csv_text() == train(spec, ds, ds, configs[0]).to_csv_text()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_divergence_without_rows_names_the_same_run():
+    spec, ds, configs = diverging_recipe()
+    with pytest.raises(TrainingDiverged) as err:
+        train(spec, ds, ds, configs, rows=False)
+    with pytest.raises(TrainingDiverged) as with_rows:
+        train(spec, ds, ds, configs)
+    exc = err.value
+    assert exc.run == 1 and exc.record.config == configs[1]
+    assert str(exc) == str(with_rows.value) and exc.epoch > 0
+    assert exc.record.rows == [] and exc.finished == []
+
+
+def test_rows_false_checks_the_capture_predictions(monkeypatch):
+    # the last epoch has no next step to catch non-finite predictions
+    spec, ds = tone_setup(8, 64)
+    base = TrainConfig(scheme=Scheme.multi(), epochs=1, batch_size=64)
+    forward = netcore.forward
+
+    def poisoned(*args):
+        preds = forward(*args).copy()
+        preds[1, 5] = np.nan
+        return preds
+
+    monkeypatch.setattr(netcore, "forward", poisoned)
+    with pytest.raises(TrainingDiverged, match="non-finite predictions at epoch 0") as err:
+        train(spec, ds, ds, [base, replace(base, seed=1)], rows=False)
+    assert err.value.run == 1
 
 
 def test_value_error_is_not_relabelled_as_divergence(monkeypatch):

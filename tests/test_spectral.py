@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -166,24 +167,38 @@ class TestSchemeCompare:
         assert a.to_csv_text() == b.to_csv_text()
         assert set(a.reports) == {"single[0]", "multi", "nonlinear(p=2)"}
 
-    def test_four_forwards_per_epoch(self, monkeypatch):
-        # one train step, one telemetry row, one shared +/- h pair for every
-        # term's curvature; the capture callback reuses the row's predictions,
-        # and at width 8 the three schemes train as one stack
-        calls = []
-        cached = netcore._forward_cache
-
-        def counting(*args):
-            calls.append(1)
-            return cached(*args)
-
-        monkeypatch.setattr(netcore, "_forward_cache", counting)
+    def test_two_forwards_per_epoch(self, monkeypatch):
+        # one full-batch train step and one capture forward; no telemetry row
+        # is built, so the only backwards are the step's, one per term, and
+        # at width 8 the three schemes train as one stack
+        calls = {"_forward_cache": 0, "_backward_from_cache": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(netcore, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(netcore, name, counting)
         target = SpectralTarget(frequencies=(1.0, 3.0), amplitudes=(1.0, 1.0),
                                 n_points=32)
         schemes = [Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0)]
-        spectral.spectral_scheme_compare(self.base_config(5), schemes, target,
+        config = self.base_config(5)
+        spectral.spectral_scheme_compare(config, schemes, target,
                                          epochs=5, seed=4, width=8)
-        assert len(calls) == 4 * 5
+        assert calls["_forward_cache"] == 2 * 5
+        assert calls["_backward_from_cache"] == len(config.terms) * 5
+
+    def test_capture_bytes_are_pinned(self):
+        # the digest of the capture CSV that full telemetry rows gave; the
+        # capture reads only predictions, so skipping the rows moves no byte
+        base = TrainConfig(scheme=Scheme.multi(), optimizer="adam",
+                           learning_rate=0.02, epochs=40, batch_size=64, seed=1,
+                           init_scale=3.0)
+        schemes = [Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0)]
+        comparison = spectral.spectral_scheme_compare(
+            base, schemes, SpectralTarget(n_points=64), epochs=40, seed=1, width=16)
+        digest = hashlib.sha256(comparison.to_csv_text().encode()).hexdigest()
+        assert digest == ("74f1a99e6cdbc21aae05666bba1eccc18cc9c38e"
+                          "919bc89c119dde030d5ebdec")
+        assert [r.capture_epochs[0] for r in comparison.reports.values()] == [31, 30, 30]
 
     def test_csv_and_json_exports(self):
         import json
