@@ -26,6 +26,9 @@ from .netcore import Batch, MLPSpec
 
 MAX_GRID_POINTS = int(1e7)
 DENSITY_TOL = 1e-9
+P_STEP = 1e-4  # central-difference step in p for the report's dD_dp
+ASCENT_STEPS = 20  # signed-gradient steps per sharpness restart
+RESTARTS = 5  # sharpness starting points, nu = 0 included
 
 
 class SupportError(ValueError):
@@ -34,38 +37,29 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1-d lattice with its cell width."""
+    """Uniform 1-d lattice of n_points from lo to hi, with its cell width."""
 
-    bounds: tuple[tuple[float, float], ...]
-    resolution: tuple[int, ...]
+    lo: float
+    hi: float
+    n_points: int
 
     def __post_init__(self):
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        resolution = tuple(int(r) for r in self.resolution)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "resolution", resolution)
-        if len(bounds) != 1 or len(resolution) != 1:
-            raise ValueError("grid must be 1-d: one bounds pair and one resolution")
-        (lo, hi), (r,) = bounds[0], resolution
-        if lo >= hi:
-            raise ValueError(f"bad bounds ({lo}, {hi})")
-        if r < 3:
-            raise ValueError("resolution must be at least 3")
-        if r > MAX_GRID_POINTS:
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "n_points", int(self.n_points))
+        if self.lo >= self.hi:
+            raise ValueError(f"bad bounds ({self.lo}, {self.hi})")
+        if self.n_points < 3:
+            raise ValueError("n_points must be at least 3")
+        if self.n_points > MAX_GRID_POINTS:
             raise ValueError("grid exceeds the point budget")
 
     @property
-    def n_points(self) -> int:
-        return self.resolution[0]
-
-    @property
     def cell_volume(self) -> float:
-        (lo, hi), (r,) = self.bounds[0], self.resolution
-        return (hi - lo) / (r - 1)
+        return (self.hi - self.lo) / (self.n_points - 1)
 
     def axis(self) -> np.ndarray:
-        (lo, hi), (r,) = self.bounds[0], self.resolution
-        return np.linspace(lo, hi, r)
+        return np.linspace(self.lo, self.hi, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -84,9 +78,10 @@ class GridField:
             raise ValueError("non-finite field values")
         object.__setattr__(self, "values", values)
 
-    def is_density(self, tol: float = DENSITY_TOL) -> bool:
+    def is_density(self) -> bool:
+        """Nonnegative and integrating to 1 within DENSITY_TOL."""
         return (self.values.min() >= 0.0 and
-                abs(self.values.sum() * self.grid.cell_volume - 1.0) <= tol)
+                abs(self.values.sum() * self.grid.cell_volume - 1.0) <= DENSITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -187,13 +182,13 @@ class KLReport:
 
 
 def scheme_kl_report(L1: GridField, L2: GridField, P_opt: GridField,
-                     betas: BetaWeights, p_list: Sequence[float],
-                     fd_step: float = 1e-4) -> KLReport:
+                     betas: BetaWeights, p_list: Sequence[float]) -> KLReport:
     """Divergences of every scheme's objective from the reference density.
 
     For each mode, each scheme objective F gets both its relative
     divergence d = integral P_opt (ln P_opt + F) and the proper
-    KL(P_opt || exp(-F)/Z). dD_dp holds central differences of d_non in p.
+    KL(P_opt || exp(-F)/Z). dD_dp holds central differences of d_non in p,
+    with step P_STEP and the lower point clipped at p = 1.
     """
     if not p_list:
         raise ValueError("p_list must be nonempty")
@@ -218,10 +213,10 @@ def scheme_kl_report(L1: GridField, L2: GridField, P_opt: GridField,
             non = _objective_field(L1, L2, betas, float(p), mode)
             d_non[float(p)] = d_of(non)
             kl_non[float(p)] = kl_of(non)
-            hi = d_of(_objective_field(L1, L2, betas, float(p) + fd_step, mode))
-            lo_p = max(float(p) - fd_step, 1.0)
+            hi = d_of(_objective_field(L1, L2, betas, float(p) + P_STEP, mode))
+            lo_p = max(float(p) - P_STEP, 1.0)
             lo = d_of(_objective_field(L1, L2, betas, lo_p, mode))
-            dd_dp[float(p)] = (hi - lo) / (float(p) + fd_step - lo_p)
+            dd_dp[float(p)] = (hi - lo) / (float(p) + P_STEP - lo_p)
 
         report = KLModeReport(
             mode=mode,
@@ -257,7 +252,7 @@ def default_kl_testbed(lo: float = -3.0, hi: float = 3.0, points: int = 601):
     minimum of the two loss fields, a concrete stand-in for a distribution
     concentrated on the optimal set.
     """
-    grid = Grid(bounds=((lo, hi),), resolution=(points,))
+    grid = Grid(lo, hi, points)
     x = grid.axis()
     L1 = GridField(grid, np.clip(0.05 + 0.15 * (x - 1.0) ** 2, 0.01, 0.99))
     L2 = GridField(grid, np.clip(0.05 + 0.15 * (x + 1.0) ** 2, 0.01, 0.99))
@@ -286,18 +281,16 @@ class MCEntropyEstimate:
     value: float
     std_error: float
     n_draws: int
-    flagged: bool
 
 
 def generalized_entropy_mc(loss_fns: Sequence[Callable], betas: BetaWeights, p: float,
                            sampler, n_draws: int, seed: int,
-                           mode: str = "weighted",
-                           se_tolerance: float | None = None) -> MCEntropyEstimate:
+                           mode: str = "weighted") -> MCEntropyEstimate:
     """Importance-sampling estimate of the generalized entropy.
 
     ``sampler`` must provide sample(rng, n) -> (n, d) points and
     pdf(points) -> densities. The standard error is propagated through the
-    log; estimates above se_tolerance are flagged, not discarded.
+    log.
     """
     if n_draws < 2:
         raise ValueError("need at least two draws")
@@ -314,9 +307,8 @@ def generalized_entropy_mc(loss_fns: Sequence[Callable], betas: BetaWeights, p: 
     z_hat = float(weights.mean())
     z_se = float(weights.std(ddof=1) / np.sqrt(n_draws))
     se = z_se / z_hat  # delta method through the log
-    flagged = bool(se_tolerance is not None and se > se_tolerance)
     return MCEntropyEstimate(value=float(np.log(z_hat)), std_error=se,
-                             n_draws=n_draws, flagged=flagged)
+                             n_draws=n_draws)
 
 
 class UniformBoxSampler:
@@ -339,12 +331,12 @@ class UniformBoxSampler:
 
 def box_sharpness(risk_fn: Callable[[np.ndarray], float],
                   grad_fn: Callable[[np.ndarray], np.ndarray],
-                  params: np.ndarray, alpha: float,
-                  ascent_steps: int = 20, restarts: int = 5, seed: int = 0,
+                  params: np.ndarray, alpha: float, seed: int = 0,
                   warm_start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """max over |nu_i| <= alpha (|w_i| + 1) of risk(w + nu) - risk(w).
 
-    Signed-gradient ascent with projection; the first restart starts at
+    Signed-gradient ascent with projection, ASCENT_STEPS steps from each of
+    RESTARTS starts (plus warm_start when given); the first starts at
     nu = 0 so the result is never negative. Returns (sharpness, best nu).
     """
     if alpha < 0:
@@ -359,14 +351,14 @@ def box_sharpness(risk_fn: Callable[[np.ndarray], float],
     starts = [np.zeros_like(params)]
     if warm_start is not None:
         starts.append(np.clip(warm_start, -box, box))
-    while len(starts) < restarts + (warm_start is not None):
+    while len(starts) < RESTARTS + (warm_start is not None):
         starts.append(rng.uniform(-box, box))
     best_val, best_nu = base, np.zeros_like(params)
     for nu in starts:
         value = risk_fn(params + nu)
         if value > best_val:
             best_val, best_nu = value, nu.copy()
-        for _ in range(ascent_steps):
+        for _ in range(ASCENT_STEPS):
             g = grad_fn(params + nu)
             nu = np.clip(nu + step * np.sign(g), -box, box)
             value = risk_fn(params + nu)
@@ -375,42 +367,37 @@ def box_sharpness(risk_fn: Callable[[np.ndarray], float],
     return max(best_val - base, 0.0), best_nu
 
 
-def _risk_and_grad(spec: MLPSpec, batch: Batch, kind: LossKind):
+def _ce_risk_and_grad(spec: MLPSpec, batch: Batch):
     def grad(p: np.ndarray) -> np.ndarray:
         _, _, (g,) = netcore.term_values_and_grads(spec, p, batch.inputs, batch.targets,
-                                                     (), (kind,))
+                                                     (), (LossKind.CE,))
         return g
 
-    return netcore.term_loss_fn(spec, batch, kind), grad
+    return netcore.term_loss_fn(spec, batch, LossKind.CE), grad
 
 
 def sharpness(spec: MLPSpec, params: np.ndarray, batch: Batch, alpha: float,
-              ascent_steps: int = 20, restarts: int = 5, seed: int = 0,
-              loss: LossKind = LossKind.CE) -> float:
-    """Box sharpness of the empirical risk of an MLP at the given params."""
-    risk, grad = _risk_and_grad(spec, batch, loss)
-    value, _ = box_sharpness(risk, grad, params, alpha,
-                             ascent_steps=ascent_steps, restarts=restarts, seed=seed)
+              seed: int = 0) -> float:
+    """Box sharpness of an MLP's cross-entropy risk at the given params."""
+    risk, grad = _ce_risk_and_grad(spec, batch)
+    value, _ = box_sharpness(risk, grad, params, alpha, seed=seed)
     return value
 
 
 def sharpness_sweep(spec: MLPSpec, params: np.ndarray, batch: Batch,
-                    alphas: Sequence[float], ascent_steps: int = 20,
-                    restarts: int = 5, seed: int = 0,
-                    loss: LossKind = LossKind.CE) -> list[float]:
-    """Sharpness over increasing alphas with nested-box evaluation.
+                    alphas: Sequence[float], seed: int = 0) -> list[float]:
+    """Cross-entropy sharpness over increasing alphas with nested-box evaluation.
 
     The maximizer found at each alpha seeds the next (the boxes nest), so
     the reported values are non-decreasing by construction.
     """
     if list(alphas) != sorted(alphas):
         raise ValueError("alphas must be increasing")
-    risk, grad = _risk_and_grad(spec, batch, loss)
+    risk, grad = _ce_risk_and_grad(spec, batch)
     out, warm = [], None
     for alpha in alphas:
-        value, warm = box_sharpness(risk, grad, params, alpha,
-                                    ascent_steps=ascent_steps, restarts=restarts,
-                                    seed=seed, warm_start=warm)
+        value, warm = box_sharpness(risk, grad, params, alpha, seed=seed,
+                                    warm_start=warm)
         out.append(value)
     return out
 

@@ -21,9 +21,9 @@ import jsonschema
 import numpy as np
 
 from . import analysis, data, optim, pacbayes, spectral, verify
-from .composite import BetaWeights, Scheme
+from .composite import MODES, SCHEME_KINDS, BetaWeights, Scheme
 from .losses import LossKind
-from .netcore import MLPSpec
+from .netcore import HIDDEN_ACTIVATIONS, OUTPUT_KINDS, MLPSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -33,7 +33,7 @@ EXIT_INVARIANT = 3
 _SCHEME_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["single", "multi", "nonlinear"]},
+        "kind": {"enum": list(SCHEME_KINDS)},
         "index": {"type": "integer", "minimum": 0},
         "p": {"type": "number", "minimum": 1.0},
     },
@@ -46,8 +46,8 @@ _MODEL_SCHEMA = {
     "properties": {
         "layer_widths": {"type": "array", "items": {"type": "integer", "minimum": 1},
                          "minItems": 2},
-        "hidden_activation": {"enum": ["sigmoid", "tanh", "relu"]},
-        "output_kind": {"enum": ["linear", "softmax", "sigmoid"]},
+        "hidden_activation": {"enum": list(HIDDEN_ACTIVATIONS)},
+        "output_kind": {"enum": list(OUTPUT_KINDS)},
     },
     "required": ["layer_widths"],
     "additionalProperties": False,
@@ -77,10 +77,11 @@ _DATASET_SCHEMA = {
 }
 
 _TRAIN_FIELDS = {
-    "terms": {"type": "array", "items": {"enum": ["ce", "mse", "jsd"]},
-              "minItems": 1},
-    "mode": {"enum": ["weighted", "unweighted"]},
-    "optimizer": {"enum": ["sgd", "momentum", "adam"]},
+    # the 0-1 loss has no gradient, so it cannot be a training term
+    "terms": {"type": "array", "minItems": 1, "items": {
+        "enum": [k.value for k in LossKind if k is not LossKind.ZERO_ONE]}},
+    "mode": {"enum": list(MODES)},
+    "optimizer": {"enum": list(optim.OPTIMIZERS)},
     "learning_rate": {"type": "number", "exclusiveMinimum": 0},
     "momentum": {"type": "number", "minimum": 0},
     "epochs": {"type": "integer", "minimum": 1},
@@ -89,7 +90,7 @@ _TRAIN_FIELDS = {
     "warmup_epochs": {"type": "integer", "minimum": 0},
     "l2_reg": {"type": "number", "minimum": 0},
     "init_scale": {"type": "number", "minimum": 0},
-    "beta_rule": {"enum": ["softmax", "paper-max", "fixed"]},
+    "beta_rule": {"enum": list(optim.BETA_RULES)},
     "fixed_betas": {"type": "array", "items": {"type": "number"}},
 }
 
@@ -255,12 +256,7 @@ def _check_widths(spec: MLPSpec, train_set: data.Dataset) -> None:
 
 
 def _train_config_from(doc: dict, scheme: Scheme, seed: int) -> optim.TrainConfig:
-    kwargs = dict(doc)
-    if "terms" in kwargs:
-        kwargs["terms"] = tuple(LossKind(t) for t in kwargs["terms"])
-    if "fixed_betas" in kwargs:
-        kwargs["fixed_betas"] = tuple(kwargs["fixed_betas"])
-    return optim.TrainConfig(scheme=scheme, seed=seed, **kwargs)
+    return optim.TrainConfig(scheme=scheme, seed=seed, **doc)
 
 
 def _bound_params_from(doc: dict, m: int) -> pacbayes.BoundParams:
@@ -404,7 +400,8 @@ def cmd_bounds(args) -> int:
     else:
         scheme = _scheme_from(config.get("scheme", {"kind": "multi"}))
         cfg = _train_config_from(config.get("train", {}), scheme, seed)
-        mean = optim.train(spec, train_set, val_set, [cfg])[0].final_params
+        # only the final weights are read, so no telemetry rows
+        mean = optim.train(spec, train_set, val_set, [cfg], rows=False)[0].final_params
     q = pacbayes.GaussianPosterior(mean=mean, sigma=post_doc["sigma"])
     cert = pacbayes.risk_certificate(q, prior, spec, val_set, params,
                                      n_samples=config.get("n_samples", 100),

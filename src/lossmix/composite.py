@@ -21,6 +21,7 @@ import numpy as np
 VALUE_FLOOR = 1e-12
 SIMPLEX_TOL = 1e-12
 MODES = ("weighted", "unweighted")
+SCHEME_KINDS = ("single", "multi", "nonlinear")
 
 # verification hook: setting LOSSMIX_MUTATE=composite-grad-sign corrupts the
 # composite gradient so the invariant suite can prove it would notice
@@ -78,7 +79,7 @@ class Scheme:
     p: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("single", "multi", "nonlinear"):
+        if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "nonlinear" and self.p < 1.0:
             raise ValueError("power must be >= 1")

@@ -35,6 +35,9 @@ from .netcore import MLPSpec
 OPTIMIZERS = ("sgd", "momentum", "adam")
 BETA_RULES = ("softmax", "paper-max", "fixed")
 CURVATURE_H = 1e-4
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 STACK_ELEMENTS = 2 ** 16
 
 
@@ -62,9 +65,6 @@ class TrainConfig:
     optimizer: str = "adam"
     learning_rate: float = 0.01
     momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 50
     batch_size: int = 32
     noise_eps: float = 0.0
@@ -77,6 +77,8 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(LossKind(t) for t in self.terms))
+        if self.fixed_betas is not None:
+            object.__setattr__(self, "fixed_betas", tuple(self.fixed_betas))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
@@ -190,11 +192,11 @@ def optimizer_step(kind: str, state: dict | None, params: np.ndarray,
     if kind == "adam":
         state = state or {"t": 0, "m": np.zeros_like(params), "v": np.zeros_like(params)}
         t = state["t"] + 1
-        m = hyper.adam_beta1 * state["m"] + (1 - hyper.adam_beta1) * grad
-        v = hyper.adam_beta2 * state["v"] + (1 - hyper.adam_beta2) * grad * grad
-        m_hat = m / (1 - hyper.adam_beta1 ** t)
-        v_hat = v / (1 - hyper.adam_beta2 ** t)
-        return params - lr * m_hat / (np.sqrt(v_hat) + hyper.adam_eps), \
+        m = ADAM_BETA1 * state["m"] + (1 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * state["v"] + (1 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), \
             {"t": t, "m": m, "v": v}
     raise ValueError(f"unknown optimizer {kind!r}")
 
@@ -221,17 +223,22 @@ def _accuracy(spec: MLPSpec, params: np.ndarray, data: Dataset,
     return 1.0 - loss_means(LossKind.ZERO_ONE, preds, data.targets)
 
 
-def _initial_betas(config: TrainConfig) -> BetaWeights:
-    n_terms = len(config.terms)
+def _followed(config: TrainConfig, epoch: int) -> int | None:
+    """Index of the one term a run follows at this epoch, or None.
+
+    Warm-up epochs follow cross-entropy and a single scheme follows its own
+    term: the step is that term's gradient, and the row records its value
+    as the composite with a one-hot weight on it. Every other run follows
+    the composite of all terms.
+    """
+    if epoch < config.warmup_epochs:
+        return config.terms.index(LossKind.CE)
     if config.scheme.kind == "single":
-        return BetaWeights.one_hot(n_terms, config.scheme.index)
-    if config.beta_rule == "fixed" and config.fixed_betas:
-        return BetaWeights(config.fixed_betas)
-    return BetaWeights.uniform(n_terms)
+        return config.scheme.index
+    return None
 
 
-def _epoch_row(spec, params, data, val, configs, betas, epoch, warmup, seconds,
-               check):
+def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
     """Full-dataset telemetry at the epoch's final parameters, one row per run.
 
     Returns the rows and the training-set predictions they were computed
@@ -253,19 +260,21 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, warmup, seconds,
     for r, cfg in enumerate(configs):
         v, g = vals[r], [gk[r] for gk in grads]
         p_eff = cfg.effective_p
-        if warmup:
-            composite = v[terms.index(LossKind.CE)]
-        elif cfg.scheme.kind == "single":
-            composite = v[cfg.scheme.index]
+        followed = _followed(cfg, epoch)
+        if followed is None:
+            b = betas[r]
+            composite = composite_value(v, b, p_eff, config.mode)
         else:
-            composite = composite_value(v, betas[r], p_eff, config.mode)
-        comp_grad = composite_grad(v, g, betas[r], p_eff, config.mode)
+            b = BetaWeights.one_hot(len(terms), followed)
+            composite = v[followed]
+        comp_grad = composite_grad(v, g, b, p_eff, config.mode)
         norm = float(np.linalg.norm(comp_grad))
         check(np.array([norm]), "composite gradient", [r])
         if norm > 0:
             live.append(r)
             directions.append(-comp_grad / norm)
-        parts.append((float(composite), tuple(float(np.linalg.norm(x)) for x in g)))
+        parts.append((float(composite), tuple(b.betas),
+                      tuple(float(np.linalg.norm(x)) for x in g)))
     satisfied = [False] * len(configs)
     if live:
         def along(w):
@@ -288,11 +297,11 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, warmup, seconds,
         val_acc=float(val_acc[r]),
         losses=tuple(float(v) for v in vals[r]),
         composite=composite,
-        betas=tuple(betas[r].betas),
+        betas=row_betas,
         grad_norms=gnorms,
         constraint9=int(satisfied[r]),
         seconds=seconds,
-    ) for r, (composite, gnorms) in enumerate(parts)]
+    ) for r, (composite, row_betas, gnorms) in enumerate(parts)]
     return rows, preds
 
 
@@ -352,9 +361,10 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
     rngs = [np.random.default_rng([c.seed, 1]) for c in configs]
     records = [TrajectoryRecord(terms=terms, config=c, stack_size=len(configs))
                for c in configs]
-    betas = [_initial_betas(c) for c in configs]
-    ce_betas = (BetaWeights.one_hot(len(terms), terms.index(LossKind.CE))
-                if config.warmup_epochs else None)
+    # weights of the runs that follow the composite; adaptive rules update them
+    fixed = config.beta_rule == "fixed" and config.fixed_betas
+    betas = [BetaWeights(config.fixed_betas) if fixed
+             else BetaWeights.uniform(len(terms))] * len(configs)
     opt_state = None
 
     def diverged(r, what):
@@ -371,13 +381,8 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        warmup = epoch < config.warmup_epochs
-        # warm-up and single schemes step along one term's gradient alone
-        if warmup:
-            direct = [LossKind.CE] * len(configs)
-        else:
-            direct = [terms[c.scheme.index] if c.scheme.kind == "single" else None
-                      for c in configs]
+        direct = [None if i is None else terms[i]
+                  for i in (_followed(c, epoch) for c in configs)]
         grad_kinds = terms if None in direct else tuple(t for t in terms if t in direct)
         orders = np.stack([rng.permutation(data.n) for rng in rngs])
         for start in range(0, data.n, config.batch_size):
@@ -413,9 +418,8 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
 
         seconds = time.perf_counter() - t0
         if rows:
-            row_betas = [ce_betas] * len(configs) if warmup else betas
             epoch_rows, preds = _epoch_row(spec, params, data, val, configs,
-                                           row_betas, epoch, warmup, seconds, check)
+                                           betas, epoch, seconds, check)
             for record, row in zip(records, epoch_rows):
                 record.rows.append(row)
         else:

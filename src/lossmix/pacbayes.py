@@ -1,6 +1,7 @@
 """PAC-Bayes bound evaluators: the linear bound, the differentially-private
-data-dependent-prior bound, Bernoulli-KL inversion, and Monte-Carlo risk
-of an isotropic Gaussian posterior over network weights.
+data-dependent-prior bound, Bernoulli-KL inversion, and the Monte-Carlo
+0-1 risk of an isotropic Gaussian posterior over network weights, against
+a zero-mean isotropic Gaussian prior.
 
 Natural logarithms throughout. The linear bound is only meaningful for
 lambda > 1/2, where its (1 - 1/(2 lambda)) factor is positive; the
@@ -43,19 +44,13 @@ class GaussianPosterior:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Isotropic Gaussian prior; zero-mean by default."""
+    """Zero-mean isotropic Gaussian prior with standard deviation lambda_p."""
 
     lambda_p: float
-    mean: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lambda_p <= 0:
             raise ValueError("lambda_p must be positive")
-        if self.mean is not None:
-            object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-
-    def mean_for(self, dim: int) -> np.ndarray:
-        return np.zeros(dim) if self.mean is None else self.mean
 
 
 @dataclass(frozen=True)
@@ -82,13 +77,10 @@ class BoundParams:
 
 
 def kl_gaussians(Q: GaussianPosterior, P: GaussianPrior) -> float:
-    """Closed-form KL between isotropic Gaussians of equal dimension."""
+    """Closed-form KL from an isotropic Gaussian posterior to the zero-mean prior."""
     d = Q.dim
-    mu_p = P.mean_for(d)
-    if mu_p.size != d:
-        raise ValueError(f"prior dimension {mu_p.size} vs posterior {d}")
     ratio = P.lambda_p / Q.sigma
-    shift = float(np.dot(Q.mean - mu_p, Q.mean - mu_p))
+    shift = float(np.dot(Q.mean, Q.mean))
     return (d * (math.log(ratio) + Q.sigma ** 2 / (2.0 * P.lambda_p ** 2) - 0.5)
             + shift / (2.0 * P.lambda_p ** 2))
 
@@ -101,15 +93,18 @@ class EmpiricalRisk:
 
 
 def empirical_risk(Q: GaussianPosterior, spec: MLPSpec, data: Dataset,
-                   n_samples: int, seed: int,
-                   loss: LossKind = LossKind.ZERO_ONE) -> EmpiricalRisk:
-    """Monte-Carlo dataset risk over weight draws from the posterior."""
+                   n_samples: int, seed: int) -> EmpiricalRisk:
+    """Monte-Carlo 0-1 risk on the dataset over weight draws from the posterior.
+
+    The 0-1 loss is bounded in [0, 1], which the Bernoulli-kl inversion of
+    risk_certificate needs.
+    """
     if n_samples < 1:
         raise ValueError("need at least one posterior draw")
     if Q.dim != spec.n_params:
         raise ValueError("posterior dimension does not match the network")
     rng = np.random.default_rng(seed)
-    risk = netcore.term_loss_fn(spec, data.as_batch(), loss)
+    risk = netcore.term_loss_fn(spec, data.as_batch(), LossKind.ZERO_ONE)
     draws = np.empty(n_samples)
     for i in range(n_samples):
         draws[i] = risk(Q.sample(rng))
@@ -194,7 +189,7 @@ def risk_certificate(Q: GaussianPosterior, P: GaussianPrior, spec: MLPSpec,
     explicit upper bound on the true risk, so certificates from models
     trained under different schemes compare on one scale.
     """
-    risk = empirical_risk(Q, spec, data, n_samples, seed, loss=LossKind.ZERO_ONE)
+    risk = empirical_risk(Q, spec, data, n_samples, seed)
     kl = kl_gaussians(Q, P)
     bound = dp_pac_bound(kl, params)
     upper = kl_inverse(min(max(risk.value, 0.0), 1.0), bound)

@@ -76,12 +76,12 @@ class SpectrumSample:
         object.__setattr__(self, "values", values)
 
 
-def residual_spectrum(outputs: np.ndarray, target: np.ndarray,
-                      spacing: float = 1.0) -> SpectrumSample:
+def residual_spectrum(outputs: np.ndarray, target: np.ndarray) -> SpectrumSample:
     """DFT of (outputs - target) at the standard DFT frequencies.
 
-    Frequencies are angular: 2 pi fftfreq(n, spacing), shifted into
-    increasing order. Parseval holds: sum |r|^2 = (1/n) sum |DFT|^2.
+    Frequencies are angular, per unit sample spacing: 2 pi fftfreq(n),
+    shifted into increasing order. Parseval holds:
+    sum |r|^2 = (1/n) sum |DFT|^2.
     """
     outputs = np.asarray(outputs, dtype=np.float64).ravel()
     target = np.asarray(target, dtype=np.float64).ravel()
@@ -89,7 +89,7 @@ def residual_spectrum(outputs: np.ndarray, target: np.ndarray,
         raise ValueError(
             f"length mismatch: {outputs.size} outputs vs {target.size} targets")
     spectrum = np.fft.fft(outputs - target)
-    omegas = 2.0 * np.pi * np.fft.fftfreq(outputs.size, d=spacing)
+    omegas = 2.0 * np.pi * np.fft.fftfreq(outputs.size)
     order = np.fft.fftshift(np.arange(outputs.size))
     return SpectrumSample(omegas=omegas[order], values=spectrum[order])
 

@@ -374,7 +374,7 @@ def check_data_cifar_roundtrip():
 
 def check_analysis_density_normalization():
     rng = np.random.default_rng(23)
-    grid = analysis.Grid(bounds=((-2.0, 2.0),), resolution=(301,))
+    grid = analysis.Grid(-2.0, 2.0, 301)
     worst = 0.0
     for _ in range(20):
         field = analysis.GridField(grid, rng.uniform(0.0, 3.0, 301))
@@ -384,7 +384,7 @@ def check_analysis_density_normalization():
 
 
 def check_analysis_kl_gaussian_oracle():
-    grid = analysis.Grid(bounds=((-8.0, 8.0),), resolution=(4001,))
+    grid = analysis.Grid(-8.0, 8.0, 4001)
     x = grid.axis()
     p = analysis.boltzmann(analysis.GridField(grid, 0.5 * x ** 2), 1.0).density
     q = analysis.boltzmann(analysis.GridField(grid, 0.5 * (x - 1.0) ** 2), 1.0).density
@@ -394,7 +394,7 @@ def check_analysis_kl_gaussian_oracle():
 
 def check_analysis_kl_nonnegative():
     rng = np.random.default_rng(24)
-    grid = analysis.Grid(bounds=((-1.0, 1.0),), resolution=(101,))
+    grid = analysis.Grid(-1.0, 1.0, 101)
     ok = True
     for _ in range(50):
         p = analysis.boltzmann(

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -158,6 +160,12 @@ class TestTrainCommand:
         assert len(meta["config_sha256"]) == 64
 
 
+def test_every_train_setting_is_a_config_key():
+    # a TrainConfig field no config can set is a knob nothing reaches
+    fields = {f.name for f in dataclasses.fields(optim.TrainConfig)} - {"scheme", "seed"}
+    assert fields == set(cli._TRAIN_FIELDS)
+
+
 class TestKlsweepCommand:
     def test_default_testbed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"p_list": [1.0, 2.0, 3.0, 4.0]})
@@ -215,13 +223,20 @@ class TestBoundsCommand:
             "seed": 3,
         }
 
-    def test_trained_model_certificate(self, tmp_path, capsys):
+    def test_trained_model_certificate(self, tmp_path, monkeypatch, capsys):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("bounds computed telemetry rows it never reads")
+
+        monkeypatch.setattr(optim, "_epoch_row", no_rows)
         cfg = write_config(tmp_path, self.bounds_config())
         code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 0
-        cert = json.loads(
-            next((tmp_path / "o").rglob("certificate.json")).read_text())
+        path = next((tmp_path / "o").rglob("certificate.json"))
+        cert = json.loads(path.read_text())
         assert cert["risk_upper"] >= cert["emp_risk"]
+        # recorded when the posterior mean was still trained with telemetry rows
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d0a038555249e1a2eb7d21594e4f0695a3f40a7a9232790e0ccaeeed6e022d41")
 
     def test_bad_lambda_rejected_before_training(self, tmp_path, monkeypatch,
                                                  capsys):

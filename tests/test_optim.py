@@ -53,6 +53,12 @@ class TestOptimizerStep:
 
 
 class TestConfigValidation:
+    def test_sequences_become_tuples(self):
+        cfg = TrainConfig(scheme=Scheme.multi(), terms=["ce", "mse"],
+                          beta_rule="fixed", fixed_betas=[0.25, 0.75])
+        assert cfg.terms == (LossKind.CE, LossKind.MSE)
+        assert cfg.fixed_betas == (0.25, 0.75)
+
     def test_warmup_needs_ce(self):
         with pytest.raises(ValueError, match="cross-entropy"):
             TrainConfig(scheme=Scheme.single(0), terms=(LossKind.MSE,),
