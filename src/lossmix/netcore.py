@@ -13,20 +13,56 @@ Parameters are one flat vector (P,) or a stack (R, P) of R runs of the
 same architecture; inputs are (n, d), shared by every run, or (R, n, d).
 A stacked pass runs each run's slice through the same numpy kernels as an
 unstacked pass, and the tests pin that each run gets the same bits.
+
+The sigmoid is ``scipy.special.expit``, imported the first time a sigmoid
+layer runs: numpy has no sigmoid with the same bits, and importing
+scipy.special costs about 0.4 s that tanh and softmax nets do not need.
+
+Importing this module sets glibc's malloc thresholds so that freed heap
+pages stay mapped (see ``_keep_freed_pages``): a wide net's per-epoch
+temporaries are then reused instead of faulted in and zeroed again by the
+kernel every epoch.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .losses import LossKind, loss_means, loss_output_grad, loss_value
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "tanh", "relu")
 OUTPUT_KINDS = ("linear", "softmax", "sigmoid")
+
+# glibc <malloc.h> mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages() -> None:
+    """Keep freed heap pages mapped for reuse.
+
+    glibc's default thresholds (128 KiB, raised as mmapped blocks are
+    freed) hand large freed blocks back to the kernel, by munmap or by
+    trimming the top of the heap, so a 256 x 200 float64 temporary
+    (400 KB) freed in one epoch is faulted in and zeroed again in the next.
+    32 MiB is glibc's largest mmap threshold on 64-bit; a trim threshold
+    above it keeps what the heap grew to. Does nothing where the C library
+    has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_pages()
 
 
 class ShapeError(ValueError):
@@ -143,9 +179,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    from scipy.special import expit  # imported on the first sigmoid layer
+    return expit(z)
+
+
 def _hidden(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "sigmoid":
-        return expit(z)
+        return _sigmoid(z)
     if kind == "tanh":
         return np.tanh(z)
     return np.maximum(z, 0.0)
@@ -183,7 +224,7 @@ def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray):
         elif spec.output_kind == "softmax":
             a = _softmax(z)
         elif spec.output_kind == "sigmoid":
-            a = expit(z)
+            a = _sigmoid(z)
         else:
             a = z
         acts.append(a)

@@ -91,7 +91,12 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.beta_rule not in BETA_RULES:
             raise ValueError(f"unknown beta rule {self.beta_rule!r}")
-        if self.beta_rule == "fixed" and self.fixed_betas is not None:
+        if self.beta_rule == "fixed" and self.fixed_betas is None:
+            raise ValueError("beta_rule 'fixed' needs fixed_betas")
+        if self.beta_rule != "fixed" and self.fixed_betas is not None:
+            raise ValueError(f"fixed_betas are used only by beta_rule 'fixed', "
+                             f"not {self.beta_rule!r}")
+        if self.fixed_betas is not None:
             BetaWeights(self.fixed_betas)  # validate early
             if len(self.fixed_betas) != len(self.terms):
                 raise ValueError(f"{len(self.fixed_betas)} fixed_betas for "
@@ -362,8 +367,7 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
     records = [TrajectoryRecord(terms=terms, config=c, stack_size=len(configs))
                for c in configs]
     # weights of the runs that follow the composite; adaptive rules update them
-    fixed = config.beta_rule == "fixed" and config.fixed_betas
-    betas = [BetaWeights(config.fixed_betas) if fixed
+    betas = [BetaWeights(config.fixed_betas) if config.fixed_betas is not None
              else BetaWeights.uniform(len(terms))] * len(configs)
     opt_state = None
 

@@ -1,10 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lossmix
 from lossmix import cli, composite, data, optim
 
 
@@ -101,6 +106,23 @@ class TestTrainCommand:
         assert code == 1
         assert "model/layer_widths" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("train", [
+        {"beta_rule": "softmax", "fixed_betas": [0.2, 0.8]},
+        {"beta_rule": "fixed"},
+    ])
+    def test_dropped_weights_are_config_errors(self, tmp_path, monkeypatch,
+                                               capsys, train):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with a config that drops its weights")
+
+        monkeypatch.setattr(optim, "train", no_training)
+        doc = moons_train_config()
+        doc["train"].update(train)
+        cfg = write_config(tmp_path, doc)
+        code = run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "fixed" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, moons_train_config(seeds=[5, 6]))
@@ -296,3 +318,13 @@ def test_usage_error_exits_one(argv, capsys):
         run_cli(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_imports_no_scipy():
+    # only sigmoid nets need scipy, and they import it on first use
+    src = str(Path(lossmix.__file__).resolve().parents[1])
+    probe = ("import sys, lossmix.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

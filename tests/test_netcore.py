@@ -52,6 +52,16 @@ class TestForward:
         out = netcore.forward(spec, np.zeros(2), batch)
         assert out[0, 0] == 0.5
 
+    def test_sigmoid_layers_are_scipy_expit(self):
+        # the sigmoid is imported lazily; its bits must still be expit's
+        from scipy.special import expit
+        spec = MLPSpec((3, 7, 2), hidden_activation="sigmoid", output_kind="sigmoid")
+        params = netcore.init_params(spec, 6, 1.5)
+        batch = make_batch(n=9)
+        (w0, b0), (w1, b1) = netcore.unpack_params(spec, params)
+        want = expit(expit(batch.inputs @ w0 + b0) @ w1 + b1)
+        assert np.array_equal(netcore.forward(spec, params, batch), want)
+
     def test_softmax_rows_sum_to_one(self):
         spec = MLPSpec((3, 8, 4), output_kind="softmax")
         params = netcore.init_params(spec, 4, 1.5)

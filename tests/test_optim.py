@@ -1,5 +1,10 @@
+import ctypes
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +82,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="3 fixed_betas for 2 terms"):
             TrainConfig(scheme=Scheme.multi(), beta_rule="fixed",
                         fixed_betas=(0.2, 0.3, 0.5))
+
+    def test_fixed_betas_need_the_fixed_rule(self):
+        with pytest.raises(ValueError, match="only by beta_rule 'fixed'"):
+            TrainConfig(scheme=Scheme.multi(), beta_rule="softmax",
+                        fixed_betas=(0.2, 0.8))
+
+    def test_fixed_rule_needs_fixed_betas(self):
+        with pytest.raises(ValueError, match="needs fixed_betas"):
+            TrainConfig(scheme=Scheme.multi(), beta_rule="fixed")
 
     def test_zero_one_term_rejected(self):
         with pytest.raises(ValueError, match="zero_one"):
@@ -523,3 +537,42 @@ def test_value_error_is_not_relabelled_as_divergence(monkeypatch):
     wide = MLPSpec((2, 12, 3), hidden_activation="tanh", output_kind="softmax")
     with pytest.raises(ValueError, match="shape mismatch"):
         train(spec=wide, data=train_set, val=val_set, configs=cfg)
+
+
+HEAP_PROBE = """
+import resource
+from lossmix import data, optim
+from lossmix.composite import Scheme
+from lossmix.netcore import MLPSpec
+
+spec = MLPSpec((1, 200, 1), hidden_activation="sigmoid", output_kind="sigmoid")
+raw = data.freq_target_1d([1.0, 3.0, 5.0], [1.0, 1.0, 1.0], 256)
+y = raw.targets[:, 0]
+ds = data.Dataset(inputs=raw.inputs,
+                  targets=(0.1 + 0.8 * (y - y.min()) / (y.max() - y.min()))[:, None])
+faults = {}
+
+def mark(run, epoch, params, preds):
+    if epoch in (1, 51):  # after 2 warm-up epochs, then after 50 more
+        faults[epoch] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+cfg = optim.TrainConfig(scheme=Scheme.multi(), epochs=52, batch_size=256)
+optim.train(spec, ds, ds, [cfg], epoch_callback=mark, rows=False)
+print((faults[51] - faults[1]) / 50)
+"""
+
+
+def test_wide_epochs_reuse_freed_heap_pages():
+    # the tone_setup(200, 256) net; netcore keeps freed heap pages mapped, so
+    # its epochs' 400 KB temporaries are not faulted in again: 804 minor
+    # faults per epoch without it. A fresh interpreter, because what earlier
+    # tests allocated moves glibc's dynamic thresholds.
+    pytest.importorskip("resource")
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        pytest.skip("no mallopt in this C library")
+    src = str(Path(netcore.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", HEAP_PROBE], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert float(out.stdout) < 5

@@ -143,6 +143,62 @@ class TestBernoulliKL:
             assert kl_inverse(q, c) >= q
 
 
+class TestBisect:
+    """pacbayes._bisect must be scipy.optimize.bisect, bit for bit."""
+
+    P_MAX = 1.0 - 1e-15  # kl_inverse's upper end
+
+    def pairs(self):
+        rng = np.random.default_rng(21)
+        n = 2200
+        qs = np.concatenate([
+            rng.uniform(0, 1, n),
+            np.zeros(n // 4),
+            1.0 - 10.0 ** rng.uniform(-14.9, -1, n),
+            [1.0 - 2e-15, 1.0 - 5e-15, 1.0 - 1e-14]])
+        for q in qs:
+            for c in 10.0 ** rng.uniform(-12, math.log10(5.0), 3):
+                yield float(q), float(c)
+
+    def test_same_bits_as_scipy(self):
+        from scipy.optimize import bisect
+        reached = 0
+        for q, c in self.pairs():
+            if q >= self.P_MAX or bernoulli_kl(q, self.P_MAX) <= c:
+                continue  # kl_inverse answers without bisecting
+            reached += 1
+            def f(p):
+                return bernoulli_kl(q, p) - c
+            lo = q if q > 0 else 1e-300
+            want = bisect(f, lo, self.P_MAX, xtol=1e-12)
+            got = pacbayes._bisect(f, lo, self.P_MAX, xtol=1e-12)
+            assert got.hex() == float(want).hex(), (q, c)
+            assert kl_inverse(q, c) == got
+        assert reached >= 10_000
+
+    @pytest.mark.parametrize("f, error", [
+        (lambda x: math.nan, ValueError),  # NaN value
+        (lambda x: x + 1.0, ValueError),   # same sign at both ends
+    ])
+    def test_raises_what_scipy_raises(self, f, error):
+        from scipy.optimize import bisect
+        with pytest.raises(error):
+            bisect(f, 0.0, 1.0, xtol=1e-12)
+        with pytest.raises(error):
+            pacbayes._bisect(f, 0.0, 1.0, xtol=1e-12)
+
+    def test_no_convergence_raises(self):
+        from scipy.optimize import bisect
+        # 100 halvings of [-1e300, 1e300] leave an interval far above xtol
+        for solve in (bisect, pacbayes._bisect):
+            with pytest.raises(RuntimeError, match="Failed to converge"):
+                solve(lambda x: x - 0.1, -1e300, 1e300, xtol=1e-300)
+
+    def test_root_at_an_end(self):
+        assert pacbayes._bisect(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
+        assert pacbayes._bisect(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12) == 1.0
+
+
 class TestCertificate:
     def setup_method(self):
         self.spec = MLPSpec((2, 6, 2), output_kind="softmax")
