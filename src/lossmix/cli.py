@@ -255,10 +255,6 @@ def _check_widths(spec: MLPSpec, train_set: data.Dataset) -> None:
             f"do not match the dataset's {want[0]}/{want[1]}")
 
 
-def _train_config_from(doc: dict, scheme: Scheme, seed: int) -> optim.TrainConfig:
-    return optim.TrainConfig(scheme=scheme, seed=seed, **doc)
-
-
 def _bound_params_from(doc: dict, m: int) -> pacbayes.BoundParams:
     return pacbayes.BoundParams(lam=doc["lambda"], l_max=doc["l_max"],
                                 delta=doc["delta"], m=doc.get("m", m),
@@ -305,13 +301,12 @@ def cmd_train(args) -> int:
     seeds = ([args.seed_override] if args.seed_override is not None
              else list(config["seeds"]))
 
-    configs = [_train_config_from(config.get("train", {}), scheme, seed)
+    configs = [optim.TrainConfig(scheme=scheme, seed=seed, **config.get("train", {}))
                for scheme in schemes for seed in seeds]
 
     def save(record):
         cfg = record.config
-        return optim.save_run(out / f"{_slug(cfg.scheme)}-seed{cfg.seed}", record, cfg,
-                              config_hash=digest)
+        return optim.save_run(out / f"{_slug(cfg.scheme)}-seed{cfg.seed}", record, digest)
 
     try:
         records = optim.train(spec, train_set, val_set, configs)
@@ -361,12 +356,10 @@ def cmd_spectral(args) -> int:
     schemes = [_scheme_from(s) for s in config["schemes"]]
     seed = (args.seed_override if args.seed_override is not None
             else config.get("seed", 1))
-    base = optim.TrainConfig(
-        scheme=Scheme.multi(),
-        learning_rate=config.get("learning_rate", 0.02),
-        init_scale=config.get("init_scale", 3.0),
-        optimizer="adam", epochs=config.get("epochs", 1200),
-        batch_size=target.n_points, seed=seed)
+    # spectral_scheme_compare sets each run's scheme, seed, epochs and batch
+    base = optim.TrainConfig(scheme=Scheme.multi(),
+                             learning_rate=config.get("learning_rate", 0.02),
+                             init_scale=config.get("init_scale", 3.0))
     comparison = spectral.spectral_scheme_compare(
         base, schemes, target, epochs=config.get("epochs", 1200), seed=seed,
         width=config.get("width", 200), threshold=config.get("threshold", 0.2))
@@ -399,7 +392,7 @@ def cmd_bounds(args) -> int:
         mean = np.load(path)["params"]
     else:
         scheme = _scheme_from(config.get("scheme", {"kind": "multi"}))
-        cfg = _train_config_from(config.get("train", {}), scheme, seed)
+        cfg = optim.TrainConfig(scheme=scheme, seed=seed, **config.get("train", {}))
         # only the final weights are read, so no telemetry rows
         mean = optim.train(spec, train_set, val_set, [cfg], rows=False)[0].final_params
     q = pacbayes.GaussianPosterior(mean=mean, sigma=post_doc["sigma"])

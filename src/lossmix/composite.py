@@ -227,17 +227,16 @@ def critical_p(L: float, g: float, h: float) -> float:
     return (g * g - L * h) / (g * g)
 
 
-def directional_curvature(loss_fn: Callable[[np.ndarray], float | Sequence[float]],
+def directional_curvature(loss_fn: Callable[[np.ndarray], np.ndarray],
                           params: np.ndarray, direction: np.ndarray, h: float,
-                          f0: float | Sequence[float] | None = None):
-    """Central-difference first and second derivatives along a unit direction.
+                          f0: np.ndarray):
+    """Central-difference first and second derivatives along unit directions.
 
-    loss_fn returns one value, giving a (g, h) pair of floats, or a vector
-    of per-term values, giving a pair of arrays with one entry per term;
-    each entry is the bits the scalar form gives for that term alone. f0 is
-    loss_fn(params) when the caller already holds it, which saves a call.
-    Stacked (R, P) params and directions, one unit direction per run, take
-    a loss_fn returning (R, terms) and give (R, terms) arrays.
+    params and direction are (R, P) stacks, one unit direction per run;
+    loss_fn maps such a stack to (R, terms) per-term values, and f0 is its
+    value at params, which the caller already holds. Returns the (R, terms)
+    arrays g and h; each entry is computed with the arithmetic of Python
+    floats, so it is the same bits for one term alone as for many.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -246,7 +245,7 @@ def directional_curvature(loss_fn: Callable[[np.ndarray], float | Sequence[float
     norm = np.linalg.norm(direction, axis=-1)
     if not np.all(np.isclose(norm, 1.0, rtol=0, atol=1e-8)):
         raise ValueError(f"direction must be a unit vector, norm {norm}")
-    f0 = np.asarray(loss_fn(params) if f0 is None else f0, dtype=np.float64)
+    f0 = np.asarray(f0, dtype=np.float64)
     f_hi = np.asarray(loss_fn(params + h * direction), dtype=np.float64)
     f_lo = np.asarray(loss_fn(params - h * direction), dtype=np.float64)
     if not np.all(np.isfinite(f0) & np.isfinite(f_hi) & np.isfinite(f_lo)):
@@ -254,6 +253,4 @@ def directional_curvature(loss_fn: Callable[[np.ndarray], float | Sequence[float
     # +, -, * and / round the same elementwise as on Python floats
     g = (f_hi - f_lo) / (2.0 * h)
     h2 = (f_hi - 2.0 * f0 + f_lo) / (h * h)
-    if g.ndim == 0:
-        return float(g), float(h2)
     return g, h2

@@ -16,7 +16,7 @@ unstacked pass, and the tests pin that each run gets the same bits.
 
 The sigmoid is ``scipy.special.expit``, imported the first time a sigmoid
 layer runs: numpy has no sigmoid with the same bits, and importing
-scipy.special costs about 0.4 s that tanh and softmax nets do not need.
+scipy.special costs 0.25-0.33 s that tanh and softmax nets do not need.
 
 Importing this module sets glibc's malloc thresholds so that freed heap
 pages stay mapped (see ``_keep_freed_pages``): a wide net's per-epoch
@@ -245,9 +245,9 @@ def _hidden_derivs(spec: MLPSpec, cache) -> list[np.ndarray]:
 
 
 def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
-                         derivs: list[np.ndarray] | None = None) -> np.ndarray:
-    """Backward pass through a forward cache. derivs, _hidden_derivs of
-    that cache, may be passed in so several backward passes share them."""
+                         derivs: list[np.ndarray]) -> np.ndarray:
+    """Backward pass through a forward cache. derivs is _hidden_derivs of
+    that cache, computed by the caller so several backward passes share it."""
     layers, acts, _ = cache
     preds = acts[-1]
     output_grad = np.asarray(output_grad, dtype=np.float64)
@@ -265,8 +265,6 @@ def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
         delta = output_grad * preds * (1.0 - preds)
     else:
         delta = output_grad
-    if derivs is None:
-        derivs = _hidden_derivs(spec, cache)
 
     lead = layers[0][1].shape[:-1]
     grad = np.empty(lead + (spec.n_params,))
@@ -289,7 +287,7 @@ def backward(spec: MLPSpec, params: np.ndarray, batch: Batch,
              output_grad: np.ndarray) -> np.ndarray:
     """Gradient of sum_ij output_grad_ij * predictions_ij w.r.t. the flat params."""
     _, cache = _forward_cache(spec, params, batch.inputs)
-    return _backward_from_cache(spec, cache, output_grad)
+    return _backward_from_cache(spec, cache, output_grad, _hidden_derivs(spec, cache))
 
 
 def term_values_and_grads(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,

@@ -110,10 +110,6 @@ class TrainConfig:
         if self.warmup_epochs > 0 and LossKind.CE not in self.terms:
             raise ValueError("warm-start needs a cross-entropy term")
 
-    @property
-    def effective_p(self) -> float:
-        return self.scheme.effective_p
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["scheme"] = {"kind": self.scheme.kind, "index": self.scheme.index,
@@ -139,16 +135,16 @@ class TrajectoryRow:
 class TrajectoryRecord:
     """Per-epoch telemetry for one training run."""
 
-    terms: tuple[LossKind, ...]
+    config: TrainConfig
+    stack_size: int  # runs trained together; row seconds are the stack's
     rows: list[TrajectoryRow] = field(default_factory=list)
     final_params: np.ndarray | None = None
-    config: TrainConfig | None = None
-    stack_size: int = 1  # runs trained together; row seconds are the stack's
 
     def header(self) -> list[str]:
-        n = len(self.terms)
+        terms = self.config.terms
+        n = len(terms)
         return (["epoch", "train_acc", "val_acc"]
-                + [f"loss_{t.value}" for t in self.terms]
+                + [f"loss_{t.value}" for t in terms]
                 + ["composite"]
                 + [f"beta_{i + 1}" for i in range(n)]
                 + [f"gnorm_{i + 1}" for i in range(n)]
@@ -178,9 +174,10 @@ def sample_gradient_noise(rng: np.random.Generator, eps: float, size: int) -> np
     return rng.normal(0.0, eps, size)
 
 
-def optimizer_step(kind: str, state: dict | None, params: np.ndarray,
-                   grad: np.ndarray, hyper: TrainConfig):
-    """One update of sgd / momentum / adam; returns (params', state')."""
+def optimizer_step(state: dict | None, params: np.ndarray, grad: np.ndarray,
+                   hyper: TrainConfig):
+    """One update of hyper.optimizer (sgd, momentum or adam); returns
+    (params', state')."""
     grad = np.asarray(grad, dtype=np.float64)
     params = np.asarray(params, dtype=np.float64)
     if grad.shape != params.shape:
@@ -188,22 +185,20 @@ def optimizer_step(kind: str, state: dict | None, params: np.ndarray,
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
     lr = hyper.learning_rate
-    if kind == "sgd":
+    if hyper.optimizer == "sgd":
         return params - lr * grad, {"t": (state or {"t": 0})["t"] + 1}
-    if kind == "momentum":
+    if hyper.optimizer == "momentum":
         state = state or {"t": 0, "v": np.zeros_like(params)}
         v = hyper.momentum * state["v"] + grad
         return params - lr * v, {"t": state["t"] + 1, "v": v}
-    if kind == "adam":
-        state = state or {"t": 0, "m": np.zeros_like(params), "v": np.zeros_like(params)}
-        t = state["t"] + 1
-        m = ADAM_BETA1 * state["m"] + (1 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * state["v"] + (1 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1 - ADAM_BETA1 ** t)
-        v_hat = v / (1 - ADAM_BETA2 ** t)
-        return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), \
-            {"t": t, "m": m, "v": v}
-    raise ValueError(f"unknown optimizer {kind!r}")
+    # adam, the one optimizer left that TrainConfig admits
+    state = state or {"t": 0, "m": np.zeros_like(params), "v": np.zeros_like(params)}
+    t = state["t"] + 1
+    m = ADAM_BETA1 * state["m"] + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state["v"] + (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), {"t": t, "m": m, "v": v}
 
 
 def stack_size(spec: MLPSpec, data: Dataset, val: Dataset) -> int:
@@ -248,7 +243,9 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
 
     Returns the rows and the training-set predictions they were computed
     from. Constraint 9 is checked for every term from one shared pair of
-    forward passes at params +/- h along each run's descent direction.
+    forward passes at params +/- h along each run's descent direction: the
+    negative normalized gradient of what the run steps on, the followed
+    term's own or the composite's.
     check(stack, what, runs) raises TrainingDiverged for the first run
     whose entries are not all finite.
     """
@@ -264,20 +261,21 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
     live, directions, parts = [], [], []
     for r, cfg in enumerate(configs):
         v, g = vals[r], [gk[r] for gk in grads]
-        p_eff = cfg.effective_p
         followed = _followed(cfg, epoch)
         if followed is None:
             b = betas[r]
+            p_eff = cfg.scheme.effective_p
             composite = composite_value(v, b, p_eff, config.mode)
+            descent = composite_grad(v, g, b, p_eff, config.mode)
         else:
             b = BetaWeights.one_hot(len(terms), followed)
             composite = v[followed]
-        comp_grad = composite_grad(v, g, b, p_eff, config.mode)
-        norm = float(np.linalg.norm(comp_grad))
-        check(np.array([norm]), "composite gradient", [r])
+            descent = g[followed]
+        norm = float(np.linalg.norm(descent))
+        check(np.array([norm]), "gradient norm", [r])
         if norm > 0:
             live.append(r)
-            directions.append(-comp_grad / norm)
+            directions.append(-descent / norm)
         parts.append((float(composite), tuple(b.betas),
                       tuple(float(np.linalg.norm(x)) for x in g)))
     satisfied = [False] * len(configs)
@@ -291,7 +289,7 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
         g_dir, h_dir = directional_curvature(along, params[live], np.stack(directions),
                                              CURVATURE_H, f0=vals[live])
         for j, r in enumerate(live):
-            p_eff = configs[r].effective_p
+            p_eff = configs[r].scheme.effective_p
             satisfied[r] = all(constraint9_check(max(v, 1e-12), g, h, p_eff)
                                for v, g, h in zip(vals[r], g_dir[j], h_dir[j]))
     train_acc = _accuracy(spec, params, data, preds)
@@ -364,7 +362,7 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
     terms = config.terms
     params = np.stack([netcore.init_params(spec, c.seed, c.init_scale) for c in configs])
     rngs = [np.random.default_rng([c.seed, 1]) for c in configs]
-    records = [TrajectoryRecord(terms=terms, config=c, stack_size=len(configs))
+    records = [TrajectoryRecord(config=c, stack_size=len(configs))
                for c in configs]
     # weights of the runs that follow the composite; adaptive rules update them
     betas = [BetaWeights(config.fixed_betas) if config.fixed_betas is not None
@@ -408,7 +406,7 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
                     if not all(map(math.isfinite, norms)):
                         raise diverged(r, "gradient norm")
                     betas[r] = adaptive_betas(norms, rule=config.beta_rule)
-                step[r] = composite_grad(vals[r], g, betas[r], cfg.effective_p,
+                step[r] = composite_grad(vals[r], g, betas[r], cfg.scheme.effective_p,
                                          config.mode)
             if config.l2_reg > 0:
                 step = step + config.l2_reg * params
@@ -417,8 +415,7 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
                     sample_gradient_noise(rng, config.noise_eps, spec.n_params)
                     for rng in rngs])
             check(step, "gradient")
-            params, opt_state = optimizer_step(
-                config.optimizer, opt_state, params, step, config)
+            params, opt_state = optimizer_step(opt_state, params, step, config)
 
         seconds = time.perf_counter() - t0
         if rows:
@@ -438,14 +435,14 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
     return records
 
 
-def save_run(out_dir, record: TrajectoryRecord, config: TrainConfig,
-             config_hash: str = "") -> Path:
-    """Write trajectory.csv plus a config/timing sidecar and final params."""
+def save_run(out_dir, record: TrajectoryRecord, config_hash: str) -> Path:
+    """Write trajectory.csv, a sidecar with the record's config, the config
+    file's hash and timings, and the final params."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "trajectory.csv").write_text(record.to_csv_text())
     meta = {
-        "config": config.to_dict(),
+        "config": record.config.to_dict(),
         "config_sha256": config_hash,
         "stack_size": record.stack_size,
         "wall_clock": {

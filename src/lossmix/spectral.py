@@ -100,7 +100,15 @@ def _band_mask(omegas: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (mag > lo) & (mag < hi)
 
 
-def check_bands(bands: Sequence[tuple[float, float]], nyquist: float) -> None:
+def _spacing(n_points: int) -> float:
+    # n_points samples over one 2 pi period put a tone k on DFT bin k
+    return 2.0 * np.pi / n_points
+
+
+def check_bands(bands: Sequence[tuple[float, float]], n_points: int) -> None:
+    """Reject bands that are empty, overlap, or reach past the Nyquist
+    frequency of n_points samples over one 2 pi period."""
+    nyquist = 2.0 * np.pi * (n_points // 2) / (n_points * _spacing(n_points))
     bands = sorted(bands)
     for lo, hi in bands:
         if not 0.0 <= lo < hi:
@@ -132,19 +140,21 @@ class FrequencyCaptureReport:
 
 
 def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray,
-                      bands: Sequence[tuple[float, float]], threshold: float,
-                      spacing: float = 1.0) -> FrequencyCaptureReport:
+                      bands: Sequence[tuple[float, float]],
+                      threshold: float) -> FrequencyCaptureReport:
     """First epoch at which each band's relative residual energy
-    drops below threshold (strict), scanning the recorded trajectory."""
+    drops below threshold (strict), scanning the recorded trajectory.
+
+    The n target samples span one 2 pi period, so a tone k sits on DFT
+    bin k and the bands are in those angular frequencies."""
     if len(outputs_by_epoch) < 1:
         raise ValueError("need at least one epoch of outputs")
     if not 0.0 <= threshold < 1.0:
         raise ValueError("threshold must be in [0, 1)")
     target = np.asarray(target, dtype=np.float64).ravel()
     n = target.size
-    nyquist = 2.0 * np.pi * (n // 2) / (n * spacing)
-    check_bands(bands, nyquist)
-    omegas = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+    check_bands(bands, n)
+    omegas = 2.0 * np.pi * np.fft.fftfreq(n, d=_spacing(n))
     target_f = np.fft.fft(target)
     masks = [_band_mask(omegas, lo, hi) for lo, hi in bands]
     target_energy = np.array([float((np.abs(target_f[m]) ** 2).sum()) for m in masks])
@@ -187,22 +197,18 @@ class SpectralTarget:
     frequencies: tuple[float, ...] = (1.0, 3.0, 5.0)
     amplitudes: tuple[float, ...] = (1.0, 1.0, 1.0)
     n_points: int = 256
-    output_range: tuple[float, float] = (0.1, 0.9)
 
-    def build(self) -> tuple[Dataset, np.ndarray, float]:
-        """Dataset scaled into the sigmoid head's range, plus grid spacing.
+    def build(self) -> Dataset:
+        """Dataset scaled into [0.1, 0.9], inside the sigmoid head's range.
 
         The affine rescale shifts energy into the DC bin only; every tone
         keeps its exact bin, so band-relative errors are unaffected.
         """
         raw = freq_target_1d(self.frequencies, self.amplitudes, self.n_points)
         y = raw.targets[:, 0]
-        lo, hi = self.output_range
-        scaled = lo + (hi - lo) * (y - y.min()) / (y.max() - y.min())
-        data = Dataset(inputs=raw.inputs, targets=scaled[:, None],
+        scaled = 0.1 + 0.8 * (y - y.min()) / (y.max() - y.min())
+        return Dataset(inputs=raw.inputs, targets=scaled[:, None],
                        name=raw.name + "_scaled", k_classes=0, meta=dict(raw.meta))
-        spacing = 2.0 * np.pi / self.n_points
-        return data, scaled, spacing
 
 
 @dataclass
@@ -241,11 +247,13 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
                             width: int = 200,
                             threshold: float = 0.2) -> SpectralComparison:
     """Train one sigmoid net per scheme on the tone target and compare
-    per-band capture epochs side by side."""
+    per-band capture epochs side by side. Bands that overlap or pass the
+    Nyquist frequency are rejected before any training."""
     spec = MLPSpec(layer_widths=(1, width, 1), hidden_activation="sigmoid",
                    output_kind="sigmoid")
-    data, scaled, spacing = target.build()
     bands = default_bands(target.frequencies)
+    check_bands(bands, target.n_points)
+    data = target.build()
     configs = [replace(base_config, scheme=scheme, seed=seed, epochs=epochs,
                        batch_size=target.n_points) for scheme in schemes]
     snapshots: list[list[np.ndarray]] = [[] for _ in configs]
@@ -255,8 +263,8 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
 
     # the capture reads only each epoch's predictions, so no telemetry rows
     optim.train(spec, data, data, configs, epoch_callback=keep, rows=False)
-    reports = {scheme.label(): frequency_capture(snaps, scaled, bands, threshold,
-                                                 spacing=spacing)
+    reports = {scheme.label(): frequency_capture(snaps, data.targets[:, 0], bands,
+                                                 threshold)
                for scheme, snaps in zip(schemes, snapshots)}
     return SpectralComparison(schemes=list(schemes), reports=reports,
                               bands=bands, threshold=threshold)

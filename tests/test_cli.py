@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lossmix
-from lossmix import cli, composite, data, optim
+from lossmix import cli, composite, data, optim, spectral
 
 
 def run_cli(argv):
@@ -215,16 +215,44 @@ class TestKlsweepCommand:
 class TestSpectralCommand:
     def test_small_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
-            "frequencies": [1.0], "amplitudes": [1.0], "n_points": 64,
-            "width": 8, "epochs": 5, "schemes": [{"kind": "multi"}],
-            "seed": 1})
+            "frequencies": [1.0, 3.0], "amplitudes": [1.0, 0.5], "n_points": 64,
+            "width": 8, "epochs": 5,
+            "schemes": [{"kind": "multi"}, {"kind": "single", "index": 1}],
+            "seed": 2})
         code = run_cli(["spectral", "--config", cfg,
                         "--out", str(tmp_path / "o")])
         assert code == 0
         out_dir = next((tmp_path / "o").glob("spectral-*"))
-        assert (out_dir / "capture.csv").exists()
         doc = json.loads((out_dir / "capture.json").read_text())
         assert "capture_epochs" in doc
+        csv = (out_dir / "capture.csv").read_text()
+        # a header, then epochs x bands x schemes rows
+        assert len(csv.splitlines()) == 1 + 5 * 2 * 2
+        # the CLI's runs train for the config's epochs from its seed
+        schemes = [composite.Scheme.multi(), composite.Scheme.single(1)]
+        target = spectral.SpectralTarget(frequencies=(1.0, 3.0),
+                                         amplitudes=(1.0, 0.5), n_points=64)
+        base = optim.TrainConfig(scheme=composite.Scheme.multi(),
+                                 learning_rate=0.02, init_scale=3.0)
+        comparison = spectral.spectral_scheme_compare(
+            base, schemes, target, epochs=5, seed=2, width=8, threshold=0.2)
+        assert csv == comparison.to_csv_text()
+
+    @pytest.mark.parametrize("frequencies", [[1.0, 2.0], [1.0, 40.0]],
+                             ids=["overlapping-bands", "above-nyquist"])
+    def test_bad_bands_rejected_before_training(self, tmp_path, monkeypatch,
+                                                capsys, frequencies):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the bands were checked")
+
+        monkeypatch.setattr(optim, "train", no_training)
+        cfg = write_config(tmp_path, {
+            "frequencies": frequencies, "n_points": 64, "width": 8, "epochs": 5,
+            "schemes": [{"kind": "multi"}]})
+        code = run_cli(["spectral", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "band" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestBoundsCommand:

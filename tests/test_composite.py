@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -217,59 +219,70 @@ class TestConstraintNine:
             critical_p(0.5, 0.0, -0.02)
 
 
+def curvature(fn, params, direction, h=1e-4):
+    """directional_curvature of a one-term loss at one parameter vector."""
+    def loss_fn(w):
+        return np.array([[fn(row)] for row in w])
+
+    params, direction = np.array([params]), np.array([direction])
+    g, h2 = directional_curvature(loss_fn, params, direction, h, f0=loss_fn(params))
+    return g[0, 0], h2[0, 0]
+
+
 class TestDirectionalCurvature:
     def test_quadratic(self):
-        g, h2 = directional_curvature(lambda w: float((w ** 2).sum()),
-                                      np.array([1.0, 0.0]),
-                                      np.array([1.0, 0.0]), 1e-4)
+        g, h2 = curvature(lambda w: float((w ** 2).sum()), [1.0, 0.0], [1.0, 0.0])
         assert g == pytest.approx(2.0, abs=1e-6)
         assert h2 == pytest.approx(2.0, abs=1e-6)
 
     def test_linear_zero_curvature(self):
-        g, h2 = directional_curvature(lambda w: float(3.0 * w[0] - w[1]),
-                                      np.array([0.5, 0.5]),
-                                      np.array([0.0, 1.0]), 1e-4)
+        g, h2 = curvature(lambda w: float(3.0 * w[0] - w[1]), [0.5, 0.5], [0.0, 1.0])
         assert g == pytest.approx(-1.0, abs=1e-6)
         assert h2 == pytest.approx(0.0, abs=1e-6)
 
     def test_sine(self):
-        g, h2 = directional_curvature(lambda w: float(np.sin(w[0])),
-                                      np.array([0.0]), np.array([1.0]), 1e-4)
+        g, h2 = curvature(lambda w: float(np.sin(w[0])), [0.0], [1.0])
         assert g == pytest.approx(1.0, abs=1e-6)
         assert h2 == pytest.approx(0.0, abs=1e-6)
 
     def test_requires_unit_direction(self):
         with pytest.raises(ValueError, match="unit"):
-            directional_curvature(lambda w: 0.0, np.array([1.0]),
-                                  np.array([2.0]), 1e-4)
+            curvature(lambda w: 0.0, [1.0], [2.0])
 
-    @pytest.mark.parametrize("given_f0", [False, True])
-    def test_vector_form_matches_scalar_calls(self, given_f0):
-        # one call over a vector of terms gives each term's scalar-call bits
+    def test_vector_form_matches_one_term_calls(self):
+        # one call over a stack of runs and a vector of terms gives each
+        # entry the bits of a call for that run and term alone
         terms = [lambda w: float((w ** 2).sum()),
                  lambda w: float(np.sin(w).sum() + 1.0),
                  lambda w: float(np.exp(0.3 * w[0]) * np.cosh(w[-1]))]
+
+        def loss_fn(w):
+            return np.array([[t(row) for t in terms] for row in w])
+
         rng = np.random.default_rng(17)
-        for _ in range(200):
-            params = rng.uniform(-2.0, 2.0, 3)
-            d = rng.standard_normal(3)
-            d /= np.linalg.norm(d)
+        for _ in range(100):
+            params = rng.uniform(-2.0, 2.0, (2, 3))
+            d = rng.standard_normal((2, 3))
+            d /= np.linalg.norm(d, axis=1, keepdims=True)
             h = float(rng.choice([1e-5, 1e-4, 1e-3]))
-            f0 = [t(params) for t in terms] if given_f0 else None
-            g, h2 = directional_curvature(lambda w: [t(w) for t in terms],
-                                          params, d, h, f0=f0)
-            assert g.shape == h2.shape == (3,)
-            for k, t in enumerate(terms):
-                assert (g[k], h2[k]) == directional_curvature(t, params, d, h)
-                # the scalar form's arithmetic on Python floats
-                f_0, f_hi, f_lo = t(params), t(params + h * d), t(params - h * d)
-                assert g[k] == (f_hi - f_lo) / (2.0 * h)
-                assert h2[k] == (f_hi - 2.0 * f_0 + f_lo) / (h * h)
+            g, h2 = directional_curvature(loss_fn, params, d, h, f0=loss_fn(params))
+            assert g.shape == h2.shape == (2, 3)
+            for r, k in itertools.product(range(2), range(3)):
+                assert (g[r, k], h2[r, k]) == curvature(terms[k], params[r], d[r], h)
+                # the arithmetic of Python floats
+                t = terms[k]
+                f_0, f_hi, f_lo = (t(params[r]), t(params[r] + h * d[r]),
+                                   t(params[r] - h * d[r]))
+                assert g[r, k] == (f_hi - f_lo) / (2.0 * h)
+                assert h2[r, k] == (f_hi - 2.0 * f_0 + f_lo) / (h * h)
 
     def test_vector_form_rejects_any_nonfinite_term(self):
+        def loss_fn(w):
+            return np.array([[1.0, np.inf if row[0] > 0 else 1.0] for row in w])
+
         with pytest.raises(ValueError, match="non-finite"):
-            directional_curvature(lambda w: [1.0, np.inf if w[0] > 0 else 1.0],
-                                  np.array([0.0]), np.array([1.0]), 1e-4)
+            directional_curvature(loss_fn, np.array([[0.0]]), np.array([[1.0]]),
+                                  1e-4, f0=np.ones((1, 2)))
 
 
 class TestScheme:

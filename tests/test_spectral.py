@@ -84,58 +84,50 @@ class TestResidualSpectrum:
 
 class TestFrequencyCapture:
     def grid(self, n=256):
-        return np.linspace(-np.pi, np.pi, n, endpoint=False), 2 * np.pi / n
+        return np.linspace(-np.pi, np.pi, n, endpoint=False)
 
     def test_exact_fit_captured_at_zero(self):
-        x, spacing = self.grid()
+        x = self.grid()
         target = np.sin(x) + np.sin(5 * x)
-        report = frequency_capture([target], target, default_bands([1, 5]),
-                                   0.2, spacing=spacing)
+        report = frequency_capture([target], target, default_bands([1, 5]), 0.2)
         assert report.capture_epochs == [0, 0]
 
     def test_partial_fit_band_errors(self):
-        x, spacing = self.grid()
+        x = self.grid()
         target = np.sin(x) + np.sin(5 * x)
-        report = frequency_capture([np.sin(x)], target, default_bands([1, 5]),
-                                   0.2, spacing=spacing)
+        report = frequency_capture([np.sin(x)], target, default_bands([1, 5]), 0.2)
         assert report.rel_errors[0, 0] == pytest.approx(0.0, abs=1e-20)
         assert report.rel_errors[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert report.capture_epochs == [0, None]
 
     def test_zero_threshold_never_captures(self):
-        x, spacing = self.grid()
+        x = self.grid()
         target = np.sin(x)
-        report = frequency_capture([target], target, default_bands([1]),
-                                   0.0, spacing=spacing)
+        report = frequency_capture([target], target, default_bands([1]), 0.0)
         assert report.capture_epochs == [None]
 
     def test_zero_target_energy_flagged(self):
-        x, spacing = self.grid()
+        x = self.grid()
         target = np.sin(x)
-        report = frequency_capture([target], target, [(0.0, 2.0), (6.0, 8.0)],
-                                   0.2, spacing=spacing)
+        report = frequency_capture([target], target, [(0.0, 2.0), (6.0, 8.0)], 0.2)
         assert report.flagged == [False, True]
         assert report.capture_epochs[1] is None
 
     def test_band_validation(self):
-        x, spacing = self.grid()
+        x = self.grid()
         with pytest.raises(ValueError, match="Nyquist"):
-            frequency_capture([np.sin(x)], np.sin(x), [(120.0, 200.0)], 0.2,
-                              spacing=spacing)
+            frequency_capture([np.sin(x)], np.sin(x), [(120.0, 200.0)], 0.2)
         with pytest.raises(ValueError, match="overlap"):
-            frequency_capture([np.sin(x)], np.sin(x), [(0.0, 3.0), (2.0, 5.0)],
-                              0.2, spacing=spacing)
+            frequency_capture([np.sin(x)], np.sin(x), [(0.0, 3.0), (2.0, 5.0)], 0.2)
 
     def test_band_separability(self):
         # adding a captured band's exact component does not disturb the
         # other bands' measurements
-        x, spacing = self.grid()
+        x = self.grid()
         target = np.sin(x) + np.sin(5 * x)
         bands = default_bands([1, 5])
-        with_tone = frequency_capture([np.sin(x)], target, bands, 0.2,
-                                      spacing=spacing)
-        without = frequency_capture([np.zeros_like(x)], target, bands, 0.2,
-                                    spacing=spacing)
+        with_tone = frequency_capture([np.sin(x)], target, bands, 0.2)
+        without = frequency_capture([np.zeros_like(x)], target, bands, 0.2)
         assert with_tone.rel_errors[0, 1] == pytest.approx(
             without.rel_errors[0, 1], abs=1e-12)
 
