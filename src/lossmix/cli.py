@@ -255,6 +255,15 @@ def _check_widths(spec: MLPSpec, train_set: data.Dataset) -> None:
             f"do not match the dataset's {want[0]}/{want[1]}")
 
 
+def _check_distinct(field: str, values) -> None:
+    """Reject a repeat in a list that names output directories."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"config field {field}: {value} is repeated")
+        seen.add(value)
+
+
 def _bound_params_from(doc: dict, m: int) -> pacbayes.BoundParams:
     return pacbayes.BoundParams(lam=doc["lambda"], l_max=doc["l_max"],
                                 delta=doc["delta"], m=doc.get("m", m),
@@ -300,6 +309,9 @@ def cmd_train(args) -> int:
     schemes = [_scheme_from(s) for s in config["schemes"]]
     seeds = ([args.seed_override] if args.seed_override is not None
              else list(config["seeds"]))
+    # each run writes <scheme>-seed<seed>, so a repeat would overwrite a run
+    _check_distinct("schemes", [s.label() for s in schemes])
+    _check_distinct("seeds", seeds)
 
     configs = [optim.TrainConfig(scheme=scheme, seed=seed, **config.get("train", {}))
                for scheme in schemes for seed in seeds]

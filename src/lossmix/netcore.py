@@ -14,6 +14,16 @@ same architecture; inputs are (n, d), shared by every run, or (R, n, d).
 A stacked pass runs each run's slice through the same numpy kernels as an
 unstacked pass, and the tests pin that each run gets the same bits.
 
+A product with inner dimension 1 is a broadcast: a layer with fan-in 1
+forwards ``a * w``, and the backward into a layer with fan-out 1 takes
+``delta * w.T``. Each is one multiply per entry: the bits of ``@``,
+without a BLAS call. Every layer before the first with fan-in > 1
+therefore works elementwise, and the bits of a row do not depend on where
+it sits in the batch (``elementwise_layers``), while BLAS may round a row
+of a wider product by its place. ``_forward_cache`` can start at that
+first layer from activations a previous pass computed on the same rows in
+another order.
+
 The sigmoid is ``scipy.special.expit``, imported the first time a sigmoid
 layer runs: numpy has no sigmoid with the same bits, and importing
 scipy.special costs 0.25-0.33 s that tanh and softmax nets do not need.
@@ -200,13 +210,36 @@ def _hidden_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return (z > 0.0).astype(np.float64)
 
 
-def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray):
-    """Forward pass keeping pre/post activations for a later backward pass."""
+def elementwise_layers(spec: MLPSpec) -> int:
+    """How many leading layers have fan-in 1, counting no further than the
+    output layer.
+
+    Such a layer computes ``a * w``, one multiply per entry, so with its
+    activation it works elementwise: the bits of a row do not depend on
+    where the row sits in the batch. What enters the first layer after
+    them is therefore the same, row for row, in any order of the batch.
+    """
+    n_layers = len(spec.layer_widths) - 1
+    k = 0
+    while k < n_layers - 1 and spec.layer_widths[k] == 1:
+        k += 1
+    return k
+
+
+def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
+                   start: int = 0):
+    """Forward pass keeping pre/post activations for a later backward pass.
+
+    With start > 0, inputs are the activations entering layer start and the
+    pass runs the layers from there on; its cache then covers only those
+    layers and feeds no backward pass.
+    """
     layers = unpack_params(spec, params)
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim not in (2, 3) or inputs.shape[-1] != spec.input_dim:
+    width = spec.layer_widths[start]
+    if inputs.ndim not in (2, 3) or inputs.shape[-1] != width:
         raise ShapeError(
-            f"layer 0 expects input dim {spec.input_dim}, got shape {inputs.shape}"
+            f"layer {start} expects input dim {width}, got shape {inputs.shape}"
         )
     lead = layers[0][1].shape[:-1]
     if inputs.ndim == 3 and inputs.shape[:1] != lead:
@@ -216,8 +249,9 @@ def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray):
     zs = []
     a = inputs
     n_layers = len(layers)
-    for i, (w, b) in enumerate(layers):
-        z = a @ w + b[..., None, :]
+    for i in range(start, n_layers):
+        w, b = layers[i]
+        z = (a * w if w.shape[-2] == 1 else a @ w) + b[..., None, :]
         zs.append(z)
         if i < n_layers - 1:
             a = _hidden(z, spec.hidden_activation)
@@ -278,7 +312,8 @@ def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
         gw = acts[i].swapaxes(-1, -2) @ delta
         grad[..., pos:pos + n_in * n_out] = gw.reshape(lead + (-1,))
         if i > 0:
-            da = delta @ w.swapaxes(-1, -2)
+            wt = w.swapaxes(-1, -2)
+            da = delta * wt if n_out == 1 else delta @ wt
             delta = da * derivs[i - 1]
     return grad
 
@@ -296,11 +331,13 @@ def term_values_and_grads(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
     """One forward pass, then the mean loss of every term in ``kinds`` and
     the parameter gradient of every term in ``grad_kinds`` (default: kinds).
 
-    Returns (predictions, values, gradients); each term's numbers are the
-    bits ``forward`` and ``backward`` give for that term alone. With
-    stacked (R, P) params each value holds one mean per run and each
-    gradient is (R, P). Nothing is checked for finiteness: the caller
-    decides what a non-finite run means.
+    Returns (activations, values, gradients). activations are the
+    forward's, one array entering each layer and then the predictions:
+    activations[0] is the inputs and activations[-1] the predictions.
+    Each term's numbers are the bits ``forward`` and ``backward`` give for
+    that term alone. With stacked (R, P) params each value holds one mean
+    per run and each gradient is (R, P). Nothing is checked for
+    finiteness: the caller decides what a non-finite run means.
     """
     preds, cache = _forward_cache(spec, params, inputs)
     vals = [loss_means(k, preds, targets) for k in kinds]
@@ -309,7 +346,7 @@ def term_values_and_grads(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
     grads = [_backward_from_cache(spec, cache, loss_output_grad(k, preds, targets),
                                   derivs)
              for k in grad_kinds]
-    return preds, vals, grads
+    return cache[1], vals, grads
 
 
 def term_loss_fn(spec: MLPSpec, batch: Batch, kind: LossKind):

@@ -3,10 +3,14 @@ weights, CE warm-start, Gaussian gradient noise, and full per-epoch
 telemetry.
 
 Each epoch ends with a telemetry row at the epoch-final parameters.
-``train(..., rows=False)`` replaces the row with one forward pass on the
-training set, whose checked predictions go to the epoch callback, for
-callers that read nothing else; records then hold ``final_params`` and no
-rows.
+``train(..., rows=False)`` replaces the row with the training-set
+predictions at those parameters, checked and handed to the epoch callback,
+for callers that read nothing else; records then hold ``final_params`` and
+no rows. When one minibatch covers the training set, the next epoch's step
+forward runs at the same parameters on the same rows, shuffled, so the
+capture reuses it and runs again only from the first layer with fan-in > 1
+(the hidden-to-output product of a 1-h-1 net); the last epoch runs its own
+forward. The bits are the same as a forward of its own.
 
 A run is deterministic given its config (seed included): the same config
 produces bit-identical trajectories. Wall-clock timings are measured and
@@ -251,8 +255,9 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
     """
     config = configs[0]
     terms = config.terms
-    preds, vals, grads = netcore.term_values_and_grads(
+    acts, vals, grads = netcore.term_values_and_grads(
         spec, params, data.inputs, data.targets, terms)
+    preds = acts[-1]
     vals = np.stack(vals, axis=-1)
     check(preds, "predictions")
     check(vals, "loss")
@@ -327,10 +332,15 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs,
     receives each run's index in configs, its epoch-final parameters and
     the row's training-set predictions.
 
-    With rows=False no telemetry row is computed: each epoch ends with one
-    forward pass on the training set, whose predictions are checked for
-    finiteness and handed to epoch_callback (the same bits the row would
-    have given). Records then carry final_params and an empty rows list.
+    With rows=False no telemetry row is computed: each epoch's training-set
+    predictions are checked for finiteness and handed to epoch_callback
+    (the same bits the row would have given). Records then carry
+    final_params and an empty rows list. A full-batch epoch's predictions
+    come from the next epoch's step forward, which runs at the same
+    parameters: its activations entering the first layer with fan-in > 1
+    go back to data order and only the layers from there on run again.
+    They are checked, named at their own epoch and handed over before that
+    step's own checks; the last epoch runs a forward of its own.
 
     Raises TrainingDiverged for the first run whose predictions, losses or
     gradients stop being finite.
@@ -369,17 +379,29 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
              else BetaWeights.uniform(len(terms))] * len(configs)
     opt_state = None
 
-    def diverged(r, what):
+    # without rows, a full-batch step's forward also gives the previous
+    # epoch's predictions (see train)
+    reuse = not rows and config.batch_size >= data.n
+    rerun_from = netcore.elementwise_layers(spec)
+
+    def diverged(r, what, at):
         cfg = configs[r]
         return TrainingDiverged(
-            f"non-finite {what} at epoch {epoch} in run {cfg.scheme.label()} "
-            f"seed {cfg.seed}", records[r], first + r, epoch)
+            f"non-finite {what} at epoch {at} in run {cfg.scheme.label()} "
+            f"seed {cfg.seed}", records[r], first + r, at)
 
-    def check(stack, what, runs=range(len(configs))):
+    def check(stack, what, runs=range(len(configs)), at=None):
         if np.isfinite(stack).all():
             return
         finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
-        raise diverged(runs[int(np.argmin(finite))], what)
+        raise diverged(runs[int(np.argmin(finite))], what,
+                       epoch if at is None else at)
+
+    def hand_over(at, preds):
+        # epoch at's training-set predictions, at its final parameters
+        if epoch_callback is not None:
+            for r in range(len(configs)):
+                epoch_callback(first + r, at, params[r], preds[r])
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -389,8 +411,17 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
         orders = np.stack([rng.permutation(data.n) for rng in rngs])
         for start in range(0, data.n, config.batch_size):
             idx = orders[:, start:start + config.batch_size]
-            preds, vals, grads = netcore.term_values_and_grads(
+            acts, vals, grads = netcore.term_values_and_grads(
                 spec, params, data.inputs[idx], data.targets[idx], terms, grad_kinds)
+            if reuse and epoch > 0:
+                shuffled = acts[rerun_from]
+                ordered = np.empty_like(shuffled)
+                for r, order in enumerate(idx):
+                    ordered[r, order] = shuffled[r]
+                capture, _ = netcore._forward_cache(spec, params, ordered, rerun_from)
+                check(capture, "predictions", at=epoch - 1)
+                hand_over(epoch - 1, capture)
+            preds = acts[-1]
             # a non-finite term gradient shows up in the norms or in the step
             check(preds, "predictions")
             vals = np.stack(vals, axis=-1)
@@ -404,7 +435,7 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
                 if config.beta_rule in ("softmax", "paper-max"):
                     norms = [float(np.linalg.norm(x)) for x in g]
                     if not all(map(math.isfinite, norms)):
-                        raise diverged(r, "gradient norm")
+                        raise diverged(r, "gradient norm", epoch)
                     betas[r] = adaptive_betas(norms, rule=config.beta_rule)
                 step[r] = composite_grad(vals[r], g, betas[r], cfg.scheme.effective_p,
                                          config.mode)
@@ -423,12 +454,11 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
                                            betas, epoch, seconds, check)
             for record, row in zip(records, epoch_rows):
                 record.rows.append(row)
-        else:
+            hand_over(epoch, preds)
+        elif not reuse or epoch == config.epochs - 1:
             preds = netcore.forward(spec, params, data.as_batch())
             check(preds, "predictions")
-        if epoch_callback is not None:
-            for r in range(len(configs)):
-                epoch_callback(first + r, epoch, params[r], preds[r])
+            hand_over(epoch, preds)
 
     for r, record in enumerate(records):
         record.final_params = params[r]

@@ -247,10 +247,15 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
                             width: int = 200,
                             threshold: float = 0.2) -> SpectralComparison:
     """Train one sigmoid net per scheme on the tone target and compare
-    per-band capture epochs side by side. Bands that overlap or pass the
-    Nyquist frequency are rejected before any training."""
+    per-band capture epochs side by side. A repeated scheme, and bands that
+    overlap or pass the Nyquist frequency, are rejected before any
+    training: the reports are keyed by scheme label."""
     spec = MLPSpec(layer_widths=(1, width, 1), hidden_activation="sigmoid",
                    output_kind="sigmoid")
+    labels = [scheme.label() for scheme in schemes]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"scheme {label} is repeated")
     bands = default_bands(target.frequencies)
     check_bands(bands, target.n_points)
     data = target.build()

@@ -124,6 +124,25 @@ class TestTrainCommand:
         assert code == 1
         assert "fixed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schemes, seeds, repeat", [
+        ([{"kind": "multi"}, {"kind": "multi"}], [1, 1], "schemes: multi is"),
+        ([{"kind": "multi"}, {"kind": "single", "index": 0}], [1, 2, 1], "seeds: 1 is"),
+        ([{"kind": "nonlinear", "p": 2}, {"kind": "nonlinear", "p": 2.0}], [1],
+         "schemes: nonlinear(p=2) is"),
+    ], ids=["scheme-and-seed", "seed", "same-label"])
+    def test_repeated_runs_rejected_before_training(self, tmp_path, monkeypatch,
+                                                    capsys, schemes, seeds, repeat):
+        # each run writes <scheme>-seed<seed>, so a repeat would lose a run
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a config that repeats a run")
+
+        monkeypatch.setattr(optim, "train", no_training)
+        cfg = write_config(tmp_path, moons_train_config(schemes=schemes, seeds=seeds))
+        code = run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert repeat in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, moons_train_config(seeds=[5, 6]))
         out = str(tmp_path / "o")
@@ -252,6 +271,23 @@ class TestSpectralCommand:
         code = run_cli(["spectral", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "band" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+    def test_repeated_scheme_rejected_before_training(self, tmp_path, monkeypatch,
+                                                      capsys):
+        # the capture reports are keyed by scheme label
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a config that repeats a scheme")
+
+        monkeypatch.setattr(optim, "train", no_training)
+        cfg = write_config(tmp_path, {
+            "n_points": 64, "width": 8, "epochs": 5,
+            "schemes": [{"kind": "multi"}, {"kind": "multi"},
+                        {"kind": "nonlinear", "p": 1.0}]})
+        code = run_cli(["spectral", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "scheme multi is repeated" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

@@ -14,6 +14,13 @@ def make_batch(n=6, d=3, k=2, seed=0):
     return Batch(inputs=inputs, targets=targets)
 
 
+def spectral_net():
+    """The 1-200-1 sigmoid net of the capture experiment on its 256-point grid."""
+    spec = MLPSpec((1, 200, 1), hidden_activation="sigmoid", output_kind="sigmoid")
+    x = np.linspace(-np.pi, np.pi, 256, endpoint=False)[:, None]
+    return spec, x, netcore.init_params(spec, 1, 3.0)
+
+
 class TestSpecValidation:
     def test_requires_two_layers(self):
         with pytest.raises(ValueError):
@@ -61,6 +68,15 @@ class TestForward:
         (w0, b0), (w1, b1) = netcore.unpack_params(spec, params)
         want = expit(expit(batch.inputs @ w0 + b0) @ w1 + b1)
         assert np.array_equal(netcore.forward(spec, params, batch), want)
+        # the spectral shape, a 256 x 200 pre-activation: there the plain
+        # formula 1/(1+exp(-z)) misses expit's bits in about 2% of entries,
+        # and the spectral reference digests depend on those bits
+        wide, x, params = spectral_net()
+        (w0, b0), _ = netcore.unpack_params(wide, params)
+        z = x @ w0 + b0
+        _, (_, acts, _) = netcore._forward_cache(wide, params, x)
+        assert np.array_equal(acts[1], expit(z))
+        assert not np.array_equal(1.0 / (1.0 + np.exp(-z)), expit(z))
 
     def test_softmax_rows_sum_to_one(self):
         spec = MLPSpec((3, 8, 4), output_kind="softmax")
@@ -132,10 +148,12 @@ def test_term_values_and_grads_match_forward_and_backward(output_kind):
     params = netcore.init_params(spec, 21, 0.6)
     batch = make_batch(k=k, seed=22)
     kinds = (LossKind.CE, LossKind.MSE, LossKind.JSD)
-    preds, vals, grads = netcore.term_values_and_grads(
+    acts, vals, grads = netcore.term_values_and_grads(
         spec, params, batch.inputs, batch.targets, kinds)
     want_preds = netcore.forward(spec, params, batch)
-    assert np.array_equal(preds, want_preds)
+    # the forward's activations: the inputs, the hidden layer, the predictions
+    assert len(acts) == 3 and np.array_equal(acts[0], batch.inputs)
+    assert np.array_equal(acts[-1], want_preds)
     for kind, value, grad in zip(kinds, vals, grads, strict=True):
         assert value == loss_value(kind, want_preds, batch.targets).value
         want = netcore.backward(spec, params, batch,
@@ -159,16 +177,17 @@ def test_stacked_pass_matches_each_run_alone(output_kind, shared_inputs):
     inputs = batches[0].inputs if shared_inputs else np.stack([b.inputs for b in batches])
     targets = batches[0].targets if shared_inputs else np.stack([b.targets for b in batches])
     kinds = (LossKind.CE, LossKind.MSE, LossKind.JSD)
-    preds, vals, grads = netcore.term_values_and_grads(spec, params, inputs, targets, kinds)
+    acts, vals, grads = netcore.term_values_and_grads(spec, params, inputs, targets, kinds)
+    preds = acts[-1]
     assert preds.shape[0] == 3 and all(g.shape == params.shape for g in grads)
     for r, batch in enumerate(batches):
-        p_r, v_r, g_r = netcore.term_values_and_grads(
+        a_r, v_r, g_r = netcore.term_values_and_grads(
             spec, params[r], batch.inputs, batch.targets, kinds)
-        assert np.array_equal(preds[r], p_r)
+        assert np.array_equal(preds[r], a_r[-1])
         assert [v[r] for v in vals] == v_r
         assert all(np.array_equal(g[r], g1) for g, g1 in zip(grads, g_r, strict=True))
         assert (loss_means(LossKind.ZERO_ONE, preds, targets)[r]
-                == loss_value(LossKind.ZERO_ONE, p_r, batch.targets).value)
+                == loss_value(LossKind.ZERO_ONE, a_r[-1], batch.targets).value)
 
 
 @pytest.mark.parametrize("hidden", ["sigmoid", "tanh", "relu"])
@@ -182,12 +201,50 @@ def test_shared_hidden_derivatives_give_backwards_bits(hidden, stacked):
         params = params[0]
     batch = make_batch(n=9, k=2, seed=31)
     kinds = (LossKind.CE, LossKind.MSE, LossKind.JSD)
-    preds, _, grads = netcore.term_values_and_grads(
+    acts, _, grads = netcore.term_values_and_grads(
         spec, params, batch.inputs, batch.targets, kinds)
     for kind, grad in zip(kinds, grads, strict=True):
         want = netcore.backward(spec, params, batch,
-                                loss_output_grad(kind, preds, batch.targets))
+                                loss_output_grad(kind, acts[-1], batch.targets))
         assert np.array_equal(grad, want)
+
+
+def test_fan_in_and_fan_out_one_products_give_matmul_bits():
+    # a fan-in-1 layer forwards a * w and the backward into a one-unit
+    # output layer takes delta * w.T: one multiply per entry, as in @
+    spec, x, params = spectral_net()
+    (w0, b0), (w1, b1) = netcore.unpack_params(spec, params)
+    a1 = netcore._sigmoid(x @ w0 + b0)
+    preds = netcore._sigmoid(a1 @ w1 + b1)
+    assert np.array_equal(netcore.forward(spec, params, Batch(x, preds)), preds)
+    out_grad = np.random.default_rng(3).standard_normal(preds.shape)
+    delta2 = out_grad * preds * (1.0 - preds)
+    delta1 = (delta2 @ w1.T) * (a1 * (1.0 - a1))
+    want = np.concatenate([(x.T @ delta1).ravel(), delta1.sum(axis=0),
+                           (a1.T @ delta2).ravel(), delta2.sum(axis=0)])
+    got = netcore.backward(spec, params, Batch(x, preds), out_grad)
+    assert np.array_equal(got, want)
+
+
+def test_forward_from_a_later_layer_gives_the_full_pass_bits():
+    spec = MLPSpec((1, 1, 8, 2), hidden_activation="tanh", output_kind="softmax")
+    params = np.stack([netcore.init_params(spec, s, 1.5) for s in (1, 2)])
+    x = np.linspace(-2.0, 2.0, 13)[:, None]
+    preds, (_, acts, _) = netcore._forward_cache(spec, params, x)
+    for start in (1, 2):
+        tail, (_, tail_acts, _) = netcore._forward_cache(spec, params, acts[start], start)
+        assert np.array_equal(tail, preds) and len(tail_acts) == 4 - start
+    with pytest.raises(ShapeError, match="layer 2 expects input dim 8"):
+        netcore._forward_cache(spec, params, acts[1], 2)
+
+
+def test_elementwise_layers_end_before_the_first_fan_in_above_one():
+    assert netcore.elementwise_layers(MLPSpec((1, 200, 1))) == 1
+    assert netcore.elementwise_layers(MLPSpec((1, 1, 8, 1))) == 2
+    assert netcore.elementwise_layers(MLPSpec((2, 12, 2))) == 0
+    # the output layer always runs again, even with fan-in 1
+    assert netcore.elementwise_layers(MLPSpec((1, 1))) == 0
+    assert netcore.elementwise_layers(MLPSpec((1, 1, 1))) == 1
 
 
 def test_stacked_inputs_need_one_block_per_run():

@@ -214,8 +214,8 @@ class TestTrain:
 def per_term_row(spec, params, data, val, config, betas, epoch, warmup):
     """_epoch_row as written with one three-forward curvature probe per term."""
     batch = data.as_batch()
-    preds, vals, grads = netcore.term_values_and_grads(spec, params, batch.inputs,
-                                                      batch.targets, config.terms)
+    acts, vals, grads = netcore.term_values_and_grads(spec, params, batch.inputs,
+                                                     batch.targets, config.terms)
     p_eff = config.scheme.effective_p
     # the direction the run steps along: its followed term's gradient, or
     # the composite's
@@ -247,7 +247,7 @@ def per_term_row(spec, params, data, val, config, betas, epoch, warmup):
                 break
     return optim.TrajectoryRow(
         epoch=epoch,
-        train_acc=optim._accuracy(spec, params, data, preds),
+        train_acc=optim._accuracy(spec, params, data, acts[-1]),
         val_acc=optim._accuracy(spec, params, val),
         losses=tuple(vals), composite=comp, betas=tuple(betas.betas),
         grad_norms=tuple(float(np.linalg.norm(g)) for g in grads),
@@ -481,10 +481,31 @@ def diverging_recipe():
     return spec, ds, [replace(base, seed=9), mse, mse]
 
 
-@pytest.mark.parametrize("lone", [False, True], ids=["three-scheme-stack", "lone-config"])
-def test_rows_false_hands_the_callback_the_same_bits(lone):
-    spec, ds = tone_setup(8, 64)
-    base = TrainConfig(scheme=Scheme.nonlinear(2.0), epochs=6, batch_size=16,
+# (width, grid size, batch size, layer widths of a tanh net or None); a
+# batch of the whole grid reuses the step's forward for the capture. On
+# grids that are not a multiple of 4 rows, BLAS may round a row of a
+# layer's product by the row's place in the batch: un-permuting the step's
+# predictions moves bits at 200x50, 16x37 and the tanh net (at 8x37, with
+# this seed, it happens not to)
+CAPTURE_SETUPS = {
+    "": (8, 64, 16, None),
+    "-full-batch-200x50": (200, 50, 50, None),
+    "-full-batch-8x37": (8, 37, 37, None),
+    "-full-batch-16x37": (16, 37, 37, None),
+    "-full-batch-tanh-1-1-8-1x37": (8, 37, 37, (1, 1, 8, 1)),
+}
+
+
+@pytest.mark.parametrize("lone, setup", [
+    (lone, setup) for setup in CAPTURE_SETUPS for lone in (False, True)],
+    ids=[("lone-config" if lone else "three-scheme-stack") + setup
+         for setup in CAPTURE_SETUPS for lone in (False, True)])
+def test_rows_false_hands_the_callback_the_same_bits(lone, setup):
+    width, n_points, batch_size, tanh_widths = CAPTURE_SETUPS[setup]
+    spec, ds = tone_setup(width, n_points)
+    if tanh_widths is not None:
+        spec = MLPSpec(tanh_widths, hidden_activation="tanh", output_kind="linear")
+    base = TrainConfig(scheme=Scheme.nonlinear(2.0), epochs=6, batch_size=batch_size,
                        learning_rate=0.02, init_scale=3.0, seed=4)
     configs = base if lone else [replace(base, scheme=s) for s in
                                  (Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0))]
@@ -559,6 +580,68 @@ def test_rows_false_checks_the_capture_predictions(monkeypatch):
     with pytest.raises(TrainingDiverged, match="non-finite predictions at epoch 0") as err:
         train(spec, ds, ds, [base, replace(base, seed=1)], rows=False)
     assert err.value.run == 1
+
+
+def test_full_batch_capture_of_a_fan_in_two_net_is_a_full_forward(monkeypatch):
+    # the first layer mixes the two input columns, so nothing of the step's
+    # forward is reused: each epoch keeps one full capture forward, which
+    # starts from the step's inputs put back in data order
+    spec, train_set, val_set = moons_setup()
+    starts = []
+    cached = netcore._forward_cache
+
+    def recording(spec, params, inputs, start=0):
+        starts.append(start)
+        return cached(spec, params, inputs, start)
+
+    monkeypatch.setattr(netcore, "_forward_cache", recording)
+    cfg = TrainConfig(scheme=Scheme.multi(), epochs=4, batch_size=train_set.n)
+    train(spec, train_set, val_set, cfg, rows=False)
+    assert netcore.elementwise_layers(spec) == 0
+    assert starts == [0] * (2 * 4)
+
+
+def test_rows_false_names_a_reused_capture_at_its_own_epoch(monkeypatch):
+    # a full batch: epoch 2's capture runs inside epoch 3's step, and is
+    # still checked first and named at epoch 2
+    spec, ds = tone_setup(8, 37)
+    base = TrainConfig(scheme=Scheme.multi(), epochs=4, batch_size=37)
+    cached = netcore._forward_cache
+    captures = []
+
+    def poisoned(spec, params, inputs, start=0):
+        preds, cache = cached(spec, params, inputs, start)
+        if start > 0:
+            captures.append(start)
+            if len(captures) == 3:
+                preds = preds.copy()
+                preds[1, 5] = np.nan
+        return preds, cache
+
+    monkeypatch.setattr(netcore, "_forward_cache", poisoned)
+    seen = []
+    with pytest.raises(TrainingDiverged,
+                       match="non-finite predictions at epoch 2 in run multi seed 1") as err:
+        train(spec, ds, ds, [base, replace(base, seed=1)], rows=False,
+              epoch_callback=lambda r, e, p, y: seen.append((r, e)))
+    assert err.value.run == 1 and err.value.epoch == 2
+    assert seen == [(r, e) for e in (0, 1) for r in (0, 1)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_full_batch_divergence_without_rows_is_named_by_the_step():
+    # the captures stay finite, so the step's loss check names the epoch, as
+    # it did when each epoch ran its own capture forward; a row would catch
+    # the loss one epoch sooner
+    spec, ds, configs = diverging_recipe()
+    configs = [replace(c, batch_size=ds.n, learning_rate=1e4) for c in configs]
+    with pytest.raises(TrainingDiverged) as err:
+        train(spec, ds, ds, configs, rows=False)
+    assert str(err.value) == "non-finite loss at epoch 36 in run single[1] seed 9"
+    assert err.value.run == 1 and err.value.epoch == 36
+    with pytest.raises(TrainingDiverged, match="loss at epoch 35 in run single"):
+        train(spec, ds, ds, configs)
 
 
 def test_value_error_is_not_relabelled_as_divergence(monkeypatch):

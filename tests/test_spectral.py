@@ -159,24 +159,34 @@ class TestSchemeCompare:
         assert a.to_csv_text() == b.to_csv_text()
         assert set(a.reports) == {"single[0]", "multi", "nonlinear(p=2)"}
 
-    def test_two_forwards_per_epoch(self, monkeypatch):
-        # one full-batch train step and one capture forward; no telemetry row
-        # is built, so the only backwards are the step's, one per term, and
-        # at width 8 the three schemes train as one stack
-        calls = {"_forward_cache": 0, "_backward_from_cache": 0}
-        for name in calls:
-            def counting(*args, _name=name, _fn=getattr(netcore, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(netcore, name, counting)
+    def test_one_forward_per_full_batch_epoch(self, monkeypatch):
+        # each full-batch step's forward also serves the previous epoch's
+        # capture, which runs again only from the first layer with fan-in > 1
+        # (layer 1, the hidden-to-output product); the last epoch ends with
+        # one full capture forward. No telemetry row is built, so the only
+        # backwards are the step's, one per term, and at width 8 the three
+        # schemes train as one stack
+        starts, backwards = [], []
+        cached, backward = netcore._forward_cache, netcore._backward_from_cache
+
+        def forward(spec, params, inputs, start=0):
+            starts.append(start)
+            return cached(spec, params, inputs, start)
+
+        def counted_backward(*args):
+            backwards.append(np.shape(args[2])[0])
+            return backward(*args)
+
+        monkeypatch.setattr(netcore, "_forward_cache", forward)
+        monkeypatch.setattr(netcore, "_backward_from_cache", counted_backward)
         target = SpectralTarget(frequencies=(1.0, 3.0), amplitudes=(1.0, 1.0),
                                 n_points=32)
         schemes = [Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0)]
         config = self.base_config(5)
         spectral.spectral_scheme_compare(config, schemes, target,
                                          epochs=5, seed=4, width=8)
-        assert calls["_forward_cache"] == 2 * 5
-        assert calls["_backward_from_cache"] == len(config.terms) * 5
+        assert starts == [0] + [0, 1] * 4 + [0]
+        assert backwards == [3] * (len(config.terms) * 5)
 
     def test_capture_bytes_are_pinned(self):
         # the digest of the capture CSV that full telemetry rows gave; the
