@@ -24,9 +24,12 @@ of a wider product by its place. ``_forward_cache`` can start at that
 first layer from activations a previous pass computed on the same rows in
 another order.
 
-The sigmoid is ``scipy.special.expit``, imported the first time a sigmoid
-layer runs: numpy has no sigmoid with the same bits, and importing
-scipy.special costs 0.25-0.33 s that tanh and softmax nets do not need.
+The sigmoid is ``scipy.special.expit``: numpy has no sigmoid with the
+same bits. The first sigmoid layer loads expit's compiled extension,
+``scipy.special._special_ufuncs``, by itself (``_load_expit``), without
+the scipy.special package, whose import costs about 0.3 s (mostly its
+array-API layer) that no lossmix net needs. The ufunc is the very object
+``scipy.special.expit`` names, so the bits cannot differ.
 
 Importing this module sets glibc's malloc thresholds so that freed heap
 pages stay mapped (see ``_keep_freed_pages``): a wide net's per-epoch
@@ -37,6 +40,10 @@ kernel every epoch.
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -189,9 +196,39 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+_EXPIT_MODULE = "scipy.special._special_ufuncs"
+_expit = None  # loaded by the first sigmoid layer
+
+
+def _load_expit():
+    """scipy.special.expit, loaded from its compiled extension alone.
+
+    The extension is found in scipy's own directory and registered in
+    sys.modules under its full name, so a later ``import scipy.special``
+    reuses it and names the same ufunc. Where the extension or its expit
+    is missing (an older scipy), expit is imported from scipy.special.
+    """
+    module = sys.modules.get(_EXPIT_MODULE)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        dirs = ([os.path.join(d, "special") for d in scipy.submodule_search_locations]
+                if scipy else [])
+        spec = importlib.machinery.PathFinder.find_spec(_EXPIT_MODULE, dirs)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_EXPIT_MODULE] = module
+            spec.loader.exec_module(module)
+    expit = getattr(module, "expit", None)
+    if expit is None:
+        from scipy.special import expit
+    return expit
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    from scipy.special import expit  # imported on the first sigmoid layer
-    return expit(z)
+    global _expit
+    if _expit is None:
+        _expit = _load_expit()
+    return _expit(z)
 
 
 def _hidden(z: np.ndarray, kind: str) -> np.ndarray:

@@ -202,10 +202,14 @@ class SpectralTarget:
         """Dataset scaled into [0.1, 0.9], inside the sigmoid head's range.
 
         The affine rescale shifts energy into the DC bin only; every tone
-        keeps its exact bin, so band-relative errors are unaffected.
+        keeps its exact bin, so band-relative errors are unaffected. A
+        constant target has no range to rescale and is rejected.
         """
         raw = freq_target_1d(self.frequencies, self.amplitudes, self.n_points)
         y = raw.targets[:, 0]
+        if y.max() == y.min():
+            raise ValueError(f"amplitudes {list(self.amplitudes)} at frequencies "
+                             f"{list(self.frequencies)} give a constant target")
         scaled = 0.1 + 0.8 * (y - y.min()) / (y.max() - y.min())
         return Dataset(inputs=raw.inputs, targets=scaled[:, None],
                        name=raw.name + "_scaled", k_classes=0, meta=dict(raw.meta))

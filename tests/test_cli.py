@@ -273,6 +273,22 @@ class TestSpectralCommand:
         assert "band" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_constant_target_rejected_before_training(self, tmp_path, monkeypatch,
+                                                      capsys):
+        # the [0.1, 0.9] rescale would divide 0 by 0
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a constant target")
+
+        monkeypatch.setattr(optim, "train", no_training)
+        cfg = write_config(tmp_path, {
+            "frequencies": [1.0, 3.0], "amplitudes": [0.0, 0.0], "n_points": 64,
+            "width": 8, "epochs": 5, "schemes": [{"kind": "multi"}]})
+        code = run_cli(["spectral", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "amplitudes [0.0, 0.0] at frequencies [1.0, 3.0] give a constant target" in err
+        assert not (tmp_path / "o").exists()
 
     def test_repeated_scheme_rejected_before_training(self, tmp_path, monkeypatch,
                                                       capsys):
@@ -384,11 +400,31 @@ def test_usage_error_exits_one(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_imports_no_scipy():
-    # only sigmoid nets need scipy, and they import it on first use
+def test_only_spectral_loads_scipy_and_only_expits_extension(tmp_path):
+    # one fresh interpreter runs the commands in turn and lists the scipy
+    # modules loaded after each: sigmoid nets, which only spectral builds,
+    # load the one compiled extension that holds expit
+    configs = {
+        "klsweep": {"grid": {"lo": -3.0, "hi": 3.0, "points": 61}, "p_list": [1.0, 2.0]},
+        "bounds": TestBoundsCommand().bounds_config(),
+        "train": moons_train_config(),
+        "spectral": {"frequencies": [1.0, 3.0], "n_points": 64, "width": 8,
+                     "epochs": 3, "schemes": [{"kind": "multi"}]},
+    }
+    runs = [["verify", "--out", str(tmp_path / "verify")]]
+    for command, doc in configs.items():
+        runs.append([command, "--config", write_config(tmp_path, doc, f"{command}.json"),
+                     "--out", str(tmp_path / command)])
+    probe = ("import json, sys; from lossmix import cli; seen = []\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    code = cli.main(argv)\n"
+             "    seen.append([argv[0], code,"
+             " sorted(m for m in sys.modules if m.startswith('scipy'))])\n"
+             "print(json.dumps(seen))")
     src = str(Path(lossmix.__file__).resolve().parents[1])
-    probe = ("import sys, lossmix.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(out.stdout.splitlines()[-1]) == [
+        ["verify", 0, []], ["klsweep", 0, []], ["bounds", 0, []], ["train", 0, []],
+        ["spectral", 0, ["scipy.special._special_ufuncs"]]]

@@ -1,6 +1,13 @@
+import importlib.machinery
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lossmix
 from lossmix import netcore
 from lossmix.losses import LossKind, loss_means, loss_output_grad, loss_value
 from lossmix.netcore import Batch, MLPSpec, ShapeError
@@ -60,8 +67,18 @@ class TestForward:
         assert out[0, 0] == 0.5
 
     def test_sigmoid_layers_are_scipy_expit(self):
-        # the sigmoid is imported lazily; its bits must still be expit's
+        # netcore loads expit's extension alone; scipy.special, imported
+        # afterwards in the same fresh interpreter, names the same ufunc
+        src = str(Path(lossmix.__file__).resolve().parents[1])
+        probe = ("import sys; from lossmix import netcore; netcore._sigmoid(0.0); "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+                 "from scipy.special import expit; print(netcore._expit is expit)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.splitlines() == ["['scipy.special._special_ufuncs']", "True"]
+        # so the bits are expit's
         from scipy.special import expit
+        assert netcore._load_expit() is expit
         spec = MLPSpec((3, 7, 2), hidden_activation="sigmoid", output_kind="sigmoid")
         params = netcore.init_params(spec, 6, 1.5)
         batch = make_batch(n=9)
@@ -77,6 +94,23 @@ class TestForward:
         _, (_, acts, _) = netcore._forward_cache(wide, params, x)
         assert np.array_equal(acts[1], expit(z))
         assert not np.array_equal(1.0 / (1.0 + np.exp(-z)), expit(z))
+
+    def test_expit_falls_back_to_scipy_special(self, monkeypatch):
+        # a scipy without the extension: expit comes from scipy.special
+        from scipy.special import expit
+        wide, x, params = spectral_net()
+        want, _ = netcore._forward_cache(wide, params, x)
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def no_extension(name, path=None, target=None):
+            return None if name == netcore._EXPIT_MODULE else find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_extension)
+        monkeypatch.delitem(sys.modules, netcore._EXPIT_MODULE, raising=False)
+        monkeypatch.setattr(netcore, "_expit", None)
+        got, _ = netcore._forward_cache(wide, params, x)
+        assert netcore._expit is expit
+        assert np.array_equal(got, want)
 
     def test_softmax_rows_sum_to_one(self):
         spec = MLPSpec((3, 8, 4), output_kind="softmax")
