@@ -21,7 +21,7 @@ import numpy as np
 
 from . import netcore
 from .composite import BetaWeights, power_mean, weight_vector
-from .losses import LossKind
+from .losses import LossKind, loss_value
 from .netcore import Batch, MLPSpec
 
 MAX_GRID_POINTS = int(1e7)
@@ -368,12 +368,16 @@ def box_sharpness(risk_fn: Callable[[np.ndarray], float],
 
 
 def _ce_risk_and_grad(spec: MLPSpec, batch: Batch):
+    def risk(p: np.ndarray) -> float:
+        preds = netcore.forward(spec, p, batch)
+        return loss_value(LossKind.CE, preds, batch.targets).value
+
     def grad(p: np.ndarray) -> np.ndarray:
         _, _, (g,) = netcore.term_values_and_grads(spec, p, batch.inputs, batch.targets,
                                                      (), (LossKind.CE,))
         return g
 
-    return netcore.term_loss_fn(spec, batch, LossKind.CE), grad
+    return risk, grad
 
 
 def sharpness(spec: MLPSpec, params: np.ndarray, batch: Batch, alpha: float,

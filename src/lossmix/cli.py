@@ -218,8 +218,7 @@ def _load_config(path: str, schema: dict) -> tuple[dict, str]:
 
 
 def _scheme_from(doc: dict) -> Scheme:
-    return Scheme(kind=doc["kind"], index=doc.get("index", 0),
-                  p=doc.get("p", 1.0))
+    return Scheme(**doc)
 
 
 def _dataset_from(doc: dict) -> tuple[data.Dataset, data.Dataset]:

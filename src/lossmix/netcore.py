@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .losses import LossKind, loss_means, loss_output_grad, loss_value
+from .losses import LossKind, loss_means, loss_output_grad
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "tanh", "relu")
 OUTPUT_KINDS = ("linear", "softmax", "sigmoid")
@@ -384,13 +384,6 @@ def term_values_and_grads(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
                                   derivs)
              for k in grad_kinds]
     return cache[1], vals, grads
-
-
-def term_loss_fn(spec: MLPSpec, batch: Batch, kind: LossKind):
-    """params -> the mean loss of one term on the batch."""
-    def fn(params: np.ndarray) -> float:
-        return loss_value(kind, forward(spec, params, batch), batch.targets).value
-    return fn
 
 
 def finite_diff_grad(loss_fn: Callable[[np.ndarray], float], params: np.ndarray,

@@ -30,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import netcore
-from .composite import (BetaWeights, Scheme, adaptive_betas, composite_grad,
-                        composite_value, constraint9_check, directional_curvature)
+from .composite import (VALUE_FLOOR, BetaWeights, Scheme, adaptive_betas,
+                        composite_grad, composite_value, constraint9_check,
+                        directional_curvature)
 from .data import Dataset
 from .losses import LossKind, loss_means
 from .netcore import MLPSpec
@@ -295,7 +296,7 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
                                              CURVATURE_H, f0=vals[live])
         for j, r in enumerate(live):
             p_eff = configs[r].scheme.effective_p
-            satisfied[r] = all(constraint9_check(max(v, 1e-12), g, h, p_eff)
+            satisfied[r] = all(constraint9_check(max(v, VALUE_FLOOR), g, h, p_eff)
                                for v, g, h in zip(vals[r], g_dir[j], h_dir[j]))
     train_acc = _accuracy(spec, params, data, preds)
     val_acc = _accuracy(spec, params, val)

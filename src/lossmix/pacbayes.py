@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import netcore
+from . import netcore, optim
 from .data import Dataset
-from .losses import LossKind
+from .losses import LossKind, loss_means
 from .netcore import MLPSpec
 
 
@@ -101,18 +101,27 @@ def empirical_risk(Q: GaussianPosterior, spec: MLPSpec, data: Dataset,
                    n_samples: int, seed: int) -> EmpiricalRisk:
     """Monte-Carlo 0-1 risk on the dataset over weight draws from the posterior.
 
-    The 0-1 loss is bounded in [0, 1], which the Bernoulli-kl inversion of
-    risk_certificate needs.
+    The draws go through netcore as (R, P) stacks of at most
+    optim.stack_size draws, the size a training stack on this dataset has,
+    so a wide net still takes one draw per forward; each draw's risk is
+    the bits a forward of its own gives. The 0-1 loss is bounded in
+    [0, 1], which the Bernoulli-kl inversion of risk_certificate needs.
     """
     if n_samples < 1:
         raise ValueError("need at least one posterior draw")
     if Q.dim != spec.n_params:
         raise ValueError("posterior dimension does not match the network")
     rng = np.random.default_rng(seed)
-    risk = netcore.term_loss_fn(spec, data.as_batch(), LossKind.ZERO_ONE)
+    batch = data.as_batch()
+    chunk = optim.stack_size(spec, data, data)
     draws = np.empty(n_samples)
-    for i in range(n_samples):
-        draws[i] = risk(Q.sample(rng))
+    for start in range(0, n_samples, chunk):
+        stack = np.stack([Q.sample(rng) for _ in range(min(chunk, n_samples - start))])
+        preds = netcore.forward(spec, stack, batch)
+        if not np.all(np.isfinite(preds)):
+            raise ValueError("non-finite predictions for a posterior draw")
+        draws[start:start + len(stack)] = loss_means(LossKind.ZERO_ONE, preds,
+                                                     batch.targets)
     se = float(draws.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return EmpiricalRisk(value=float(draws.mean()), std_error=se, n_samples=n_samples)
 

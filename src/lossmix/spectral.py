@@ -94,26 +94,14 @@ def residual_spectrum(outputs: np.ndarray, target: np.ndarray) -> SpectrumSample
     return SpectrumSample(omegas=omegas[order], values=spectrum[order])
 
 
-def _band_mask(omegas: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # open interval on |omega|; keeps the DC bin out of every band
-    mag = np.abs(omegas)
-    return (mag > lo) & (mag < hi)
-
-
-def _spacing(n_points: int) -> float:
-    # n_points samples over one 2 pi period put a tone k on DFT bin k
-    return 2.0 * np.pi / n_points
-
-
 def check_bands(bands: Sequence[tuple[float, float]], n_points: int) -> None:
     """Reject bands that are empty, overlap, or reach past the Nyquist
-    frequency of n_points samples over one 2 pi period."""
-    nyquist = 2.0 * np.pi * (n_points // 2) / (n_points * _spacing(n_points))
+    frequency n_points // 2 of n_points samples over one 2 pi period."""
     bands = sorted(bands)
     for lo, hi in bands:
         if not 0.0 <= lo < hi:
             raise ValueError(f"bad band ({lo}, {hi})")
-        if hi > nyquist:
+        if hi > n_points // 2:
             raise ValueError(f"band ({lo}, {hi}) exceeds the Nyquist frequency")
     for (lo1, hi1), (lo2, hi2) in zip(bands, bands[1:]):
         if lo2 < hi1 - 1e-12 and not np.isclose(lo2, hi1):
@@ -128,15 +116,6 @@ class FrequencyCaptureReport:
     rel_errors: np.ndarray  # (epochs, bands)
     capture_epochs: list[int | None]
     flagged: list[bool]  # bands with no target energy
-    threshold: float
-
-    def to_csv_text(self, scheme: str = "") -> str:
-        lines = ["scheme,epoch,band_lo,band_hi,rel_error"]
-        for e in range(self.rel_errors.shape[0]):
-            for b, (lo, hi) in enumerate(self.bands):
-                lines.append(
-                    f"{scheme},{e},{lo:g},{hi:g},{self.rel_errors[e, b]:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray,
@@ -146,7 +125,9 @@ def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray
     drops below threshold (strict), scanning the recorded trajectory.
 
     The n target samples span one 2 pi period, so a tone k sits on DFT
-    bin k and the bands are in those angular frequencies."""
+    bin k; bin k has the integer frequency min(k, n - k), and each band
+    sums the bins whose frequency lies strictly inside it (never the DC
+    bin)."""
     if len(outputs_by_epoch) < 1:
         raise ValueError("need at least one epoch of outputs")
     if not 0.0 <= threshold < 1.0:
@@ -154,9 +135,10 @@ def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray
     target = np.asarray(target, dtype=np.float64).ravel()
     n = target.size
     check_bands(bands, n)
-    omegas = 2.0 * np.pi * np.fft.fftfreq(n, d=_spacing(n))
+    k = np.arange(n)
+    freqs = np.minimum(k, n - k)
     target_f = np.fft.fft(target)
-    masks = [_band_mask(omegas, lo, hi) for lo, hi in bands]
+    masks = [(freqs > lo) & (freqs < hi) for lo, hi in bands]
     target_energy = np.array([float((np.abs(target_f[m]) ** 2).sum()) for m in masks])
     # fft roundoff leaves ~1e-30 of relative leakage in truly empty bands
     total = float((np.abs(target_f) ** 2).sum())
@@ -181,8 +163,7 @@ def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray
             cap = int(below[0]) if below.size else None
         captures.append(cap)
     return FrequencyCaptureReport(bands=list(bands), rel_errors=rel,
-                                  capture_epochs=captures, flagged=flagged,
-                                  threshold=threshold)
+                                  capture_epochs=captures, flagged=flagged)
 
 
 def default_bands(frequencies: Sequence[float]) -> list[tuple[float, float]]:
@@ -194,9 +175,9 @@ def default_bands(frequencies: Sequence[float]) -> list[tuple[float, float]]:
 class SpectralTarget:
     """The multi-tone regression target of the capture experiment."""
 
-    frequencies: tuple[float, ...] = (1.0, 3.0, 5.0)
-    amplitudes: tuple[float, ...] = (1.0, 1.0, 1.0)
-    n_points: int = 256
+    frequencies: tuple[float, ...]
+    amplitudes: tuple[float, ...]
+    n_points: int
 
     def build(self) -> Dataset:
         """Dataset scaled into [0.1, 0.9], inside the sigmoid head's range.
@@ -217,7 +198,6 @@ class SpectralTarget:
 
 @dataclass
 class SpectralComparison:
-    schemes: list[Scheme]
     reports: dict  # scheme label -> FrequencyCaptureReport
     bands: list[tuple[float, float]]
     threshold: float
@@ -234,8 +214,9 @@ class SpectralComparison:
     def to_csv_text(self) -> str:
         lines = ["scheme,epoch,band_lo,band_hi,rel_error"]
         for label, report in self.reports.items():
-            body = report.to_csv_text(scheme=label).splitlines()[1:]
-            lines.extend(body)
+            for e, errors in enumerate(report.rel_errors):
+                lines.extend(f"{label},{e},{lo:g},{hi:g},{err:.17g}"
+                             for (lo, hi), err in zip(report.bands, errors))
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
@@ -248,8 +229,7 @@ class SpectralComparison:
 
 def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Scheme],
                             target: SpectralTarget, epochs: int, seed: int,
-                            width: int = 200,
-                            threshold: float = 0.2) -> SpectralComparison:
+                            width: int, threshold: float) -> SpectralComparison:
     """Train one sigmoid net per scheme on the tone target and compare
     per-band capture epochs side by side. A repeated scheme, and bands that
     overlap or pass the Nyquist frequency, are rejected before any
@@ -275,5 +255,4 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
     reports = {scheme.label(): frequency_capture(snaps, data.targets[:, 0], bands,
                                                  threshold)
                for scheme, snaps in zip(schemes, snapshots)}
-    return SpectralComparison(schemes=list(schemes), reports=reports,
-                              bands=bands, threshold=threshold)
+    return SpectralComparison(reports=reports, bands=bands, threshold=threshold)

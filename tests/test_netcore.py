@@ -193,7 +193,6 @@ def test_term_values_and_grads_match_forward_and_backward(output_kind):
         want = netcore.backward(spec, params, batch,
                                 loss_output_grad(kind, want_preds, batch.targets))
         assert np.array_equal(grad, want)
-        assert netcore.term_loss_fn(spec, batch, kind)(params) == value
     # values of every term, a gradient for the listed ones only
     _, vals_one, grads_one = netcore.term_values_and_grads(
         spec, params, batch.inputs, batch.targets, kinds, (LossKind.JSD,))

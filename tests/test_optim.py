@@ -13,7 +13,7 @@ import pytest
 from lossmix import composite, data, netcore, optim
 from lossmix.composite import (BetaWeights, Scheme, composite_grad, composite_value,
                                constraint9_check)
-from lossmix.losses import LossKind
+from lossmix.losses import LossKind, loss_value
 from lossmix.netcore import MLPSpec
 from lossmix.optim import TrainConfig, TrainingDiverged, optimizer_step, train
 
@@ -238,7 +238,8 @@ def per_term_row(spec, params, data, val, config, betas, epoch, warmup):
         h = optim.CURVATURE_H
         satisfied = True
         for kind, v in zip(config.terms, vals):
-            fn = netcore.term_loss_fn(spec, batch, kind)
+            def fn(w):
+                return loss_value(kind, netcore.forward(spec, w, batch), batch.targets).value
             f0, f_hi, f_lo = fn(params), fn(params + h * direction), fn(params - h * direction)
             g_dir = (f_hi - f_lo) / (2.0 * h)
             h_dir = (f_hi - 2.0 * f0 + f_lo) / (h * h)

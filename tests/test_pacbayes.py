@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lossmix import data, netcore, pacbayes
-from lossmix.losses import LossKind
+from lossmix import data, netcore, optim, pacbayes
+from lossmix.losses import LossKind, loss_value
 from lossmix.netcore import MLPSpec
 from lossmix.pacbayes import (BoundParams, GaussianPosterior, GaussianPrior,
                               bernoulli_kl, dp_pac_bound, empirical_risk,
@@ -86,6 +86,47 @@ class TestEmpiricalRisk:
         a = empirical_risk(q, self.spec, self.data, 25, seed=11)
         b = empirical_risk(q, self.spec, self.data, 25, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("n_samples", ["one", "two", "past-one-stack"])
+    def test_same_bits_as_one_forward_per_draw(self, n_samples):
+        chunk = optim.stack_size(self.spec, self.data, self.data)
+        n = {"one": 1, "two": 2, "past-one-stack": 2 * chunk + 3}[n_samples]
+        q = GaussianPosterior(mean=self.mean, sigma=0.5)
+        rng = np.random.default_rng(12)
+        batch = self.data.as_batch()
+        draws = np.array([
+            loss_value(LossKind.ZERO_ONE, netcore.forward(self.spec, q.sample(rng), batch),
+                       self.data.targets).value
+            for _ in range(n)])
+        se = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        est = empirical_risk(q, self.spec, self.data, n, seed=12)
+        assert (est.value, est.std_error) == (float(draws.mean()), se)
+
+    def test_non_finite_predictions_rejected(self):
+        mean = self.mean.copy()
+        mean[0] = np.nan
+        q = GaussianPosterior(mean=mean, sigma=0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            empirical_risk(q, self.spec, self.data, 3, seed=0)
+
+    @pytest.mark.parametrize("width", [6, 600])
+    def test_draws_go_through_netcore_in_stacks(self, monkeypatch, width):
+        # the stack is as tall as a training stack on this dataset: at width
+        # 600 that is one run, so each draw has a forward of its own
+        spec = MLPSpec((2, width, 2), output_kind="softmax")
+        chunk = optim.stack_size(spec, self.data, self.data)
+        assert (chunk == 1) == (width == 600)
+        heights = []
+        forward = netcore.forward
+
+        def counted(spec, params, batch):
+            heights.append(len(params))
+            return forward(spec, params, batch)
+
+        monkeypatch.setattr(netcore, "forward", counted)
+        q = GaussianPosterior(mean=netcore.init_params(spec, 2, 0.5), sigma=0.1)
+        empirical_risk(q, spec, self.data, 2 * chunk + 1, seed=0)
+        assert heights == [chunk, chunk, 1]
 
 
 class TestBounds:

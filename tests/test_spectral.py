@@ -8,8 +8,9 @@ from lossmix import netcore, spectral
 from lossmix.optim import TrainConfig
 from lossmix.composite import Scheme
 from lossmix.spectral import (SigmoidUnit, SpectralDomainError,
-                              SpectralTarget, SpectrumSample, default_bands,
-                              frequency_capture, residual_spectrum, sigmoid_ft)
+                              SpectralTarget, SpectrumSample, check_bands,
+                              default_bands, frequency_capture, residual_spectrum,
+                              sigmoid_ft)
 
 
 class TestSigmoidFT:
@@ -113,6 +114,27 @@ class TestFrequencyCapture:
         assert report.flagged == [False, True]
         assert report.capture_epochs[1] is None
 
+    @pytest.mark.parametrize("n, tone, leak, band", [
+        (256, 5, 4, (4.0, 6.0)),
+        (256, 8, 7, (7.0, 9.0)),
+        (100, 1, 2, (0.0, 2.0)),
+    ], ids=["n256-tone5", "n256-tone8", "n100-tone1"])
+    def test_band_sums_only_the_bins_inside_it(self, n, tone, leak, band):
+        # bin k has the integer frequency min(k, n - k), so residual energy
+        # on the neighbouring tone's bin stays out of the open band
+        x = self.grid(n)
+        target = np.sin(tone * x)
+        outputs = target + 0.1 * np.sin(leak * x)
+        report = frequency_capture([outputs], target, [band], 0.2)
+        assert report.rel_errors[0, 0] == pytest.approx(0.0, abs=1e-20)
+
+    @pytest.mark.parametrize("bands, n", [
+        ([(9.0, 11.0)], 22),
+        ([(126.0, 128.0)], 256),
+    ], ids=["n22", "n256"])
+    def test_bands_up_to_nyquist_accepted(self, bands, n):
+        check_bands(bands, n)
+
     def test_band_validation(self):
         x = self.grid()
         with pytest.raises(ValueError, match="Nyquist"):
@@ -143,7 +165,7 @@ class TestSchemeCompare:
                                 n_points=64)
         comparison = spectral.spectral_scheme_compare(
             self.base_config(30), [Scheme.single(0)], target, epochs=30,
-            seed=1, width=16)
+            seed=1, width=16, threshold=0.2)
         report = comparison.reports["single[0]"]
         assert len(report.bands) == 1
         assert report.rel_errors.shape == (30, 1)
@@ -152,10 +174,10 @@ class TestSchemeCompare:
         target = SpectralTarget(frequencies=(1.0, 3.0), amplitudes=(1.0, 1.0),
                                 n_points=64)
         schemes = [Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0)]
-        a = spectral.spectral_scheme_compare(self.base_config(10), schemes,
-                                             target, epochs=10, seed=2, width=8)
-        b = spectral.spectral_scheme_compare(self.base_config(10), schemes,
-                                             target, epochs=10, seed=2, width=8)
+        a = spectral.spectral_scheme_compare(self.base_config(10), schemes, target,
+                                             epochs=10, seed=2, width=8, threshold=0.2)
+        b = spectral.spectral_scheme_compare(self.base_config(10), schemes, target,
+                                             epochs=10, seed=2, width=8, threshold=0.2)
         assert a.to_csv_text() == b.to_csv_text()
         assert set(a.reports) == {"single[0]", "multi", "nonlinear(p=2)"}
 
@@ -184,7 +206,7 @@ class TestSchemeCompare:
         schemes = [Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0)]
         config = self.base_config(5)
         spectral.spectral_scheme_compare(config, schemes, target,
-                                         epochs=5, seed=4, width=8)
+                                         epochs=5, seed=4, width=8, threshold=0.2)
         assert starts == [0] + [0, 1] * 4 + [0]
         assert backwards == [3] * (len(config.terms) * 5)
 
@@ -195,8 +217,10 @@ class TestSchemeCompare:
                            learning_rate=0.02, epochs=40, batch_size=64, seed=1,
                            init_scale=3.0)
         schemes = [Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0)]
+        target = SpectralTarget(frequencies=(1.0, 3.0, 5.0),
+                                amplitudes=(1.0, 1.0, 1.0), n_points=64)
         comparison = spectral.spectral_scheme_compare(
-            base, schemes, SpectralTarget(n_points=64), epochs=40, seed=1, width=16)
+            base, schemes, target, epochs=40, seed=1, width=16, threshold=0.2)
         digest = hashlib.sha256(comparison.to_csv_text().encode()).hexdigest()
         assert digest == ("74f1a99e6cdbc21aae05666bba1eccc18cc9c38e"
                           "919bc89c119dde030d5ebdec")
@@ -208,7 +232,7 @@ class TestSchemeCompare:
                                 n_points=64)
         comparison = spectral.spectral_scheme_compare(
             self.base_config(5), [Scheme.multi()], target, epochs=5, seed=3,
-            width=8)
+            width=8, threshold=0.2)
         assert comparison.to_csv_text().splitlines()[0] == \
             "scheme,epoch,band_lo,band_hi,rel_error"
         doc = json.loads(comparison.to_json_text())
