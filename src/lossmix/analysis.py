@@ -13,7 +13,6 @@ normalized KLs are measured and reported, never asserted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -176,9 +175,8 @@ class KLModeReport:
 class KLReport:
     modes: dict
 
-    def to_json_text(self) -> str:
-        return json.dumps({m: r.to_json_dict() for m, r in self.modes.items()},
-                          indent=2, sort_keys=True)
+    def to_json_dict(self) -> dict:
+        return {m: r.to_json_dict() for m, r in self.modes.items()}
 
 
 def scheme_kl_report(L1: GridField, L2: GridField, P_opt: GridField,

@@ -146,7 +146,9 @@ KLSWEEP_SCHEMA = {
 SPECTRAL_SCHEMA = {
     "type": "object",
     "properties": {
-        "frequencies": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        # a tone between DFT bins would leak energy into every band
+        "frequencies": {"type": "array", "items": {"type": "integer", "minimum": 1},
+                        "minItems": 1},
         "amplitudes": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "n_points": {"type": "integer", "minimum": 8},
         "width": {"type": "integer", "minimum": 1},
@@ -239,9 +241,7 @@ def _dataset_from(doc: dict) -> tuple[data.Dataset, data.Dataset]:
 
 
 def _model_from(doc: dict) -> MLPSpec:
-    return MLPSpec(layer_widths=tuple(doc["layer_widths"]),
-                   hidden_activation=doc.get("hidden_activation", "tanh"),
-                   output_kind=doc.get("output_kind", "softmax"))
+    return MLPSpec(**doc)
 
 
 def _check_widths(spec: MLPSpec, train_set: data.Dataset) -> None:
@@ -269,6 +269,15 @@ def _bound_params_from(doc: dict, m: int) -> pacbayes.BoundParams:
                                 eps_dp=doc.get("eps_dp", 0.0))
 
 
+def _write_json(path: Path, doc: dict, digest: str | None = None) -> Path:
+    """Write doc as sorted, indented JSON, with the config's hash if given."""
+    if digest is not None:
+        doc = {**doc, "config_sha256": digest}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    return path
+
+
 def _out_dir(args, command: str, digest: str) -> Path:
     base = Path(args.out) if args.out else Path("runs")
     return base / f"{command}-{digest[:12]}"
@@ -285,9 +294,7 @@ def _slug(scheme: Scheme) -> str:
 def cmd_verify(args) -> int:
     summary = verify.run_all()
     out = Path(args.out) if args.out else Path("runs")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "verify_summary.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True))
+    path = _write_json(out / "verify_summary.json", summary)
     for item in summary["invariants"]:
         status = "pass" if item["passed"] else "FAIL"
         print(f"[{status}] {item['name']}: {item['detail']}")
@@ -325,8 +332,8 @@ def cmd_train(args) -> int:
         for record in exc.finished:
             save(record)
         run_dir = save(exc.record)
-        failure = {"run": run_dir.name, "epoch": exc.epoch, "message": str(exc)}
-        (run_dir / "failure.json").write_text(json.dumps(failure, indent=2, sort_keys=True))
+        _write_json(run_dir / "failure.json",
+                    {"run": run_dir.name, "epoch": exc.epoch, "message": str(exc)})
         print(f"runtime error: {exc}; partial trajectory in {run_dir}", file=sys.stderr)
         return EXIT_RUNTIME
     for record in records:
@@ -338,20 +345,16 @@ def cmd_train(args) -> int:
 def cmd_klsweep(args) -> int:
     config, digest = _load_config(args.config, KLSWEEP_SCHEMA)
     out = _out_dir(args, "klsweep", digest)
-    grid_doc = config.get("grid", {"lo": -3.0, "hi": 3.0, "points": 601})
-    if grid_doc["lo"] >= grid_doc["hi"]:
+    grid = config.get("grid", {})
+    if grid and grid["lo"] >= grid["hi"]:
         raise ConfigError("config field grid: lo must be below hi")
-    L1, L2, p_opt = analysis.default_kl_testbed(grid_doc["lo"], grid_doc["hi"],
-                                                grid_doc["points"])
+    L1, L2, p_opt = analysis.default_kl_testbed(**grid)
     betas_doc = config.get("betas", [0.5, 0.5])
     betas = BetaWeights(tuple(betas_doc))
     p_list = config.get("p_list", [1.0, 2.0, 3.0, 4.0])
     report = analysis.scheme_kl_report(L1, L2, p_opt, betas, p_list)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = json.loads(report.to_json_text())
-    payload["config_sha256"] = digest
-    (out / "kl_report.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"report written to {out / 'kl_report.json'}")
+    path = _write_json(out / "kl_report.json", report.to_json_dict(), digest)
+    print(f"report written to {path}")
     return EXIT_OK
 
 
@@ -374,11 +377,8 @@ def cmd_spectral(args) -> int:
     comparison = spectral.spectral_scheme_compare(
         base, schemes, target, epochs=config.get("epochs", 1200), seed=seed,
         width=config.get("width", 200), threshold=config.get("threshold", 0.2))
-    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "capture.json", comparison.to_json_dict(), digest)
     (out / "capture.csv").write_text(comparison.to_csv_text())
-    payload = json.loads(comparison.to_json_text())
-    payload["config_sha256"] = digest
-    (out / "capture.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(f"capture reports written under {out}")
     return EXIT_OK
 
@@ -410,12 +410,8 @@ def cmd_bounds(args) -> int:
     cert = pacbayes.risk_certificate(q, prior, spec, val_set, params,
                                      n_samples=config.get("n_samples", 100),
                                      seed=seed)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = cert.to_json_dict()
-    payload["config_sha256"] = digest
-    (out / "certificate.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True))
-    print(f"certificate written to {out / 'certificate.json'}")
+    path = _write_json(out / "certificate.json", cert.to_json_dict(), digest)
+    print(f"certificate written to {path}")
     return EXIT_OK
 
 

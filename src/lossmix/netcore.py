@@ -92,7 +92,7 @@ class MLPSpec:
 
     layer_widths: tuple[int, ...]
     hidden_activation: str = "tanh"
-    output_kind: str = "linear"
+    output_kind: str = "softmax"
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))

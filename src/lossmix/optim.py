@@ -4,13 +4,14 @@ telemetry.
 
 Each epoch ends with a telemetry row at the epoch-final parameters.
 ``train(..., rows=False)`` replaces the row with the training-set
-predictions at those parameters, checked and handed to the epoch callback,
-for callers that read nothing else; records then hold ``final_params`` and
-no rows. When one minibatch covers the training set, the next epoch's step
-forward runs at the same parameters on the same rows, shuffled, so the
-capture reuses it and runs again only from the first layer with fan-in > 1
-(the hidden-to-output product of a 1-h-1 net); the last epoch runs its own
-forward. The bits are the same as a forward of its own.
+predictions at those parameters, checked and kept on the record, for
+callers that read nothing else; records then hold ``predictions``,
+``final_params`` and no rows. When one minibatch covers the training set,
+the next epoch's step forward runs at the same parameters on the same
+rows, shuffled, so the capture reuses it and runs again only from the
+first layer with fan-in > 1 (the hidden-to-output product of a 1-h-1 net);
+the last epoch runs its own forward. The bits are the same as a forward of
+its own.
 
 A run is deterministic given its config (seed included): the same config
 produces bit-identical trajectories. Wall-clock timings are measured and
@@ -138,12 +139,18 @@ class TrajectoryRow:
 
 @dataclass
 class TrajectoryRecord:
-    """Per-epoch telemetry for one training run."""
+    """Per-epoch telemetry for one training run.
+
+    A run trained with rows=False has no rows; predictions then holds its
+    training-set predictions at each epoch's final parameters, one
+    data-order (n, outputs) block per epoch.
+    """
 
     config: TrainConfig
     stack_size: int  # runs trained together; row seconds are the stack's
     rows: list[TrajectoryRow] = field(default_factory=list)
     final_params: np.ndarray | None = None
+    predictions: list[np.ndarray] = field(default_factory=list, init=False)
 
     def header(self) -> list[str]:
         terms = self.config.terms
@@ -246,8 +253,7 @@ def _followed(config: TrainConfig, epoch: int) -> int | None:
 def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
     """Full-dataset telemetry at the epoch's final parameters, one row per run.
 
-    Returns the rows and the training-set predictions they were computed
-    from. Constraint 9 is checked for every term from one shared pair of
+    Constraint 9 is checked for every term from one shared pair of
     forward passes at params +/- h along each run's descent direction: the
     negative normalized gradient of what the run steps on, the followed
     term's own or the composite's.
@@ -300,7 +306,7 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
                                for v, g, h in zip(vals[r], g_dir[j], h_dir[j]))
     train_acc = _accuracy(spec, params, data, preds)
     val_acc = _accuracy(spec, params, val)
-    rows = [TrajectoryRow(
+    return [TrajectoryRow(
         epoch=epoch,
         train_acc=float(train_acc[r]),
         val_acc=float(val_acc[r]),
@@ -311,11 +317,9 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
         constraint9=int(satisfied[r]),
         seconds=seconds,
     ) for r, (composite, row_betas, gnorms) in enumerate(parts)]
-    return rows, preds
 
 
-def train(spec: MLPSpec, data: Dataset, val: Dataset, configs,
-          epoch_callback=None, rows: bool = True):
+def train(spec: MLPSpec, data: Dataset, val: Dataset, configs, rows: bool = True):
     """Train every config and return one trajectory record per config.
 
     The configs may differ only in scheme and seed. They train in stacks of
@@ -329,25 +333,24 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs,
     and gradient, weight update per beta_rule, composition, optional
     Gaussian noise, optimizer step with L2 regularization. Epochs below
     warmup_epochs train on CE alone and record a one-hot CE weight vector.
-    After each epoch's rows, epoch_callback(run, epoch, params, preds)
-    receives each run's index in configs, its epoch-final parameters and
-    the row's training-set predictions.
 
     With rows=False no telemetry row is computed: each epoch's training-set
-    predictions are checked for finiteness and handed to epoch_callback
-    (the same bits the row would have given). Records then carry
-    final_params and an empty rows list. A full-batch epoch's predictions
-    come from the next epoch's step forward, which runs at the same
-    parameters: its activations entering the first layer with fan-in > 1
-    go back to data order and only the layers from there on run again.
-    They are checked, named at their own epoch and handed over before that
-    step's own checks; the last epoch runs a forward of its own.
+    predictions are checked for finiteness and appended to the run's
+    record.predictions, the same bits as netcore.forward at the epoch's
+    final parameters. Records then carry predictions, final_params and an
+    empty rows list. A full-batch epoch's predictions come from the next
+    epoch's step forward, which runs at the same parameters: its
+    activations entering the first layer with fan-in > 1 go back to data
+    order and only the layers from there on run again. They are checked,
+    named at their own epoch and kept before that step's own checks; the
+    last epoch runs a forward of its own.
 
     Raises TrainingDiverged for the first run whose predictions, losses or
-    gradients stop being finite.
+    gradients stop being finite; its record keeps the predictions of its
+    complete epochs.
     """
     if isinstance(configs, TrainConfig):
-        return train(spec, data, val, [configs], epoch_callback, rows)[0]
+        return train(spec, data, val, [configs], rows)[0]
     configs = list(configs)
     if not configs:
         raise ValueError("no configs to train")
@@ -360,15 +363,15 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs,
     records = []
     for first in range(0, len(configs), size):
         try:
-            records += _train_stack(spec, data, val, configs[first:first + size],
-                                    first, epoch_callback, rows)
+            records += _train_stack(spec, data, val, configs[first:first + size], rows)
         except TrainingDiverged as exc:
+            exc.run += first
             exc.finished = records
             raise
     return records
 
 
-def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
+def _train_stack(spec, data, val, configs, rows):
     config = configs[0]  # the hyperparameters every run shares
     terms = config.terms
     params = np.stack([netcore.init_params(spec, c.seed, c.init_scale) for c in configs])
@@ -389,7 +392,7 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
         cfg = configs[r]
         return TrainingDiverged(
             f"non-finite {what} at epoch {at} in run {cfg.scheme.label()} "
-            f"seed {cfg.seed}", records[r], first + r, at)
+            f"seed {cfg.seed}", records[r], r, at)
 
     def check(stack, what, runs=range(len(configs)), at=None):
         if np.isfinite(stack).all():
@@ -397,12 +400,6 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
         finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
         raise diverged(runs[int(np.argmin(finite))], what,
                        epoch if at is None else at)
-
-    def hand_over(at, preds):
-        # epoch at's training-set predictions, at its final parameters
-        if epoch_callback is not None:
-            for r in range(len(configs)):
-                epoch_callback(first + r, at, params[r], preds[r])
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -421,7 +418,8 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
                     ordered[r, order] = shuffled[r]
                 capture, _ = netcore._forward_cache(spec, params, ordered, rerun_from)
                 check(capture, "predictions", at=epoch - 1)
-                hand_over(epoch - 1, capture)
+                for record, block in zip(records, capture):
+                    record.predictions.append(block)
             preds = acts[-1]
             # a non-finite term gradient shows up in the norms or in the step
             check(preds, "predictions")
@@ -451,15 +449,15 @@ def _train_stack(spec, data, val, configs, first, epoch_callback, rows):
 
         seconds = time.perf_counter() - t0
         if rows:
-            epoch_rows, preds = _epoch_row(spec, params, data, val, configs,
-                                           betas, epoch, seconds, check)
+            epoch_rows = _epoch_row(spec, params, data, val, configs,
+                                    betas, epoch, seconds, check)
             for record, row in zip(records, epoch_rows):
                 record.rows.append(row)
-            hand_over(epoch, preds)
         elif not reuse or epoch == config.epochs - 1:
             preds = netcore.forward(spec, params, data.as_batch())
             check(preds, "predictions")
-            hand_over(epoch, preds)
+            for record, block in zip(records, preds):
+                record.predictions.append(block)
 
     for r, record in enumerate(records):
         record.final_params = params[r]

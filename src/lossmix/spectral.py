@@ -9,7 +9,6 @@ grid, then watches how fast each band's residual energy falls.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -219,12 +218,12 @@ class SpectralComparison:
                              for (lo, hi), err in zip(report.bands, errors))
         return "\n".join(lines) + "\n"
 
-    def to_json_text(self) -> str:
-        return json.dumps({
+    def to_json_dict(self) -> dict:
+        return {
             "threshold": self.threshold,
             "bands": [[lo, hi] for lo, hi in self.bands],
             "capture_epochs": self.capture_summary(),
-        }, indent=2, sort_keys=True)
+        }
 
 
 def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Scheme],
@@ -245,14 +244,9 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
     data = target.build()
     configs = [replace(base_config, scheme=scheme, seed=seed, epochs=epochs,
                        batch_size=target.n_points) for scheme in schemes]
-    snapshots: list[list[np.ndarray]] = [[] for _ in configs]
-
-    def keep(run: int, epoch: int, params: np.ndarray, preds: np.ndarray):
-        snapshots[run].append(preds[:, 0].copy())
-
     # the capture reads only each epoch's predictions, so no telemetry rows
-    optim.train(spec, data, data, configs, epoch_callback=keep, rows=False)
-    reports = {scheme.label(): frequency_capture(snaps, data.targets[:, 0], bands,
-                                                 threshold)
-               for scheme, snaps in zip(schemes, snapshots)}
+    records = optim.train(spec, data, data, configs, rows=False)
+    reports = {scheme.label(): frequency_capture(record.predictions, data.targets[:, 0],
+                                                 bands, threshold)
+               for scheme, record in zip(schemes, records)}
     return SpectralComparison(reports=reports, bands=bands, threshold=threshold)

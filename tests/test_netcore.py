@@ -272,12 +272,12 @@ def test_forward_from_a_later_layer_gives_the_full_pass_bits():
 
 
 def test_elementwise_layers_end_before_the_first_fan_in_above_one():
-    assert netcore.elementwise_layers(MLPSpec((1, 200, 1))) == 1
-    assert netcore.elementwise_layers(MLPSpec((1, 1, 8, 1))) == 2
+    assert netcore.elementwise_layers(MLPSpec((1, 200, 1), output_kind="linear")) == 1
+    assert netcore.elementwise_layers(MLPSpec((1, 1, 8, 1), output_kind="linear")) == 2
     assert netcore.elementwise_layers(MLPSpec((2, 12, 2))) == 0
     # the output layer always runs again, even with fan-in 1
-    assert netcore.elementwise_layers(MLPSpec((1, 1))) == 0
-    assert netcore.elementwise_layers(MLPSpec((1, 1, 1))) == 1
+    assert netcore.elementwise_layers(MLPSpec((1, 1), output_kind="linear")) == 0
+    assert netcore.elementwise_layers(MLPSpec((1, 1, 1), output_kind="linear")) == 1
 
 
 def test_stacked_inputs_need_one_block_per_run():

@@ -25,6 +25,21 @@ def moons_setup(seed=0):
     return spec, train_set, val_set
 
 
+def epoch_final_params(monkeypatch):
+    """Each run's epoch-final parameters, keyed by its config, as the
+    telemetry rows of later train calls see them."""
+    seen = {}
+    epoch_row = optim._epoch_row
+
+    def spy(spec, params, data, val, configs, *args):
+        for cfg, p in zip(configs, params, strict=True):
+            seen.setdefault(cfg, []).append(p.copy())
+        return epoch_row(spec, params, data, val, configs, *args)
+
+    monkeypatch.setattr(optim, "_epoch_row", spy)
+    return seen
+
+
 class TestOptimizerStep:
     def test_sgd_example(self):
         cfg = TrainConfig(scheme=Scheme.multi(), optimizer="sgd", learning_rate=0.1)
@@ -192,17 +207,17 @@ class TestTrain:
             train(spec, ds, ds, cfg)
         assert isinstance(err.value.record, optim.TrajectoryRecord)
 
-    def test_epoch_callback_sees_every_epoch(self):
+    def test_epoch_callback_sees_every_epoch(self, monkeypatch):
+        # a record without rows holds every epoch's training-set predictions
+        # at that epoch's final parameters
         spec, train_set, val_set = moons_setup()
-        seen = []
         cfg = TrainConfig(scheme=Scheme.multi(), epochs=3, seed=10)
-        train(spec, train_set, val_set, cfg,
-              epoch_callback=lambda r, e, p, y: seen.append((e, p.copy(), y)))
-        assert [e for e, _, _ in seen] == [0, 1, 2]
-        for _, params, preds in seen:
-            # the row's predictions, handed over instead of recomputed
-            assert np.array_equal(
-                preds, netcore.forward(spec, params, train_set.as_batch()))
+        params = epoch_final_params(monkeypatch)
+        assert train(spec, train_set, val_set, cfg).predictions == []
+        record = train(spec, train_set, val_set, cfg, rows=False)
+        assert len(record.predictions) == len(params[cfg]) == 3
+        for preds, p in zip(record.predictions, params[cfg]):
+            assert np.array_equal(preds, netcore.forward(spec, p, train_set.as_batch()))
 
     def test_noise_statistics(self):
         rng = np.random.default_rng(11)
@@ -265,7 +280,7 @@ def sigmoid_regression_setup():
 
 
 @pytest.mark.parametrize("net", ["softmax-classification", "sigmoid-regression"])
-def test_epoch_row_matches_per_term_curvature_loop(net):
+def test_epoch_row_matches_per_term_curvature_loop(net, monkeypatch):
     spec, train_set, val_set = (moons_setup(3) if net == "softmax-classification"
                                 else sigmoid_regression_setup())
     # at seed 4 every sigmoid-regression row satisfies constraint 9; seed 7
@@ -275,15 +290,14 @@ def test_epoch_row_matches_per_term_curvature_loop(net):
                Scheme.nonlinear(2.0), Scheme.nonlinear(4.0)]
     term_sets = [(LossKind.CE, LossKind.MSE, LossKind.JSD), (LossKind.MSE, LossKind.CE)]
     flags = []
+    snapshots = epoch_final_params(monkeypatch)
     for terms, scheme, mode, seed in itertools.product(term_sets, schemes,
                                                        composite.MODES, seeds):
         cfg = TrainConfig(scheme=scheme, mode=mode, terms=terms, epochs=6,
                           batch_size=16, learning_rate=0.3, init_scale=1.0,
                           warmup_epochs=1, seed=seed)
-        snapshots = []
-        record = train(spec, train_set, val_set, cfg,
-                       epoch_callback=lambda r, e, p, y: snapshots.append(p.copy()))
-        for row, params in zip(record.rows, snapshots, strict=True):
+        record = train(spec, train_set, val_set, cfg)
+        for row, params in zip(record.rows, snapshots[cfg], strict=True):
             want = per_term_row(spec, params, train_set, val_set, cfg,
                                 BetaWeights(row.betas), row.epoch,
                                 row.epoch < cfg.warmup_epochs)
@@ -307,11 +321,10 @@ def test_unweighted_curvature_follows_the_stepped_term(monkeypatch):
         return composite.directional_curvature(*args, **kwargs)
 
     monkeypatch.setattr(optim, "directional_curvature", spy)
-    snapshots = []
-    train(spec, train_set, val_set, cfg,
-          epoch_callback=lambda r, e, p, y: snapshots.append(p.copy()))
-    assert len(directions) == len(snapshots) == 3
-    for epoch, (direction, params) in enumerate(zip(directions, snapshots)):
+    snapshots = epoch_final_params(monkeypatch)
+    train(spec, train_set, val_set, cfg)
+    assert len(directions) == len(snapshots[cfg]) == 3
+    for epoch, (direction, params) in enumerate(zip(directions, snapshots[cfg])):
         _, _, grads = netcore.term_values_and_grads(
             spec, params[None], train_set.inputs, train_set.targets, cfg.terms)
         g = grads[optim._followed(cfg, epoch)][0]
@@ -457,15 +470,16 @@ def test_epoch_callback_sees_every_run_and_epoch(monkeypatch):
     monkeypatch.setattr(optim, "STACK_ELEMENTS", 2 * train_set.n * 12)
     base = TrainConfig(scheme=Scheme.multi(), epochs=3)
     configs = [replace(base, scheme=s, seed=5) for s in STACK_SCHEMES[1:]]
-    seen = {}
-    records = train(spec, train_set, val_set, configs,
-                    epoch_callback=lambda r, e, p, y: seen.setdefault((r, e), (p.copy(), y)))
-    assert sorted(seen) == [(r, e) for r in range(3) for e in range(3)]
+    params = epoch_final_params(monkeypatch)
+    train(spec, train_set, val_set, configs)
+    records = train(spec, train_set, val_set, configs, rows=False)
     assert [r.stack_size for r in records] == [2, 2, 1]
-    for (run, epoch), (params, preds) in seen.items():
-        assert np.array_equal(preds, netcore.forward(spec, params, train_set.as_batch()))
-        if epoch == 2:
-            assert np.array_equal(params, records[run].final_params)
+    for cfg, record in zip(configs, records, strict=True):
+        assert record.config == cfg
+        assert len(record.predictions) == len(params[cfg]) == 3
+        for preds, p in zip(record.predictions, params[cfg]):
+            assert np.array_equal(preds, netcore.forward(spec, p, train_set.as_batch()))
+        assert np.array_equal(params[cfg][-1], record.final_params)
 
 
 def diverging_recipe():
@@ -501,7 +515,9 @@ CAPTURE_SETUPS = {
     (lone, setup) for setup in CAPTURE_SETUPS for lone in (False, True)],
     ids=[("lone-config" if lone else "three-scheme-stack") + setup
          for setup in CAPTURE_SETUPS for lone in (False, True)])
-def test_rows_false_hands_the_callback_the_same_bits(lone, setup):
+def test_rows_false_hands_the_callback_the_same_bits(lone, setup, monkeypatch):
+    # each epoch's predictions on a record without rows, the reused capture
+    # included, are the bits of a forward at the epoch's final parameters
     width, n_points, batch_size, tanh_widths = CAPTURE_SETUPS[setup]
     spec, ds = tone_setup(width, n_points)
     if tanh_widths is not None:
@@ -510,22 +526,17 @@ def test_rows_false_hands_the_callback_the_same_bits(lone, setup):
                        learning_rate=0.02, init_scale=3.0, seed=4)
     configs = base if lone else [replace(base, scheme=s) for s in
                                  (Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0))]
-
-    def run(rows):
-        seen = []
-        out = train(spec, ds, ds, configs, rows=rows,
-                    epoch_callback=lambda r, e, p, y: seen.append((r, e, p.copy(), y.copy())))
-        return ([out] if lone else out), seen
-
-    full, seen_full = run(True)
-    bare, seen_bare = run(False)
-    assert len(seen_bare) == len(seen_full) == 6 * len(full)
-    for (r, e, p, y), (r1, e1, p1, y1) in zip(seen_bare, seen_full, strict=True):
-        assert (r, e) == (r1, e1)
-        assert np.array_equal(p, p1) and np.array_equal(y, y1)
+    params = epoch_final_params(monkeypatch)
+    full = train(spec, ds, ds, configs)
+    bare = train(spec, ds, ds, configs, rows=False)
+    if lone:
+        full, bare = [full], [bare]
     assert [r.stack_size for r in bare] == [r.stack_size for r in full]
     for record, want in zip(bare, full, strict=True):
-        assert record.rows == [] and len(want.rows) == 6
+        assert record.rows == [] and len(want.rows) == 6 and want.predictions == []
+        assert len(record.predictions) == len(params[record.config]) == 6
+        for preds, p in zip(record.predictions, params[record.config]):
+            assert np.array_equal(preds, netcore.forward(spec, p, ds.as_batch()))
         assert np.array_equal(record.final_params, want.final_params)
 
 
@@ -620,13 +631,18 @@ def test_rows_false_names_a_reused_capture_at_its_own_epoch(monkeypatch):
         return preds, cache
 
     monkeypatch.setattr(netcore, "_forward_cache", poisoned)
-    seen = []
+    configs = [base, replace(base, seed=1)]
     with pytest.raises(TrainingDiverged,
                        match="non-finite predictions at epoch 2 in run multi seed 1") as err:
-        train(spec, ds, ds, [base, replace(base, seed=1)], rows=False,
-              epoch_callback=lambda r, e, p, y: seen.append((r, e)))
+        train(spec, ds, ds, configs, rows=False)
     assert err.value.run == 1 and err.value.epoch == 2
-    assert seen == [(r, e) for e in (0, 1) for r in (0, 1)]
+    # the partial record keeps the predictions of epochs 0 and 1
+    monkeypatch.undo()
+    clean = train(spec, ds, ds, configs, rows=False)[1]
+    kept = err.value.record.predictions
+    assert len(kept) == 2
+    for preds, want in zip(kept, clean.predictions[:2]):
+        assert np.array_equal(preds, want)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -673,15 +689,17 @@ raw = data.freq_target_1d([1.0, 3.0, 5.0], [1.0, 1.0, 1.0], 256)
 y = raw.targets[:, 0]
 ds = data.Dataset(inputs=raw.inputs,
                   targets=(0.1 + 0.8 * (y - y.min()) / (y.max() - y.min()))[:, None])
-faults = {}
+faults = []
+step = optim.optimizer_step
 
-def mark(run, epoch, params, preds):
-    if epoch in (1, 51):  # after 2 warm-up epochs, then after 50 more
-        faults[epoch] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def mark(*args):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return step(*args)
 
+optim.optimizer_step = mark  # one full-batch step per epoch
 cfg = optim.TrainConfig(scheme=Scheme.multi(), epochs=52, batch_size=256)
-optim.train(spec, ds, ds, [cfg], epoch_callback=mark, rows=False)
-print((faults[51] - faults[1]) / 50)
+optim.train(spec, ds, ds, [cfg], rows=False)
+print((faults[51] - faults[1]) / 50)  # after 1 warm-up epoch, then 50 more
 """
 
 

@@ -227,7 +227,6 @@ class TestSchemeCompare:
         assert [r.capture_epochs[0] for r in comparison.reports.values()] == [31, 30, 30]
 
     def test_csv_and_json_exports(self):
-        import json
         target = SpectralTarget(frequencies=(1.0,), amplitudes=(1.0,),
                                 n_points=64)
         comparison = spectral.spectral_scheme_compare(
@@ -235,5 +234,5 @@ class TestSchemeCompare:
             width=8, threshold=0.2)
         assert comparison.to_csv_text().splitlines()[0] == \
             "scheme,epoch,band_lo,band_hi,rel_error"
-        doc = json.loads(comparison.to_json_text())
+        doc = comparison.to_json_dict()
         assert "capture_epochs" in doc and "bands" in doc
