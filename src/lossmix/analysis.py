@@ -8,12 +8,13 @@ report additionally carries the relative divergence against the raw Gibbs
 factor exp(-L) of each objective, integral of P (ln P + L); that is the
 quantity whose p-direction is forced pointwise by lp-norm monotonicity,
 so it is the one the monotonicity suite asserts on. Orderings of the
-normalized KLs are measured and reported, never asserted.
+normalized KLs are measured and reported, never asserted. Every scheme
+objective, on the grid or at Monte-Carlo draws, comes from ``_objective``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,10 +132,10 @@ def gibbs_divergence(P: GridField, objective: GridField) -> float:
     return float(inner.sum() * P.grid.cell_volume)
 
 
-def _objective_field(L1: GridField, L2: GridField, betas: BetaWeights,
-                     p: float, mode: str) -> GridField:
-    stack = np.stack([L1.values, L2.values])
-    return GridField(L1.grid, power_mean(stack, weight_vector(betas, mode, 2), p))
+def _objective(values: Sequence[np.ndarray], betas: BetaWeights, p: float,
+               mode: str) -> np.ndarray:
+    """(sum_m b_m L_m^p)^(1/p) point by point, from one value array per term."""
+    return power_mean(np.stack(values), weight_vector(betas, mode, len(values)), p)
 
 
 @dataclass
@@ -154,21 +155,12 @@ class KLModeReport:
     practical_range_ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "p_list": self.p_list,
-            "d_single_1": self.d_single_1,
-            "d_single_2": self.d_single_2,
-            "d_multi": self.d_multi,
-            "d_non": {f"{p:g}": v for p, v in self.d_non.items()},
-            "dD_dp": {f"{p:g}": v for p, v in self.dd_dp.items()},
-            "kl_single_1": self.kl_single_1,
-            "kl_single_2": self.kl_single_2,
-            "kl_multi": self.kl_multi,
-            "kl_non": {f"{p:g}": v for p, v in self.kl_non.items()},
-            "orderings": self.orderings,
-            "practical_range_ok": self.practical_range_ok,
-        }
+        """The fields, with dd_dp named dD_dp and every p key as %g text."""
+        doc = asdict(self)
+        doc["dD_dp"] = doc.pop("dd_dp")
+        for key in ("d_non", "dD_dp", "kl_non"):
+            doc[key] = {f"{p:g}": v for p, v in doc[key].items()}
+        return doc
 
 
 @dataclass
@@ -197,23 +189,26 @@ def scheme_kl_report(L1: GridField, L2: GridField, P_opt: GridField,
     in_range = bool(np.all((L1.values > 0) & (L1.values < 1)
                            & (L2.values > 0) & (L2.values < 1)))
 
+    def d_of(field: GridField) -> float:
+        return gibbs_divergence(P_opt, field)
+
+    def kl_of(field: GridField) -> float:
+        return kl_divergence(P_opt, boltzmann(field, 1.0).density)
+
     modes = {}
     for mode in ("weighted", "unweighted"):
-        def d_of(field: GridField) -> float:
-            return gibbs_divergence(P_opt, field)
+        def objective(p: float) -> GridField:
+            return GridField(L1.grid, _objective([L1.values, L2.values], betas, p, mode))
 
-        def kl_of(field: GridField) -> float:
-            return kl_divergence(P_opt, boltzmann(field, 1.0).density)
-
-        multi = _objective_field(L1, L2, betas, 1.0, mode)
+        multi = objective(1.0)
         d_non, kl_non, dd_dp = {}, {}, {}
         for p in p_list:
-            non = _objective_field(L1, L2, betas, float(p), mode)
+            non = objective(float(p))
             d_non[float(p)] = d_of(non)
             kl_non[float(p)] = kl_of(non)
-            hi = d_of(_objective_field(L1, L2, betas, float(p) + P_STEP, mode))
+            hi = d_of(objective(float(p) + P_STEP))
             lo_p = max(float(p) - P_STEP, 1.0)
-            lo = d_of(_objective_field(L1, L2, betas, lo_p, mode))
+            lo = d_of(objective(lo_p))
             dd_dp[float(p)] = (hi - lo) / (float(p) + P_STEP - lo_p)
 
         report = KLModeReport(
@@ -269,8 +264,7 @@ def generalized_entropy(fields: Sequence[GridField], betas: BetaWeights, p: floa
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("fields must share a grid")
-    b = weight_vector(betas, mode, len(fields))
-    objective = power_mean(np.stack([f.values for f in fields]), b, p)
+    objective = _objective([f.values for f in fields], betas, p, mode)
     return boltzmann(GridField(grid, objective), 1.0).log_z
 
 
@@ -278,53 +272,34 @@ def generalized_entropy(fields: Sequence[GridField], betas: BetaWeights, p: floa
 class MCEntropyEstimate:
     value: float
     std_error: float
-    n_draws: int
 
 
 def generalized_entropy_mc(loss_fns: Sequence[Callable], betas: BetaWeights, p: float,
-                           sampler, n_draws: int, seed: int,
-                           mode: str = "weighted") -> MCEntropyEstimate:
-    """Importance-sampling estimate of the generalized entropy.
+                           bounds: Sequence[tuple[float, float]], n_draws: int,
+                           seed: int, mode: str = "weighted") -> MCEntropyEstimate:
+    """Importance-sampling estimate of the generalized entropy under a
+    uniform proposal over the box with per-axis (lo, hi) bounds.
 
-    ``sampler`` must provide sample(rng, n) -> (n, d) points and
-    pdf(points) -> densities. The standard error is propagated through the
-    log.
+    Each loss_fn maps (n, d) points to n values. Each draw is weighted
+    exp(-F) / (1 / volume), and the standard error is propagated through
+    the log.
     """
     if n_draws < 2:
         raise ValueError("need at least two draws")
     if p < 1.0:
         raise ValueError("power must be >= 1")
+    lows, highs = np.array(bounds, dtype=np.float64).T
+    if np.any(lows >= highs):
+        raise ValueError("bad box bounds")
     rng = np.random.default_rng(seed)
-    pts = sampler.sample(rng, n_draws)
-    dens = sampler.pdf(pts)
-    if np.any(dens <= 0):
-        raise ValueError("proposal density vanished on its own samples")
-    b = weight_vector(betas, mode, len(loss_fns))
-    objective = power_mean(np.stack([fn(pts) for fn in loss_fns]), b, p)
-    weights = np.exp(-objective) / dens
+    pts = rng.uniform(lows, highs, size=(n_draws, lows.size))
+    density = 1.0 / float(np.prod(highs - lows))
+    objective = _objective([fn(pts) for fn in loss_fns], betas, p, mode)
+    weights = np.exp(-objective) / density
     z_hat = float(weights.mean())
     z_se = float(weights.std(ddof=1) / np.sqrt(n_draws))
     se = z_se / z_hat  # delta method through the log
-    return MCEntropyEstimate(value=float(np.log(z_hat)), std_error=se,
-                             n_draws=n_draws)
-
-
-class UniformBoxSampler:
-    """Uniform proposal over an axis-aligned box."""
-
-    def __init__(self, bounds: Sequence[tuple[float, float]]):
-        self.bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-        if any(lo >= hi for lo, hi in self.bounds):
-            raise ValueError("bad box bounds")
-        self.volume = float(np.prod([hi - lo for lo, hi in self.bounds]))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        lows = np.array([lo for lo, _ in self.bounds])
-        highs = np.array([hi for _, hi in self.bounds])
-        return rng.uniform(lows, highs, size=(n, len(self.bounds)))
-
-    def pdf(self, points: np.ndarray) -> np.ndarray:
-        return np.full(points.shape[0], 1.0 / self.volume)
+    return MCEntropyEstimate(value=float(np.log(z_hat)), std_error=se)
 
 
 def box_sharpness(risk_fn: Callable[[np.ndarray], float],

@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -410,7 +411,7 @@ def cmd_bounds(args) -> int:
     cert = pacbayes.risk_certificate(q, prior, spec, val_set, params,
                                      n_samples=config.get("n_samples", 100),
                                      seed=seed)
-    path = _write_json(out / "certificate.json", cert.to_json_dict(), digest)
+    path = _write_json(out / "certificate.json", asdict(cert), digest)
     print(f"certificate written to {path}")
     return EXIT_OK
 

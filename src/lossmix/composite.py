@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .netcore import softmax
+
 VALUE_FLOOR = 1e-12
 SIMPLEX_TOL = 1e-12
 MODES = ("weighted", "unweighted")
@@ -125,10 +127,12 @@ def power_sum(stack, b: np.ndarray, p: float):
 
     Every composite quantity is built on this one reduction. stack is a
     1-d vector of term values (M is then a numpy scalar) or a 2-d
-    (terms, points) array of fields (M is then one value per point).
+    (terms, points) array of fields (M is then one value per point). Each
+    point's M is the BLAS dot of its own contiguous row of powers: the bits
+    a lone vector of its values gets, which a matrix-vector product misses.
     """
     v = np.maximum(np.asarray(stack, dtype=np.float64), VALUE_FLOOR)
-    return v, np.dot(b, v ** p)
+    return v, np.vecdot(np.ascontiguousarray((v ** p).T), b)
 
 
 def power_mean(stack, b: np.ndarray, p: float):
@@ -183,9 +187,7 @@ def adaptive_betas(grad_norms: Sequence[float], rule: str = "softmax") -> BetaWe
     norms = np.asarray(grad_norms, dtype=np.float64)
     if not np.all(np.isfinite(norms)):
         raise ValueError("non-finite gradient norms")
-    shifted = norms - norms.min()  # exp() underflow guard, cancels in the ratio
-    e = np.exp(-shifted)
-    soft = e / e.sum()
+    soft = softmax(-norms)
     if rule == "softmax":
         return BetaWeights(tuple(soft.tolist()))
     if rule == "paper-max":

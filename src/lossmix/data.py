@@ -1,9 +1,10 @@
 """Synthetic dataset generators, label randomization, and the CIFAR-10
-binary-format loader. Everything is deterministic under its seed."""
+binary-format loader. Everything is deterministic under its seed. A
+Dataset is a netcore.Batch that adds only its class count."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,22 +21,15 @@ class CifarFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """Inputs plus one-hot labels (classification) or real targets (regression)."""
+class Dataset(Batch):
+    """A Batch (inputs plus one-hot labels or real targets) that knows its
+    class count; k_classes 0 marks regression."""
 
-    inputs: np.ndarray
-    targets: np.ndarray
-    name: str = "dataset"
-    k_classes: int = 0  # 0 marks regression
-    meta: dict = field(default_factory=dict)
-    _batch: Batch = field(init=False, repr=False, compare=False)
+    k_classes: int = 0
 
     def __post_init__(self):
-        # the Batch checks shape, alignment and finite inputs and targets, once
-        batch = Batch(inputs=self.inputs, targets=self.targets)
-        object.__setattr__(self, "_batch", batch)
-        object.__setattr__(self, "inputs", batch.inputs)
-        object.__setattr__(self, "targets", batch.targets)
+        # the Batch checks shape, alignment and finite inputs and targets
+        super().__post_init__()
         if self.k_classes:
             if self.targets.shape[1] != self.k_classes:
                 raise ValueError(
@@ -46,20 +40,15 @@ class Dataset:
                 raise ValueError("classification targets must be one-hot rows")
 
     @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
     def is_classification(self) -> bool:
         return self.k_classes > 0
 
     def as_batch(self) -> Batch:
-        return self._batch
+        return self
 
-    def subset(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
+    def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(inputs=self.inputs[idx], targets=self.targets[idx],
-                       name=name or self.name, k_classes=self.k_classes,
-                       meta=dict(self.meta))
+                       k_classes=self.k_classes)
 
 
 def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -78,8 +67,7 @@ def gaussian_blobs(k: int, n_per_class: int, d: int, spread: float, seed: int) -
         centers[c] + spread * rng.standard_normal((n_per_class, d)) for c in range(k)
     ])
     labels = np.repeat(np.arange(k), n_per_class)
-    return Dataset(inputs=inputs, targets=_one_hot(labels, k),
-                   name=f"blobs{k}x{n_per_class}", k_classes=k)
+    return Dataset(inputs=inputs, targets=_one_hot(labels, k), k_classes=k)
 
 
 def two_moons(n: int, noise: float, seed: int) -> Dataset:
@@ -97,8 +85,7 @@ def two_moons(n: int, noise: float, seed: int) -> Dataset:
     if noise > 0:
         inputs = inputs + noise * rng.standard_normal(inputs.shape)
     labels = np.concatenate([np.zeros(n_top, dtype=int), np.ones(n_bot, dtype=int)])
-    return Dataset(inputs=inputs, targets=_one_hot(labels, 2),
-                   name=f"two_moons{n}", k_classes=2)
+    return Dataset(inputs=inputs, targets=_one_hot(labels, 2), k_classes=2)
 
 
 def freq_target_1d(frequencies, amplitudes, n_points: int) -> Dataset:
@@ -117,17 +104,14 @@ def freq_target_1d(frequencies, amplitudes, n_points: int) -> Dataset:
     y = np.zeros_like(x)
     for w, a in zip(frequencies, amplitudes):
         y += a * np.sin(w * x)
-    return Dataset(inputs=x[:, None], targets=y[:, None],
-                   name=f"tones{'-'.join(str(f) for f in frequencies)}", k_classes=0,
-                   meta={"frequencies": frequencies, "amplitudes": amplitudes})
+    return Dataset(inputs=x[:, None], targets=y[:, None])
 
 
 def randomize_labels(data: Dataset, r: float, seed: int) -> Dataset:
     """Replace a seeded fraction r of labels with uniform draws over all classes.
 
-    A replacement may repeat the original class, so the expected changed
-    fraction is r (1 - 1/K). The selection mask is kept in meta so either
-    statistic can be recovered.
+    Exactly round(r n) rows are drawn again, and a replacement may repeat
+    the original class, so the expected changed fraction is r (1 - 1/K).
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"randomization level must be in [0, 1], got {r}")
@@ -136,16 +120,11 @@ def randomize_labels(data: Dataset, r: float, seed: int) -> Dataset:
     n, k = data.n, data.k_classes
     rng = np.random.default_rng(seed)
     n_pick = int(round(r * n))
-    mask = np.zeros(n, dtype=bool)
     targets = data.targets.copy()
     if n_pick > 0:
         picked = rng.choice(n, size=n_pick, replace=False)
-        mask[picked] = True
         targets[picked] = _one_hot(rng.integers(0, k, size=n_pick), k)
-    meta = dict(data.meta)
-    meta.update({"randomized_mask": mask, "randomization_level": r})
-    return Dataset(inputs=data.inputs.copy(), targets=targets,
-                   name=f"{data.name}_r{r:g}", k_classes=k, meta=meta)
+    return Dataset(inputs=data.inputs.copy(), targets=targets, k_classes=k)
 
 
 def load_cifar10_bin(path, max_records: int) -> Dataset:
@@ -179,7 +158,7 @@ def load_cifar10_bin(path, max_records: int) -> Dataset:
         )
     pixels = records[:, 1:].astype(np.float64) / 255.0
     return Dataset(inputs=pixels, targets=_one_hot(labels, CIFAR_CLASSES),
-                   name="cifar10", k_classes=CIFAR_CLASSES)
+                   k_classes=CIFAR_CLASSES)
 
 
 def write_cifar10_bin(path, labels: np.ndarray, pixels: np.ndarray) -> None:
@@ -203,7 +182,5 @@ def train_val_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset,
     n_train = int(round(fraction * data.n))
     if n_train < 1 or n_train >= data.n:
         raise ValueError(f"split of {data.n} samples at {fraction} leaves a side empty")
-    train = data.subset(perm[:n_train], name=f"{data.name}_train")
-    val = data.subset(perm[n_train:], name=f"{data.name}_val")
-    return train, val
+    return data.subset(perm[:n_train]), data.subset(perm[n_train:])
 

@@ -190,7 +190,9 @@ def unpack_params(spec: MLPSpec, params: np.ndarray) -> list[tuple[np.ndarray, n
     return layers
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray) -> np.ndarray:
+    """exp(z) / sum exp(z) over the last axis; the max shift keeps exp from
+    overflowing and cancels in the ratio."""
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -293,7 +295,7 @@ def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
         if i < n_layers - 1:
             a = _hidden(z, spec.hidden_activation)
         elif spec.output_kind == "softmax":
-            a = _softmax(z)
+            a = softmax(z)
         elif spec.output_kind == "sigmoid":
             a = _sigmoid(z)
         else:

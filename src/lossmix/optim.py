@@ -14,10 +14,10 @@ the last epoch runs its own forward. The bits are the same as a forward of
 its own.
 
 A run is deterministic given its config (seed included): the same config
-produces bit-identical trajectories. Wall-clock timings are measured and
-kept on the record, but the canonical trajectory CSV writes zeros in the
-seconds column so reruns stay byte-identical; real timings go to the JSON
-sidecar.
+produces bit-identical trajectories. A stack-epoch's wall-clock time is
+kept once, in its records' ``epoch_seconds``, and goes to ``run.json``;
+the canonical trajectory CSV writes zeros in its seconds column so reruns
+stay byte-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netcore
-from .composite import (VALUE_FLOOR, BetaWeights, Scheme, adaptive_betas,
+from .composite import (MODES, VALUE_FLOOR, BetaWeights, Scheme, adaptive_betas,
                         composite_grad, composite_value, constraint9_check,
                         directional_curvature)
 from .data import Dataset
@@ -91,8 +91,10 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ValueError("warmup_epochs must be in [0, epochs)")
-        if self.noise_eps < 0 or self.l2_reg < 0:
-            raise ValueError("noise_eps and l2_reg must be nonnegative")
+        if self.noise_eps < 0 or self.l2_reg < 0 or self.init_scale < 0:
+            raise ValueError("noise_eps, l2_reg and init_scale must be nonnegative")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.beta_rule not in BETA_RULES:
@@ -116,13 +118,6 @@ class TrainConfig:
         if self.warmup_epochs > 0 and LossKind.CE not in self.terms:
             raise ValueError("warm-start needs a cross-entropy term")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["scheme"] = {"kind": self.scheme.kind, "index": self.scheme.index,
-                       "p": self.scheme.p}
-        d["terms"] = [t.value for t in self.terms]
-        return d
-
 
 @dataclass(frozen=True)
 class TrajectoryRow:
@@ -134,7 +129,6 @@ class TrajectoryRow:
     betas: tuple[float, ...]
     grad_norms: tuple[float, ...]
     constraint9: int
-    seconds: float
 
 
 @dataclass
@@ -143,14 +137,17 @@ class TrajectoryRecord:
 
     A run trained with rows=False has no rows; predictions then holds its
     training-set predictions at each epoch's final parameters, one
-    data-order (n, outputs) block per epoch.
+    data-order (n, outputs) block per epoch. epoch_seconds holds the
+    wall-clock time of each epoch's minibatch loop; it is the stack's, one
+    list shared by every record trained in it.
     """
 
     config: TrainConfig
-    stack_size: int  # runs trained together; row seconds are the stack's
+    stack_size: int  # runs trained together
     rows: list[TrajectoryRow] = field(default_factory=list)
     final_params: np.ndarray | None = None
     predictions: list[np.ndarray] = field(default_factory=list, init=False)
+    epoch_seconds: list[float] = field(default_factory=list)
 
     def header(self) -> list[str]:
         terms = self.config.terms
@@ -175,10 +172,6 @@ class TrajectoryRecord:
                      + [str(r.constraint9), "0"])
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
-
-    @property
-    def epoch_seconds(self) -> list[float]:
-        return [r.seconds for r in self.rows]
 
 
 def sample_gradient_noise(rng: np.random.Generator, eps: float, size: int) -> np.ndarray:
@@ -231,7 +224,7 @@ def _accuracy(spec: MLPSpec, params: np.ndarray, data: Dataset,
     if not data.is_classification:
         return np.zeros(np.shape(params)[:-1])
     if preds is None:
-        preds = netcore.forward(spec, params, data.as_batch())
+        preds = netcore.forward(spec, params, data)
     return 1.0 - loss_means(LossKind.ZERO_ONE, preds, data.targets)
 
 
@@ -250,7 +243,7 @@ def _followed(config: TrainConfig, epoch: int) -> int | None:
     return None
 
 
-def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
+def _epoch_row(spec, params, data, val, configs, betas, epoch, check):
     """Full-dataset telemetry at the epoch's final parameters, one row per run.
 
     Constraint 9 is checked for every term from one shared pair of
@@ -315,7 +308,6 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, seconds, check):
         betas=row_betas,
         grad_norms=gnorms,
         constraint9=int(satisfied[r]),
-        seconds=seconds,
     ) for r, (composite, row_betas, gnorms) in enumerate(parts)]
 
 
@@ -376,8 +368,9 @@ def _train_stack(spec, data, val, configs, rows):
     terms = config.terms
     params = np.stack([netcore.init_params(spec, c.seed, c.init_scale) for c in configs])
     rngs = [np.random.default_rng([c.seed, 1]) for c in configs]
-    records = [TrajectoryRecord(config=c, stack_size=len(configs))
-               for c in configs]
+    epoch_seconds = []
+    records = [TrajectoryRecord(config=c, stack_size=len(configs),
+                                epoch_seconds=epoch_seconds) for c in configs]
     # weights of the runs that follow the composite; adaptive rules update them
     betas = [BetaWeights(config.fixed_betas) if config.fixed_betas is not None
              else BetaWeights.uniform(len(terms))] * len(configs)
@@ -450,14 +443,15 @@ def _train_stack(spec, data, val, configs, rows):
         seconds = time.perf_counter() - t0
         if rows:
             epoch_rows = _epoch_row(spec, params, data, val, configs,
-                                    betas, epoch, seconds, check)
+                                    betas, epoch, check)
             for record, row in zip(records, epoch_rows):
                 record.rows.append(row)
         elif not reuse or epoch == config.epochs - 1:
-            preds = netcore.forward(spec, params, data.as_batch())
+            preds = netcore.forward(spec, params, data)
             check(preds, "predictions")
             for record, block in zip(records, preds):
                 record.predictions.append(block)
+        epoch_seconds.append(seconds)
 
     for r, record in enumerate(records):
         record.final_params = params[r]
@@ -471,7 +465,7 @@ def save_run(out_dir, record: TrajectoryRecord, config_hash: str) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     (out / "trajectory.csv").write_text(record.to_csv_text())
     meta = {
-        "config": record.config.to_dict(),
+        "config": asdict(record.config),
         "config_sha256": config_hash,
         "stack_size": record.stack_size,
         "wall_clock": {

@@ -94,7 +94,6 @@ def kl_gaussians(Q: GaussianPosterior, P: GaussianPrior) -> float:
 class EmpiricalRisk:
     value: float
     std_error: float
-    n_samples: int
 
 
 def empirical_risk(Q: GaussianPosterior, spec: MLPSpec, data: Dataset,
@@ -112,18 +111,17 @@ def empirical_risk(Q: GaussianPosterior, spec: MLPSpec, data: Dataset,
     if Q.dim != spec.n_params:
         raise ValueError("posterior dimension does not match the network")
     rng = np.random.default_rng(seed)
-    batch = data.as_batch()
     chunk = optim.stack_size(spec, data, data)
     draws = np.empty(n_samples)
     for start in range(0, n_samples, chunk):
         stack = np.stack([Q.sample(rng) for _ in range(min(chunk, n_samples - start))])
-        preds = netcore.forward(spec, stack, batch)
+        preds = netcore.forward(spec, stack, data)
         if not np.all(np.isfinite(preds)):
             raise ValueError("non-finite predictions for a posterior draw")
         draws[start:start + len(stack)] = loss_means(LossKind.ZERO_ONE, preds,
-                                                     batch.targets)
+                                                     data.targets)
     se = float(draws.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return EmpiricalRisk(value=float(draws.mean()), std_error=se, n_samples=n_samples)
+    return EmpiricalRisk(value=float(draws.mean()), std_error=se)
 
 
 def linear_pac_bound(emp_risk: float, kl: float, params: BoundParams) -> float:
@@ -207,7 +205,8 @@ def _bisect(f: Callable[[float], float], a: float, b: float, xtol: float) -> flo
 
 @dataclass(frozen=True)
 class Certificate:
-    """Bundle of the pieces behind one certified risk upper bound."""
+    """Bundle of the pieces behind one certified risk upper bound; its
+    dataclasses.asdict is the certificate file's document."""
 
     emp_risk: float
     emp_se: float
@@ -217,14 +216,6 @@ class Certificate:
     eps_dp: float
     dp_bound: float
     risk_upper: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "emp_risk": self.emp_risk, "emp_se": self.emp_se,
-            "kl_q_p": self.kl_q_p, "m": self.m, "delta": self.delta,
-            "eps_dp": self.eps_dp, "dp_bound": self.dp_bound,
-            "risk_upper": self.risk_upper,
-        }
 
 
 def risk_certificate(Q: GaussianPosterior, P: GaussianPrior, spec: MLPSpec,

@@ -4,7 +4,9 @@ comparison across training schemes.
 
 The scheme comparison trains a one-hidden-layer sigmoid net on a
 multi-tone 1-d target whose tones sit on exact DFT bins of the evaluation
-grid, then watches how fast each band's residual energy falls.
+grid, then watches how fast each band's residual energy falls. The one
+residual DFT is ``residual_spectrum``, in numpy's bin order: bin k of n
+grid points has the integer frequency min(k, n - k).
 """
 
 from __future__ import annotations
@@ -57,29 +59,11 @@ def sigmoid_ft(unit: SigmoidUnit, omega: float) -> complex:
     return -1j * math.pi / abs(unit.a) * phase * _csch(math.pi * omega / unit.a)
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Complex spectrum values at strictly increasing frequencies."""
+def residual_spectrum(outputs: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """DFT of (outputs - target) in numpy's bin order.
 
-    omegas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.complex128)
-        if omegas.shape != values.shape or omegas.ndim != 1:
-            raise ValueError("omegas and values must be 1-d arrays of equal length")
-        if np.any(np.diff(omegas) <= 0):
-            raise ValueError("omegas must be strictly increasing")
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "values", values)
-
-
-def residual_spectrum(outputs: np.ndarray, target: np.ndarray) -> SpectrumSample:
-    """DFT of (outputs - target) at the standard DFT frequencies.
-
-    Frequencies are angular, per unit sample spacing: 2 pi fftfreq(n),
-    shifted into increasing order. Parseval holds:
+    When the n samples span one 2 pi period, bin k has the integer
+    frequency min(k, n - k). Parseval holds:
     sum |r|^2 = (1/n) sum |DFT|^2.
     """
     outputs = np.asarray(outputs, dtype=np.float64).ravel()
@@ -87,10 +71,7 @@ def residual_spectrum(outputs: np.ndarray, target: np.ndarray) -> SpectrumSample
     if outputs.size != target.size:
         raise ValueError(
             f"length mismatch: {outputs.size} outputs vs {target.size} targets")
-    spectrum = np.fft.fft(outputs - target)
-    omegas = 2.0 * np.pi * np.fft.fftfreq(outputs.size)
-    order = np.fft.fftshift(np.arange(outputs.size))
-    return SpectrumSample(omegas=omegas[order], values=spectrum[order])
+    return np.fft.fft(outputs - target)
 
 
 def check_bands(bands: Sequence[tuple[float, float]], n_points: int) -> None:
@@ -145,10 +126,7 @@ def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray
 
     rel = np.full((len(outputs_by_epoch), len(bands)), np.nan)
     for e, out in enumerate(outputs_by_epoch):
-        out = np.asarray(out, dtype=np.float64).ravel()
-        if out.size != n:
-            raise ValueError(f"epoch {e} outputs have length {out.size}, want {n}")
-        res_f = np.fft.fft(out - target)
+        res_f = residual_spectrum(out, target)
         for b, m in enumerate(masks):
             if flagged[b]:
                 continue
@@ -191,8 +169,7 @@ class SpectralTarget:
             raise ValueError(f"amplitudes {list(self.amplitudes)} at frequencies "
                              f"{list(self.frequencies)} give a constant target")
         scaled = 0.1 + 0.8 * (y - y.min()) / (y.max() - y.min())
-        return Dataset(inputs=raw.inputs, targets=scaled[:, None],
-                       name=raw.name + "_scaled", k_classes=0, meta=dict(raw.meta))
+        return Dataset(inputs=raw.inputs, targets=scaled[:, None])
 
 
 @dataclass

@@ -440,8 +440,7 @@ def check_analysis_entropy_grid_vs_mc():
         x = pts[:, 0]
         return np.clip(0.05 + 0.15 * (x + 1.0) ** 2, 0.01, 0.99)
 
-    sampler = analysis.UniformBoxSampler([(-3.0, 3.0)])
-    mc = analysis.generalized_entropy_mc([f1, f2], betas, 2.0, sampler,
+    mc = analysis.generalized_entropy_mc([f1, f2], betas, 2.0, [(-3.0, 3.0)],
                                          n_draws=40_000, seed=26, mode="unweighted")
     gap = abs(mc.value - grid_val)
     return gap <= 3 * mc.std_error + 1e-4, \
@@ -555,9 +554,9 @@ def check_spectral_parseval():
     for _ in range(20):
         n = int(rng.choice([64, 128, 256]))
         res = rng.standard_normal(n)
-        sample = spectral.residual_spectrum(res, np.zeros(n))
+        spectrum = spectral.residual_spectrum(res, np.zeros(n))
         lhs = float((res ** 2).sum())
-        rhs = float((np.abs(sample.values) ** 2).sum() / n)
+        rhs = float((np.abs(spectrum) ** 2).sum() / n)
         worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-300))
     return worst <= 1e-9, f"max parseval error {worst:.2e}"
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from lossmix import analysis, netcore
-from lossmix.analysis import (Grid, GridField, SupportError, UniformBoxSampler,
-                              boltzmann, box_sharpness, default_kl_testbed,
-                              generalized_entropy,
-                              generalized_entropy_mc, gibbs_divergence,
-                              kl_divergence, scheme_kl_report, sharpness,
-                              sharpness_sweep)
+from lossmix.analysis import (Grid, GridField, SupportError, boltzmann,
+                              box_sharpness, default_kl_testbed,
+                              generalized_entropy, generalized_entropy_mc,
+                              gibbs_divergence, kl_divergence, scheme_kl_report,
+                              sharpness, sharpness_sweep)
 from lossmix.composite import BetaWeights
 from lossmix.netcore import Batch, MLPSpec
 
@@ -192,8 +191,7 @@ class TestGeneralizedEntropy:
             x = pts[:, 0]
             return np.clip(0.05 + 0.15 * (x + 1.0) ** 2, 0.01, 0.99)
 
-        sampler = UniformBoxSampler([(-3.0, 3.0)])
-        mc = generalized_entropy_mc([f1, f2], self.betas, 2.0, sampler,
+        mc = generalized_entropy_mc([f1, f2], self.betas, 2.0, [(-3.0, 3.0)],
                                     n_draws=50_000, seed=4, mode="unweighted")
         # the grid value carries its own quadrature bias; allow it on top
         assert abs(mc.value - grid_val) <= 3 * mc.std_error + 1e-3

@@ -1,13 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lossmix import composite
-from lossmix.composite import (BetaWeights, Scheme, adaptive_betas,
+from lossmix.composite import (VALUE_FLOOR, BetaWeights, Scheme, adaptive_betas,
                                composite_grad, composite_value,
                                constraint9_check, critical_p,
                                directional_curvature, dvalue_dp)
+from lossmix.losses import CLAMP
 from lossmix.netcore import finite_diff_grad
 
 
@@ -313,3 +317,60 @@ def test_mutation_hook_flips_gradient(monkeypatch):
     monkeypatch.setenv(composite.MUTATE_ENV, "composite-grad-sign")
     mutated = composite_grad(vals, grads, BetaWeights.uniform(2), 2.0)
     np.testing.assert_array_equal(mutated, -clean)
+
+
+# --- properties over random compositions ----------------------------------------
+# K terms in [1, 5], powers in [1, 8], term values from VALUE_FLOOR up to the
+# largest clamped cross-entropy. The 1e-12 tolerances are verify's. Above
+# about 1e3, one value's (v^p)^(1/p) alone can round off by more than 1e-12.
+MAX_VALUE = -math.log(CLAMP)
+powers = st.floats(1.0, 8.0)
+
+
+@st.composite
+def compositions(draw):
+    """(values, simplex weights, p_lo <= p_hi) for a random K."""
+    k = draw(st.integers(1, 5))
+    values = draw(st.lists(st.floats(VALUE_FLOOR, MAX_VALUE), min_size=k, max_size=k))
+    w = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
+             .filter(lambda w: sum(w) > 0))
+    w = np.array(w)
+    p_lo, p_hi = sorted((draw(powers), draw(powers)))
+    return values, BetaWeights(tuple(w / w.sum())), p_lo, p_hi
+
+
+@given(compositions())
+def test_weighted_mean_rises_and_norm_falls_in_p(case):
+    values, betas, p_lo, p_hi = case
+    assert (composite_value(values, betas, p_hi, "weighted")
+            >= composite_value(values, betas, p_lo, "weighted") - 1e-12)
+    assert (composite_value(values, betas, p_hi, "unweighted")
+            <= composite_value(values, betas, p_lo, "unweighted") + 1e-12)
+
+
+@given(compositions())
+def test_weighted_value_within_term_range(case):
+    values, betas, p, _ = case
+    got = composite_value(values, betas, p, "weighted")
+    assert min(values) - 1e-12 <= got <= max(values) + 1e-12
+
+
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.floats(VALUE_FLOOR, MAX_VALUE), min_size=k, max_size=k),
+             min_size=1, max_size=8),
+    st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))), powers)
+def test_power_sum_field_has_each_vectors_bits(case, p):
+    points, b = case
+    field = np.array(points).T  # (terms, points)
+    v, m = composite.power_sum(field, np.array(b), p)
+    for j in range(field.shape[1]):
+        vj, mj = composite.power_sum(field[:, j], np.array(b), p)
+        assert np.array_equal(vj, v[:, j])
+        assert mj.tobytes() == m[j].tobytes()
+
+
+@given(st.lists(st.floats(0.0, allow_infinity=False), min_size=1, max_size=5))
+def test_adaptive_betas_keep_the_shifted_exp_formula(norms):
+    n = np.asarray(norms)
+    e = np.exp(-(n - n.min()))  # the formula adaptive_betas had before softmax
+    assert adaptive_betas(norms).betas == tuple((e / e.sum()).tolist())

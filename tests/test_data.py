@@ -76,8 +76,9 @@ class TestRandomizeLabels:
         ds = gaussian_blobs(10, 30, 3, 0.5, seed=6)
         for level in (0.2, 0.8):
             out = randomize_labels(ds, level, seed=7)
-            assert out.meta["randomization_level"] == level
-            assert out.meta["randomized_mask"].sum() == round(level * ds.n)
+            changed = int((out.targets != ds.targets).any(axis=1).sum())
+            # round(r n) rows are redrawn; a redraw may keep its class
+            assert 0 < changed <= round(level * ds.n)
 
     def test_labels_stay_one_hot(self):
         ds = gaussian_blobs(4, 50, 2, 0.5, seed=10)

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +108,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="needs fixed_betas"):
             TrainConfig(scheme=Scheme.multi(), beta_rule="fixed")
 
+    def test_unknown_mode_rejected(self):
+        # a single run would train and record the mode; a multi run would
+        # fail only once its warm-up is over
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            TrainConfig(scheme=Scheme.multi(), mode="bogus")
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            TrainConfig(scheme=Scheme.single(0), mode="bogus")
+
+    def test_negative_init_scale_rejected(self):
+        with pytest.raises(ValueError, match="init_scale must be nonnegative"):
+            TrainConfig(scheme=Scheme.single(0), init_scale=-1.0)
+
     def test_zero_one_term_rejected(self):
         with pytest.raises(ValueError, match="zero_one"):
             TrainConfig(scheme=Scheme.multi(),
@@ -117,7 +129,7 @@ class TestConfigValidation:
         # the tested noise and regularization magnitudes pass through verbatim
         cfg = TrainConfig(scheme=Scheme.nonlinear(2.0), noise_eps=1e-4,
                           l2_reg=5e-4)
-        d = cfg.to_dict()
+        d = asdict(cfg)
         assert d["noise_eps"] == 1e-4
         assert d["l2_reg"] == 5e-4
 
@@ -267,7 +279,7 @@ def per_term_row(spec, params, data, val, config, betas, epoch, warmup):
         val_acc=optim._accuracy(spec, params, val),
         losses=tuple(vals), composite=comp, betas=tuple(betas.betas),
         grad_norms=tuple(float(np.linalg.norm(g)) for g in grads),
-        constraint9=int(satisfied), seconds=0.0)
+        constraint9=int(satisfied))
 
 
 def sigmoid_regression_setup():
@@ -301,7 +313,7 @@ def test_epoch_row_matches_per_term_curvature_loop(net, monkeypatch):
             want = per_term_row(spec, params, train_set, val_set, cfg,
                                 BetaWeights(row.betas), row.epoch,
                                 row.epoch < cfg.warmup_epochs)
-            assert replace(row, seconds=0.0) == want
+            assert row == want
             flags.append(want.constraint9)
     # both outcomes of constraint 9 are pinned, not just one
     assert set(flags) == {0, 1}
@@ -341,7 +353,9 @@ def test_save_run_layout(tmp_path):
     meta = (out / "run.json").read_text()
     assert "abc123" in meta and "wall_clock" in meta
     # the sidecar's config is the record's own
-    assert json.loads(meta)["config"] == json.loads(json.dumps(cfg.to_dict()))
+    assert json.loads(meta)["config"] == json.loads(json.dumps(asdict(cfg)))
+    assert json.loads(meta)["wall_clock"]["epoch_seconds"] == record.epoch_seconds
+    assert len(record.epoch_seconds) == cfg.epochs
 
 
 # --- stacked runs --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -273,6 +274,6 @@ class TestCertificate:
         q = GaussianPosterior(mean=self.mean, sigma=0.2)
         cert = risk_certificate(q, GaussianPrior(lambda_p=1.0), self.spec,
                                 self.data, self.params, n_samples=10, seed=18)
-        assert set(cert.to_json_dict()) == {"emp_risk", "emp_se", "kl_q_p", "m",
+        assert set(asdict(cert)) == {"emp_risk", "emp_se", "kl_q_p", "m",
                                             "delta", "eps_dp", "dp_bound",
                                             "risk_upper"}

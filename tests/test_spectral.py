@@ -8,7 +8,7 @@ from lossmix import netcore, spectral
 from lossmix.optim import TrainConfig
 from lossmix.composite import Scheme
 from lossmix.spectral import (SigmoidUnit, SpectralDomainError,
-                              SpectralTarget, SpectrumSample, check_bands,
+                              SpectralTarget, check_bands,
                               default_bands, frequency_capture, residual_spectrum,
                               sigmoid_ft)
 
@@ -46,41 +46,31 @@ class TestSigmoidFT:
 class TestResidualSpectrum:
     def test_perfect_fit_zero_spectrum(self):
         target = np.sin(np.linspace(0, 2 * np.pi, 64, endpoint=False))
-        sample = residual_spectrum(target, target)
-        assert np.all(sample.values == 0.0)
+        spectrum = residual_spectrum(target, target)
+        assert np.all(spectrum == 0.0)
 
     def test_pure_tone_concentrates(self):
         n = 256
         k = 7
         x = np.arange(n)
         residual = np.sin(2 * np.pi * k * x / n)
-        sample = residual_spectrum(residual, np.zeros(n))
-        energy = np.abs(sample.values) ** 2
-        bins = np.rint(sample.omegas * n / (2 * np.pi)).astype(int)
-        tone = energy[(bins == k) | (bins == -k)].sum()
-        assert tone / energy.sum() > 0.999
+        energy = np.abs(residual_spectrum(residual, np.zeros(n))) ** 2
+        # bin j has the integer frequency min(j, n - j)
+        freqs = np.minimum(np.arange(n), n - np.arange(n))
+        assert energy[freqs == k].sum() / energy.sum() > 0.999
 
     def test_parseval(self):
         rng = np.random.default_rng(0)
         for n in (64, 128, 256):
             res = rng.standard_normal(n)
-            sample = residual_spectrum(res, np.zeros(n))
+            spectrum = residual_spectrum(res, np.zeros(n))
             lhs = float((res ** 2).sum())
-            rhs = float((np.abs(sample.values) ** 2).sum() / n)
+            rhs = float((np.abs(spectrum) ** 2).sum() / n)
             assert abs(lhs - rhs) / lhs <= 1e-9
-
-    def test_omegas_increasing(self):
-        sample = residual_spectrum(np.zeros(32), np.zeros(32))
-        assert np.all(np.diff(sample.omegas) > 0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             residual_spectrum(np.zeros(8), np.zeros(9))
-
-    def test_spectrum_sample_validation(self):
-        with pytest.raises(ValueError, match="increasing"):
-            SpectrumSample(omegas=np.array([0.0, 0.0]),
-                           values=np.array([1.0 + 0j, 2.0 + 0j]))
 
 
 class TestFrequencyCapture:
