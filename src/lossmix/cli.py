@@ -1,9 +1,13 @@
 """Batch experiment runner: verify | train | klsweep | spectral | bounds.
 
-Configs are JSON documents validated against a published schema (unknown
-keys are rejected so a typo cannot silently drop a hyperparameter). Every
-output directory is named by the config's SHA-256 so reruns land in the
-same place with the same bytes.
+Configs are JSON documents checked at load time against a published JSON
+Schema (2020-12) by this module's own checker. Load time rejects, with exit
+1, unknown keys (so a typo cannot silently drop a hyperparameter), values out
+of range or of the wrong type, and the literals NaN, Infinity and -Infinity
+and number literals that overflow to infinity, such as 1e400. A number with
+a zero fraction, such as 3.0, in an integer field is read as the integer 3.
+Every output directory is named by the SHA-256 of the config as parsed, so
+reruns land in the same place with the same bytes.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure,
 3 invariant failure.
@@ -14,11 +18,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import operator
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import analysis, data, optim, pacbayes, spectral, verify
@@ -200,24 +205,102 @@ class ConfigError(ValueError):
     pass
 
 
+# keyword -> (test that fails a number, the failure's message)
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's types: a bool is not a number, and 2.0 is an integer."""
+    if name in ("integer", "number"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return name == "number" or isinstance(value, int) or value.is_integer()
+    return isinstance(value, {"object": dict, "array": list, "string": str}[name])
+
+
+def _checked(value, schema: dict, path: list, errors: list):
+    """value with each integer field's float made an int. Appends (path,
+    message) for each keyword of schema that value breaks, in the order
+    jsonschema's iter_errors yields them and with its message texts."""
+    out = value
+    for key, rule in schema.items():
+        fail = None
+        if key == "type":
+            if not _is_type(value, rule):
+                fail = f"is not of type {rule!r}"
+            elif rule == "integer":
+                out = int(value)
+        elif key == "enum":
+            if value not in rule:
+                fail = f"is not one of {rule!r}"
+        elif key in _BOUNDS:
+            test, text = _BOUNDS[key]
+            if _is_type(value, "number") and test(value, rule):
+                fail = f"{text} {rule!r}"
+        elif isinstance(value, list):
+            if key == "items":
+                out = [_checked(v, rule, path + [i], errors) for i, v in enumerate(value)]
+            elif key == "minItems" and len(value) < rule:
+                fail = "should be non-empty" if rule == 1 else "is too short"
+            elif key == "maxItems" and len(value) > rule:
+                fail = "is too long"
+        elif isinstance(value, dict):
+            if key == "properties":
+                out = {k: _checked(v, rule[k], path + [k], errors) if k in rule else v
+                       for k, v in value.items()}
+            elif key == "required":
+                errors.extend((path, f"{k!r} is a required property")
+                              for k in rule if k not in value)
+            elif key == "additionalProperties":
+                extras = sorted(set(value) - set(schema.get("properties", {})), key=str)
+                if extras:
+                    names = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    errors.append((path, f"Additional properties are not allowed "
+                                         f"({names} {verb} unexpected)"))
+        if fail is not None:
+            errors.append((path, f"{value!r} {fail}"))
+    return out
+
+
+def _check(config, schema: dict):
+    """config as the program reads it, or ConfigError naming the first
+    error in path order, ties kept in schema keyword order."""
+    errors = []
+    checked = _checked(config, schema, [], errors)
+    if errors:
+        path, message = min(errors, key=lambda e: e[0])
+        where = "/".join(map(str, path)) or "<root>"
+        raise ConfigError(f"config field {where}: {message}")
+    return checked
+
+
+def _finite(text: str) -> float:
+    """A JSON number literal as a float, or ConfigError if it is not finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} is not finite")
+    return value
+
+
 def _load_config(path: str, schema: dict) -> tuple[dict, str]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        config = json.loads(text)
+        # json.loads hands NaN, Infinity and -Infinity to parse_constant
+        config = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field {where}: {err.message}")
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()
-    return config, digest
+    return _check(config, schema), digest
 
 
 def _scheme_from(doc: dict) -> Scheme:
@@ -362,7 +445,8 @@ def cmd_klsweep(args) -> int:
 def cmd_spectral(args) -> int:
     config, digest = _load_config(args.config, SPECTRAL_SCHEMA)
     out = _out_dir(args, "spectral", digest)
-    freqs = tuple(config.get("frequencies", [1.0, 3.0, 5.0]))
+    # read as integers, but a target's frequencies are floats
+    freqs = tuple(map(float, config.get("frequencies", [1.0, 3.0, 5.0])))
     amps = tuple(config.get("amplitudes", [1.0] * len(freqs)))
     if len(amps) != len(freqs):
         raise ConfigError("config field amplitudes: must match frequencies")
@@ -457,7 +541,7 @@ def main(argv=None) -> int:
                 "spectral": cmd_spectral, "bounds": cmd_bounds}
     try:
         return handlers[args.command](args)
-    except (ConfigError, jsonschema.ValidationError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -1,13 +1,21 @@
+import ast
+import copy
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lossmix
 from lossmix import cli, composite, data, optim, spectral
@@ -429,3 +437,240 @@ def test_only_spectral_loads_scipy_and_only_expits_extension(tmp_path):
     assert json.loads(out.stdout.splitlines()[-1]) == [
         ["verify", 0, []], ["klsweep", 0, []], ["bounds", 0, []], ["train", 0, []],
         ["spectral", 0, ["scipy.special._special_ufuncs"]]]
+
+
+def test_start_up_loads_no_schema_library(tmp_path):
+    # configs are checked by lossmix itself; jsonschema and what it pulls in
+    # are needed only by the tests. Modules loaded before lossmix (a site
+    # hook may load certifi) are not lossmix's doing.
+    cfg = write_config(tmp_path, moons_train_config())
+    probe = ("import json, sys; before = set(sys.modules); from lossmix import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(json.dumps([code, sorted({m.partition('.')[0]"
+             " for m in set(sys.modules) - before})]))")
+    src = str(Path(lossmix.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe, "train", "--config", cfg, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert "numpy" in loaded and not set(loaded) & {
+        "jsonschema", "jsonschema_specifications", "referencing", "rpds", "attrs",
+        "attr", "idna", "certifi"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(lossmix.__file__).resolve().parent
+    imported = set()
+    for source in package.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", dep).group()
+                for dep in pyproject["project"]["dependencies"]}
+    assert imported - set(sys.stdlib_module_names) == declared
+
+
+def with_value(doc, path: str, value):
+    """A copy of doc with value at the slash-separated path."""
+    doc = copy.deepcopy(doc)
+    keys = [int(k) if k.isdigit() else k for k in path.split("/")]
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+SMALL_CONFIGS = {
+    "train": moons_train_config(schemes=[{"kind": "nonlinear", "p": 2.0}]),
+    "spectral": {"frequencies": [1.0, 3.0], "n_points": 64, "width": 8, "epochs": 5,
+                 "schemes": [{"kind": "multi"}], "seed": 2},
+    "klsweep": {"grid": {"lo": -3.0, "hi": 3.0, "points": 61}},
+    "bounds": TestBoundsCommand().bounds_config(),
+}
+
+
+@pytest.mark.parametrize("command, path, literal", [
+    ("train", "train/noise_eps", "NaN"),
+    ("train", "train/noise_eps", "1e400"),
+    ("train", "train/learning_rate", "NaN"),
+    ("train", "train/learning_rate", "Infinity"),
+    ("train", "train/learning_rate", "1e400"),
+    ("train", "train/l2_reg", "Infinity"),
+    ("train", "train/l2_reg", "1e400"),
+    ("train", "schemes/0/p", "1e400"),
+    ("spectral", "learning_rate", "Infinity"),
+    ("klsweep", "grid/lo", "-Infinity"),
+    ("bounds", "bound/lambda", "1e400"),
+    ("bounds", "posterior/sigma", "NaN"),
+])
+def test_non_finite_numbers_rejected_at_load(tmp_path, monkeypatch, capsys,
+                                             command, path, literal):
+    # JSON has no NaN or Infinity, and a literal such as 1e400 parses to inf
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained with a number that is not finite")
+
+    monkeypatch.setattr(optim, "train", no_training)
+    text = json.dumps(with_value(SMALL_CONFIGS[command], path, "@literal@"))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text.replace('"@literal@"', literal))
+    code = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"config number {literal} is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def result_files(root: Path) -> dict:
+    """Each result file under root, keyed by its path below the config's
+    directory; a JSON result is compared without the config's hash."""
+    found = {}
+    for path in root.rglob("*"):
+        if path.name in ("trajectory.csv", "params.npz", "capture.csv", "certificate.json"):
+            content = path.read_bytes()
+            if path.suffix == ".json":
+                content = json.loads(content)
+                content.pop("config_sha256")
+            found[path.relative_to(root).parts[1:]] = content
+    return found
+
+
+@pytest.mark.parametrize("command, path, value", [
+    ("train", "train/epochs", 2),
+    ("train", "train/batch_size", 32),
+    ("train", "seeds/0", 1),
+    ("train", "dataset/n", 80),
+    ("train", "dataset/seed", 0),
+    ("train", "schemes/0/index", 0),
+    ("spectral", "epochs", 5),
+    ("spectral", "n_points", 64),
+    ("spectral", "seed", 2),
+    ("bounds", "n_samples", 10),
+    ("bounds", "seed", 3),
+])
+def test_integral_float_in_integer_field_is_read_as_int(tmp_path, capsys, command,
+                                                        path, value):
+    # JSON Schema counts 3.0 as an integer, so the program must read it as 3
+    base = SMALL_CONFIGS[command]
+    if path.startswith("schemes"):
+        base = dict(base, schemes=[{"kind": "single", "index": 0}])
+    results = []
+    for form in (value, float(value)):
+        cfg = write_config(tmp_path, with_value(base, path, form), f"{form!r}.json")
+        out = tmp_path / repr(form)
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0
+        results.append(result_files(out))
+    assert results[0] and results[0] == results[1]
+
+
+def _oracle_documents():
+    """(schema name, document) of the shipped configs and of the benchmark's
+    workloads, which are read and left as they are."""
+    root = Path(__file__).resolve().parents[1]
+    shipped = {"two_moons": "TRAIN_SCHEMA", "spectral": "SPECTRAL_SCHEMA",
+               "klsweep": "KLSWEEP_SCHEMA", "bounds": "BOUNDS_SCHEMA"}
+    docs = [(schema, json.loads((root / "configs" / f"{name}.json").read_text()))
+            for name, schema in shipped.items()]
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.NAMES:
+        docs += [tuple(entry) for entry in
+                 workloads.inputs(name, 0, Path("configs"))["configs"].values()]
+    return docs
+
+
+ORACLE_DOCUMENTS = _oracle_documents()
+WRONG_VALUES = [True, False, None, "text", [], {}, 0.0, 1.0, 2.0, 3.0]
+BOUND_KEYWORDS = ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum")
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+def _schema_at(schema, path):
+    for key in path:
+        step = (schema.get("properties", {}).get(key) if isinstance(key, str)
+                else schema.get("items"))
+        schema = step if isinstance(step, dict) else {}
+    return schema
+
+
+def _mutate(data, schema, doc):
+    """doc after one drawn mutation: a key dropped or added, a value swapped
+    for a wrong type, a bool or a zero-fraction float, a bounded value moved
+    to its bound or one step either side (an ulp, or 1 in an integer field),
+    or an array resized."""
+    nodes = list(_nodes(doc))
+    kind = data.draw(st.sampled_from(["drop", "add", "swap", "nudge", "resize"]))
+    if kind == "drop":
+        _, node = data.draw(st.sampled_from([n for n in nodes if isinstance(n[1], dict)]))
+        if node:
+            del node[data.draw(st.sampled_from(sorted(node)))]
+    elif kind == "add":
+        _, node = data.draw(st.sampled_from([n for n in nodes if isinstance(n[1], dict)]))
+        node.update(dict.fromkeys(data.draw(st.lists(
+            st.sampled_from(["zz", "bogus", "learning_rte"]), min_size=1, unique=True)), 1))
+    elif kind == "resize":
+        lists = [n for n in nodes if isinstance(n[1], list) and n[1]]
+        if lists:
+            _, node = data.draw(st.sampled_from(lists))
+            size = data.draw(st.integers(0, len(node) + 1))
+            node[:] = copy.deepcopy(node * 2)[:size]
+    else:
+        # by keyword first, so the one field with a maximum is not a rare draw
+        bounded = {}
+        for path, _ in nodes[1:]:
+            for key, rule in _schema_at(schema, path).items():
+                if key in BOUND_KEYWORDS:
+                    bounded.setdefault(key, []).append((path, rule))
+        if kind == "nudge" and bounded:
+            keyword = data.draw(st.sampled_from(sorted(bounded)))
+            path, bound = data.draw(st.sampled_from(bounded[keyword]))
+            if _schema_at(schema, path)["type"] == "integer":
+                near = [bound - 1, bound + 1]
+            else:
+                near = [math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+            value = data.draw(st.sampled_from([bound] + near))
+        else:
+            path, _ = data.draw(st.sampled_from(nodes[1:]))
+            value = data.draw(st.sampled_from(WRONG_VALUES))
+        parent = next(node for p, node in nodes if p == path[:-1])
+        # a copy, so that a later mutation cannot edit WRONG_VALUES' [] or {}
+        parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+# the profile's 50 examples let a checker that counts a bool as a number, or
+# that misreads maximum or exclusiveMinimum, pass; 500 catch each of them
+@settings(max_examples=500)
+@given(st.data())
+def test_checker_agrees_with_jsonschema(data):
+    schema_name, original = data.draw(st.sampled_from(ORACLE_DOCUMENTS))
+    schema = getattr(cli, schema_name)
+    doc = copy.deepcopy(original)
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, schema, doc)
+    errors = sorted(jsonschema.Draft202012Validator(schema).iter_errors(doc),
+                    key=lambda e: list(e.absolute_path))
+    expected = None
+    if errors:
+        where = "/".join(str(p) for p in errors[0].absolute_path) or "<root>"
+        expected = f"config field {where}: {errors[0].message}"
+    try:
+        checked, got = cli._check(doc, schema), None
+    except cli.ConfigError as exc:
+        got = str(exc)
+    assert got == expected
+    if got is None:
+        assert checked == doc
