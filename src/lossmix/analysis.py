@@ -114,7 +114,9 @@ def kl_divergence(P: GridField, Q: GridField) -> float:
     mask = p > 0
     if np.any(q[mask] <= 0):
         raise SupportError("Q has zero mass where P is positive")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])) * P.grid.cell_volume)
+    kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])) * P.grid.cell_volume)
+    # KL is nonnegative; between near-equal densities the sum can round below 0
+    return max(kl, 0.0)
 
 
 def gibbs_divergence(P: GridField, objective: GridField) -> float:

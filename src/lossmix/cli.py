@@ -4,8 +4,10 @@ Configs are JSON documents checked at load time against a published JSON
 Schema (2020-12) by this module's own checker. Load time rejects, with exit
 1, unknown keys (so a typo cannot silently drop a hyperparameter), values out
 of range or of the wrong type, and the literals NaN, Infinity and -Infinity
-and number literals that overflow to infinity, such as 1e400. A number with
-a zero fraction, such as 3.0, in an integer field is read as the integer 3.
+and number literals that overflow to infinity: a float such as 1e400, or in
+a number field an integer no float holds, such as 1 followed by 400 zeros
+(an integer field takes any integer). A number with a zero fraction, such
+as 3.0, in an integer field is read as the integer 3.
 Every output directory is named by the SHA-256 of the config as parsed, so
 reruns land in the same place with the same bytes.
 
@@ -99,6 +101,8 @@ _TRAIN_FIELDS = {
     "beta_rule": {"enum": list(optim.BETA_RULES)},
     "fixed_betas": {"type": "array", "items": {"type": "number"}},
 }
+_TRAIN_SCHEMA = {"type": "object", "properties": _TRAIN_FIELDS,
+                 "additionalProperties": False}
 
 _BOUND_SCHEMA = {
     "type": "object",
@@ -118,8 +122,7 @@ TRAIN_SCHEMA = {
     "properties": {
         "dataset": _DATASET_SCHEMA,
         "model": _MODEL_SCHEMA,
-        "train": {"type": "object", "properties": _TRAIN_FIELDS,
-                  "additionalProperties": False},
+        "train": _TRAIN_SCHEMA,
         "schemes": {"type": "array", "items": _SCHEME_SCHEMA, "minItems": 1},
         "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
     },
@@ -174,8 +177,7 @@ BOUNDS_SCHEMA = {
     "properties": {
         "dataset": _DATASET_SCHEMA,
         "model": _MODEL_SCHEMA,
-        "train": {"type": "object", "properties": _TRAIN_FIELDS,
-                  "additionalProperties": False},
+        "train": _TRAIN_SCHEMA,
         "scheme": _SCHEME_SCHEMA,
         "posterior": {
             "type": "object",
@@ -226,7 +228,9 @@ def _is_type(value, name: str) -> bool:
 def _checked(value, schema: dict, path: list, errors: list):
     """value with each integer field's float made an int. Appends (path,
     message) for each keyword of schema that value breaks, in the order
-    jsonschema's iter_errors yields them and with its message texts."""
+    jsonschema's iter_errors yields them and with its message texts. An
+    integer in a number field that no float holds raises ConfigError, as a
+    float literal beyond range does at parse time."""
     out = value
     for key, rule in schema.items():
         fail = None
@@ -235,6 +239,8 @@ def _checked(value, schema: dict, path: list, errors: list):
                 fail = f"is not of type {rule!r}"
             elif rule == "integer":
                 out = int(value)
+            elif isinstance(value, int):  # a number; it may lie beyond float range
+                _finite(str(value))
         elif key == "enum":
             if value not in rule:
                 fail = f"is not one of {rule!r}"

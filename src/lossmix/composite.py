@@ -63,9 +63,6 @@ class BetaWeights:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.betas, dtype=np.float64)
 
-    def __len__(self) -> int:
-        return len(self.betas)
-
 
 @dataclass(frozen=True)
 class Scheme:

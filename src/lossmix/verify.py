@@ -4,6 +4,11 @@ Each check is a small, fast, self-contained property with its own seeded
 data; `run_all` returns a machine-readable summary naming every invariant
 and whether it held. The composite-gradient check is the one a seeded
 sign mutation (LOSSMIX_MUTATE=composite-grad-sign) must trip.
+
+A property that holds for every input is written once, as a predicate on
+one input that returns (ok, measure) with its tolerance inside. Its
+invariant runs it over fixed seeded draws (`_seeded`), and the property
+tests in tests/ call the same predicate on Hypothesis draws.
 """
 
 from __future__ import annotations
@@ -35,6 +40,16 @@ def _small_problem(seed=0):
     batch = Batch(inputs=inputs, targets=targets)
     params = netcore.init_params(spec, seed + 1, 0.5)
     return spec, params, batch
+
+
+def _seeded(seed, n, draw, predicate, detail):
+    """(every draw held, detail) for predicate over n seeded draws; detail is
+    formatted with the draws' largest measure and their sum."""
+    rng = np.random.default_rng(seed)
+    results = [predicate(*draw(rng)) for _ in range(n)]
+    measures = [measure for _, measure in results]
+    return (all(ok for ok, _ in results),
+            detail.format(max=max(measures), sum=sum(measures)))
 
 
 # --- netcore ---------------------------------------------------------------
@@ -117,146 +132,151 @@ def check_losses_zero_one_argmax_invariant():
 
 # --- composite ---------------------------------------------------------------
 
+def _pair_betas(rng, lo, hi):
+    b1 = rng.uniform(lo, hi)
+    return BetaWeights((b1, 1.0 - b1))
+
+
+def _simplex_betas(rng, k):
+    w = rng.uniform(0.1, 1.0, k)
+    return BetaWeights(tuple(w / w.sum()))
+
+
+def gradient_matches_finite_differences(values, betas, p, mode):
+    """composite_grad, one parameter per value, vs central differences: 1e-8."""
+    analytic = composite.composite_grad(values, np.eye(len(values)), betas, p, mode)
+    numeric = netcore.finite_diff_grad(
+        lambda v: composite.composite_value(v, betas, p, mode), values, 1e-5)
+    err = max(abs(a - num) / max(abs(num), abs(a), 1e-300)
+              for a, num in zip(analytic, numeric))
+    return err <= 1e-8, err
+
+
 def check_composite_grad_oracle():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(40):
-        vals = rng.uniform(0.1, 0.9, 2)
-        b1 = rng.uniform(0.2, 0.8)
-        betas = BetaWeights((b1, 1.0 - b1))
-        p = rng.choice([1.0, 1.5, 2.0, 3.0, 4.0])
-        mode = rng.choice(["weighted", "unweighted"])
-        eye = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        analytic = composite.composite_grad(vals, eye, betas, p, mode)
-        numeric = netcore.finite_diff_grad(
-            lambda v: composite.composite_value(v, betas, p, mode), vals, 1e-5)
-        for a, num in zip(analytic, numeric):
-            worst = max(worst, abs(a - num) / max(abs(num), abs(a), 1e-300))
-    return worst <= 1e-8, f"max relative error {worst:.2e}"
+    return _seeded(11, 40, lambda rng: (
+        rng.uniform(0.1, 0.9, 2), _pair_betas(rng, 0.2, 0.8),
+        rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]), rng.choice(composite.MODES)),
+        gradient_matches_finite_differences, "max relative error {max:.2e}")
+
+
+def p1_equals_linear_combination(values, betas):
+    """At p = 1 the weighted value is sum_m beta_m v_m, to 1e-12."""
+    dev = abs(composite.composite_value(values, betas, 1.0, "weighted")
+              - float(np.dot(betas.as_array(), values)))
+    return dev <= 1e-12, dev
 
 
 def check_composite_p1_reduction():
-    rng = np.random.default_rng(12)
-    worst = 0.0
-    for _ in range(200):
-        vals = rng.uniform(0.05, 0.95, 3)
-        w = rng.uniform(0.1, 1.0, 3)
-        betas = BetaWeights(tuple(w / w.sum()))
-        got = composite.composite_value(vals, betas, 1.0, "weighted")
-        worst = max(worst, abs(got - float(np.dot(betas.as_array(), vals))))
-    return worst <= 1e-12, f"max deviation {worst:.2e}"
+    return _seeded(12, 200, lambda rng: (
+        rng.uniform(0.05, 0.95, 3), _simplex_betas(rng, 3)),
+        p1_equals_linear_combination, "max deviation {max:.2e}")
+
+
+def one_hot_equals_single_loss(values, index, p):
+    """One-hot weights give the chosen term's value at any p, to 1e-12."""
+    got = composite.composite_value(values, BetaWeights.one_hot(len(values), index), p)
+    dev = abs(got - values[index])
+    return dev <= 1e-12, dev
 
 
 def check_composite_one_hot_reduction():
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(200):
-        vals = rng.uniform(0.05, 0.95, 3)
-        idx = int(rng.integers(0, 3))
-        p = float(rng.choice([1.0, 2.0, 3.0]))
-        got = composite.composite_value(vals, BetaWeights.one_hot(3, idx), p)
-        worst = max(worst, abs(got - vals[idx]))
-    return worst <= 1e-12, f"max deviation {worst:.2e}"
+    return _seeded(13, 200, lambda rng: (
+        rng.uniform(0.05, 0.95, 3), int(rng.integers(0, 3)),
+        float(rng.choice([1.0, 2.0, 3.0]))), one_hot_equals_single_loss,
+        "max deviation {max:.2e}")
+
+
+def weighted_power_mean_monotone_in_p(values, betas, p_lo, p_hi):
+    """The weighted value does not fall from p_lo to p_hi, to 1e-12."""
+    ok = (composite.composite_value(values, betas, p_hi, "weighted")
+          >= composite.composite_value(values, betas, p_lo, "weighted") - 1e-12)
+    return ok, int(not ok)
 
 
 def check_composite_power_mean_monotone():
-    rng = np.random.default_rng(14)
-    violations = 0
-    for _ in range(300):
-        vals = rng.uniform(0.05, 0.95, 2)
-        b1 = rng.uniform(0.1, 0.9)
-        betas = BetaWeights((b1, 1.0 - b1))
-        ps = sorted(rng.uniform(1.0, 5.0, 2))
-        lo = composite.composite_value(vals, betas, ps[0], "weighted")
-        hi = composite.composite_value(vals, betas, ps[1], "weighted")
-        if hi < lo - 1e-12:
-            violations += 1
-    return violations == 0, f"{violations} violations"
+    return _seeded(14, 300, lambda rng: (
+        rng.uniform(0.05, 0.95, 2), _pair_betas(rng, 0.1, 0.9),
+        *sorted(rng.uniform(1.0, 5.0, 2))), weighted_power_mean_monotone_in_p,
+        "{sum} violations")
+
+
+def unweighted_norm_monotone_in_p(values, p_lo, p_hi):
+    """The lp-norm neither rises from p_lo to p_hi nor exceeds the l1 norm."""
+    betas = BetaWeights.uniform(len(values))
+    lo = composite.composite_value(values, betas, p_lo, "unweighted")
+    hi = composite.composite_value(values, betas, p_hi, "unweighted")
+    count = int(hi > lo + 1e-12) + int(hi > np.sum(values) + 1e-12)
+    return count == 0, count
 
 
 def check_composite_norm_monotone():
-    rng = np.random.default_rng(15)
-    violations = 0
-    betas = BetaWeights.uniform(2)
-    for _ in range(300):
-        vals = rng.uniform(0.05, 0.95, 2)
-        ps = sorted(rng.uniform(1.0, 5.0, 2))
-        lo = composite.composite_value(vals, betas, ps[0], "unweighted")
-        hi = composite.composite_value(vals, betas, ps[1], "unweighted")
-        if hi > lo + 1e-12:
-            violations += 1
-        if (composite.composite_value(vals, betas, ps[1], "unweighted")
-                > vals.sum() + 1e-12):
-            violations += 1
-    return violations == 0, f"{violations} violations"
+    return _seeded(15, 300, lambda rng: (
+        rng.uniform(0.05, 0.95, 2), *sorted(rng.uniform(1.0, 5.0, 2))),
+        unweighted_norm_monotone_in_p, "{sum} violations")
+
+
+def value_between_min_and_max(values, betas, p):
+    """The weighted value lies in the terms' [min, max], to 1e-12."""
+    got = composite.composite_value(values, betas, p)
+    return min(values) - 1e-12 <= got <= max(values) + 1e-12, got
 
 
 def check_composite_bounds():
-    rng = np.random.default_rng(16)
-    ok = True
-    for _ in range(200):
-        vals = rng.uniform(0.05, 0.95, 3)
-        w = rng.uniform(0.1, 1.0, 3)
-        betas = BetaWeights(tuple(w / w.sum()))
-        got = composite.composite_value(vals, betas, float(rng.uniform(1, 5)))
-        ok &= vals.min() - 1e-12 <= got <= vals.max() + 1e-12
-    return ok, "weighted value stayed inside [min, max]"
+    return _seeded(16, 200, lambda rng: (
+        rng.uniform(0.05, 0.95, 3), _simplex_betas(rng, 3), float(rng.uniform(1, 5))),
+        value_between_min_and_max, "weighted value stayed inside [min, max]")
+
+
+def dvalue_dp_matches_finite_differences(values, betas, p, mode):
+    """dvalue_dp vs Richardson-extrapolated differences in p, to 1e-8; the
+    1e-12 floor covers the oracle's own roundoff near zero."""
+    def f(pp):
+        return composite.composite_value(values, betas, pp, mode)
+
+    h = 1e-3
+    d1 = (f(p + h) - f(p - h)) / (2 * h)
+    d2 = (f(p + h / 2) - f(p - h / 2)) / h
+    num = (4 * d2 - d1) / 3
+    got = composite.dvalue_dp(values, betas, p, mode)
+    err = abs(got - num)
+    return err <= 1e-8 * max(abs(num), abs(got)) + 1e-12, err
 
 
 def check_composite_dvalue_dp_oracle():
-    rng = np.random.default_rng(17)
-    ok = True
-    worst = 0.0
-    for _ in range(60):
-        vals = rng.uniform(0.1, 0.9, 2)
-        b1 = rng.uniform(0.2, 0.8)
-        betas = BetaWeights((b1, 1.0 - b1))
-        p = float(rng.uniform(1.2, 4.0))
-        mode = rng.choice(["weighted", "unweighted"])
+    return _seeded(17, 60, lambda rng: (
+        rng.uniform(0.1, 0.9, 2), _pair_betas(rng, 0.2, 0.8),
+        float(rng.uniform(1.2, 4.0)), rng.choice(composite.MODES)),
+        dvalue_dp_matches_finite_differences, "max absolute gap {max:.2e}")
 
-        def f(pp):
-            return composite.composite_value(vals, betas, pp, mode)
 
-        # Richardson-extrapolated central differences; 1e-12 floor covers the
-        # oracle's own roundoff where the true derivative is near zero
-        h = 1e-3
-        d1 = (f(p + h) - f(p - h)) / (2 * h)
-        d2 = (f(p + h / 2) - f(p - h / 2)) / h
-        num = (4 * d2 - d1) / 3
-        got = composite.dvalue_dp(vals, betas, p, mode)
-        err = abs(got - num)
-        ok &= err <= 1e-8 * max(abs(num), abs(got)) + 1e-12
-        worst = max(worst, err)
-    return ok, f"max absolute gap {worst:.2e}"
+def adaptive_betas_on_simplex(norms):
+    """Softmax weights lie on the simplex; the smallest norm gets the most."""
+    arr = composite.adaptive_betas(norms).as_array()
+    err = abs(arr.sum() - 1.0)
+    return err <= 1e-12 and arr.min() >= 0.0 and arr[np.argmin(norms)] == arr.max(), err
 
 
 def check_composite_adaptive_simplex():
-    rng = np.random.default_rng(18)
-    ok = True
-    for _ in range(100):
-        norms = rng.uniform(0.0, 50.0, int(rng.integers(2, 5)))
-        betas = composite.adaptive_betas(norms)
-        arr = betas.as_array()
-        ok &= abs(arr.sum() - 1.0) <= 1e-12 and arr.min() >= 0.0
-        ok &= int(np.argmax(arr)) == int(np.argmin(norms))
-    pm = composite.adaptive_betas([1.0, 2.0], rule="paper-max")
-    ok &= pm.betas[0] >= 0.5
-    return ok, "simplex, smallest-norm preference, paper-max >= 0.5"
+    ok, detail = _seeded(18, 100, lambda rng: (
+        rng.uniform(0.0, 50.0, int(rng.integers(2, 5))),), adaptive_betas_on_simplex,
+        "simplex, smallest-norm preference, paper-max >= 0.5")
+    paper_max = composite.adaptive_betas([1.0, 2.0], rule="paper-max")
+    return ok and paper_max.betas[0] >= 0.5, detail
+
+
+def constraint9_flips_at_critical_p(L, g, h):
+    """Constraint 9 holds 1e-9 above critical_p and fails 1e-9 below it."""
+    star = composite.critical_p(L, g, h)
+    return (composite.constraint9_check(L, g, h, star + 1e-9)
+            and not composite.constraint9_check(L, g, h, star - 1e-9)), star
 
 
 def check_composite_constraint9_critical():
-    rng = np.random.default_rng(19)
-    ok = True
-    for _ in range(300):
-        L = rng.uniform(0.05, 1.0)
-        g = rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0])
-        h = -rng.uniform(0.01, 2.0)
-        star = composite.critical_p(L, g, h)
-        ok &= composite.constraint9_check(L, g, h, star + 1e-9)
-        ok &= not composite.constraint9_check(L, g, h, star - 1e-9)
+    ok, _ = _seeded(19, 300, lambda rng: (
+        rng.uniform(0.05, 1.0), rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0]),
+        -rng.uniform(0.01, 2.0)), constraint9_flips_at_critical_p, "")
     exact = composite.critical_p(0.5, 0.1, -0.02)
-    ok &= exact == 2.0
-    return ok, f"bracketing held; analytic case gave {exact!r}"
+    return ok and exact == 2.0, f"bracketing held; analytic case gave {exact!r}"
 
 
 def check_composite_end_to_end_grad():
@@ -372,15 +392,18 @@ def check_data_cifar_roundtrip():
 
 # --- analysis ------------------------------------------------------------------
 
+def densities_normalized(field, temperature):
+    """A Boltzmann density integrates to 1 on its grid, to 1e-12."""
+    dens = analysis.boltzmann(field, temperature).density
+    err = abs(dens.values.sum() * field.grid.cell_volume - 1.0)
+    return err <= 1e-12, err
+
+
 def check_analysis_density_normalization():
-    rng = np.random.default_rng(23)
     grid = analysis.Grid(-2.0, 2.0, 301)
-    worst = 0.0
-    for _ in range(20):
-        field = analysis.GridField(grid, rng.uniform(0.0, 3.0, 301))
-        dens = analysis.boltzmann(field, float(rng.uniform(0.5, 5))).density
-        worst = max(worst, abs(dens.values.sum() * grid.cell_volume - 1.0))
-    return worst <= 1e-12, f"max normalization error {worst:.2e}"
+    return _seeded(23, 20, lambda rng: (
+        analysis.GridField(grid, rng.uniform(0.0, 3.0, 301)), float(rng.uniform(0.5, 5))),
+        densities_normalized, "max normalization error {max:.2e}")
 
 
 def check_analysis_kl_gaussian_oracle():
@@ -392,30 +415,34 @@ def check_analysis_kl_gaussian_oracle():
     return abs(got - 0.5) <= 1e-3, f"got {got:.6f}, closed form 0.5"
 
 
+def kl_nonnegative(grid, p_field, q_field):
+    """KL(P || Q) >= 0 and |KL(P || P)| <= 1e-15 for two fields' Boltzmann
+    densities on grid."""
+    p, q = (analysis.boltzmann(analysis.GridField(grid, f), 1.0).density
+            for f in (p_field, q_field))
+    kl = analysis.kl_divergence(p, q)
+    return kl >= 0.0 and abs(analysis.kl_divergence(p, p)) <= 1e-15, kl
+
+
 def check_analysis_kl_nonnegative():
-    rng = np.random.default_rng(24)
     grid = analysis.Grid(-1.0, 1.0, 101)
-    ok = True
-    for _ in range(50):
-        p = analysis.boltzmann(
-            analysis.GridField(grid, rng.uniform(0, 2, 101)), 1.0).density
-        q = analysis.boltzmann(
-            analysis.GridField(grid, rng.uniform(0, 2, 101)), 1.0).density
-        ok &= analysis.kl_divergence(p, q) >= 0.0
-        ok &= abs(analysis.kl_divergence(p, p)) <= 1e-15
-    return ok, "kl >= 0 and kl(P, P) = 0 over 50 pairs"
+    return _seeded(24, 50, lambda rng: (
+        grid, rng.uniform(0, 2, 101), rng.uniform(0, 2, 101)), kl_nonnegative,
+        "kl >= 0 and kl(P, P) = 0 over 50 pairs")
+
+
+def pointwise_norm_inequality(terms, p):
+    """Pointwise over (terms, points) fields, the lp-norm is at most the sum."""
+    terms = np.asarray(terms, dtype=np.float64)
+    excess = max(0.0, float(np.max(composite.power_mean(terms, np.ones(len(terms)), p)
+                                   - terms.sum(axis=0))))
+    return excess <= 1e-12, excess
 
 
 def check_analysis_pointwise_norm_inequality():
-    rng = np.random.default_rng(25)
-    worst = 0.0
-    for _ in range(100):
-        l1 = rng.uniform(0.01, 0.99, 64)
-        l2 = rng.uniform(0.01, 0.99, 64)
-        p = float(rng.uniform(1.0, 5.0))
-        lhs = composite.power_mean(np.stack([l1, l2]), np.ones(2), p)
-        worst = max(worst, float(np.max(lhs - (l1 + l2))))
-    return worst <= 1e-12, f"max excess {worst:.2e}"
+    return _seeded(25, 100, lambda rng: (
+        np.stack([rng.uniform(0.01, 0.99, 64), rng.uniform(0.01, 0.99, 64)]),
+        float(rng.uniform(1.0, 5.0))), pointwise_norm_inequality, "max excess {max:.2e}")
 
 
 def check_analysis_entropy_monotone():
@@ -427,24 +454,24 @@ def check_analysis_entropy_monotone():
     return ok, f"entropies {['%.6f' % v for v in values]}"
 
 
-def check_analysis_entropy_grid_vs_mc():
-    L1, L2, _ = analysis.default_kl_testbed(points=1201)
+def entropy_grid_matches_mc(points, n_draws, seed, bias):
+    """The testbed's unweighted p = 2 entropy on a grid vs a Monte-Carlo
+    estimate, within 3 standard errors plus the grid's quadrature bias."""
+    L1, L2, _ = analysis.default_kl_testbed(points=points)
     betas = BetaWeights.uniform(2)
     grid_val = analysis.generalized_entropy([L1, L2], betas, 2.0, mode="unweighted")
 
-    def f1(pts):
-        x = pts[:, 0]
-        return np.clip(0.05 + 0.15 * (x - 1.0) ** 2, 0.01, 0.99)
+    # the testbed's loss fields as functions; x - (-1) is x + 1 to the bit
+    fns = [lambda pts, c=c: np.clip(0.05 + 0.15 * (pts[:, 0] - c) ** 2, 0.01, 0.99)
+           for c in (1.0, -1.0)]
+    mc = analysis.generalized_entropy_mc(fns, betas, 2.0, [(-3.0, 3.0)],
+                                         n_draws=n_draws, seed=seed, mode="unweighted")
+    return abs(mc.value - grid_val) <= 3 * mc.std_error + bias, (grid_val, mc)
 
-    def f2(pts):
-        x = pts[:, 0]
-        return np.clip(0.05 + 0.15 * (x + 1.0) ** 2, 0.01, 0.99)
 
-    mc = analysis.generalized_entropy_mc([f1, f2], betas, 2.0, [(-3.0, 3.0)],
-                                         n_draws=40_000, seed=26, mode="unweighted")
-    gap = abs(mc.value - grid_val)
-    return gap <= 3 * mc.std_error + 1e-4, \
-        f"grid {grid_val:.6f} vs mc {mc.value:.6f} (se {mc.std_error:.2e})"
+def check_analysis_entropy_grid_vs_mc():
+    ok, (grid_val, mc) = entropy_grid_matches_mc(1201, 40_000, 26, 1e-4)
+    return ok, f"grid {grid_val:.6f} vs mc {mc.value:.6f} (se {mc.std_error:.2e})"
 
 
 def check_analysis_kl_testbed_monotone():
@@ -469,15 +496,19 @@ def check_analysis_sharpness():
 
 # --- pacbayes ----------------------------------------------------------------
 
+def bernoulli_kl_inversion_roundtrip(q, p):
+    """kl_inverse(q, kl(q, p)) gives p back, to 1e-9."""
+    err = abs(pacbayes.kl_inverse(q, pacbayes.bernoulli_kl(q, p)) - p)
+    return err <= 1e-9, err
+
+
 def check_pacbayes_bernoulli_roundtrip():
-    rng = np.random.default_rng(29)
-    worst = 0.0
-    for _ in range(200):
+    def draw(rng):
         q = float(rng.uniform(0.0, 0.9))
-        p = float(rng.uniform(q + 0.01, 0.99))
-        back = pacbayes.kl_inverse(q, pacbayes.bernoulli_kl(q, p))
-        worst = max(worst, abs(back - p))
-    return worst <= 1e-9, f"max round-trip error {worst:.2e}"
+        return q, float(rng.uniform(q + 0.01, 0.99))
+
+    return _seeded(29, 200, draw, bernoulli_kl_inversion_roundtrip,
+                   "max round-trip error {max:.2e}")
 
 
 def check_pacbayes_bound_monotone():
@@ -505,19 +536,25 @@ def check_pacbayes_dp_branch_continuity():
     return gap <= 1e-9, f"crossover gap {gap:.2e}"
 
 
-def check_pacbayes_gaussian_kl_mc():
-    rng_dim = 5
-    q = pacbayes.GaussianPosterior(mean=np.linspace(-1, 1, rng_dim), sigma=0.8)
-    p = pacbayes.GaussianPrior(lambda_p=1.3)
+def gaussian_kl_matches_mc(q, p, seed):
+    """kl_gaussians(q, p) is within 3 standard errors of the mean
+    log-density ratio over 100,000 draws from q."""
+    dim = q.mean.size
     closed = pacbayes.kl_gaussians(q, p)
-    rng = np.random.default_rng(30)
+    rng = np.random.default_rng(seed)
     n = 100_000
-    w = q.mean + q.sigma * rng.standard_normal((n, rng_dim))
-    log_q = (-0.5 * ((w - q.mean) / q.sigma) ** 2).sum(1) - rng_dim * math.log(q.sigma)
-    log_p = (-0.5 * (w / p.lambda_p) ** 2).sum(1) - rng_dim * math.log(p.lambda_p)
+    w = q.mean + q.sigma * rng.standard_normal((n, dim))
+    log_q = (-0.5 * ((w - q.mean) / q.sigma) ** 2).sum(1) - dim * math.log(q.sigma)
+    log_p = (-0.5 * (w / p.lambda_p) ** 2).sum(1) - dim * math.log(p.lambda_p)
     ratio = log_q - log_p
     mc, se = float(ratio.mean()), float(ratio.std(ddof=1) / math.sqrt(n))
-    ok = abs(mc - closed) <= 3 * se
+    return abs(mc - closed) <= 3 * se, (closed, mc, se)
+
+
+def check_pacbayes_gaussian_kl_mc():
+    ok, (closed, mc, se) = gaussian_kl_matches_mc(
+        pacbayes.GaussianPosterior(mean=np.linspace(-1, 1, 5), sigma=0.8),
+        pacbayes.GaussianPrior(lambda_p=1.3), 30)
     return ok, f"closed {closed:.5f} vs mc {mc:.5f} (3se {3 * se:.5f})"
 
 
@@ -548,17 +585,19 @@ def check_spectral_ft_decay():
     return ok, "log-slope -> -pi and |F| strictly decreasing"
 
 
+def parseval_identity(residual):
+    """The residual's energy is its DFT energy over n, to 1e-9 relative."""
+    n = len(residual)
+    lhs = float((residual ** 2).sum())
+    rhs = float((np.abs(spectral.residual_spectrum(residual, np.zeros(n))) ** 2).sum() / n)
+    err = abs(lhs - rhs) / max(lhs, 1e-300)
+    return err <= 1e-9, err
+
+
 def check_spectral_parseval():
-    rng = np.random.default_rng(31)
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.choice([64, 128, 256]))
-        res = rng.standard_normal(n)
-        spectrum = spectral.residual_spectrum(res, np.zeros(n))
-        lhs = float((res ** 2).sum())
-        rhs = float((np.abs(spectrum) ** 2).sum() / n)
-        worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-300))
-    return worst <= 1e-9, f"max parseval error {worst:.2e}"
+    return _seeded(31, 20, lambda rng: (
+        rng.standard_normal(int(rng.choice([64, 128, 256]))),), parseval_identity,
+        "max parseval error {max:.2e}")
 
 
 def check_spectral_band_separability():

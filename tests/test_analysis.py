@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lossmix import analysis, netcore
+from lossmix import analysis, netcore, verify
 from lossmix.analysis import (Grid, GridField, SupportError, boltzmann,
                               box_sharpness, default_kl_testbed,
-                              generalized_entropy, generalized_entropy_mc,
-                              gibbs_divergence, kl_divergence, scheme_kl_report,
-                              sharpness, sharpness_sweep)
-from lossmix.composite import BetaWeights
+                              generalized_entropy, gibbs_divergence, kl_divergence,
+                              scheme_kl_report, sharpness, sharpness_sweep)
+from lossmix.composite import VALUE_FLOOR, BetaWeights
+from lossmix.losses import CLAMP
 from lossmix.netcore import Batch, MLPSpec
 
 
@@ -47,14 +50,11 @@ class TestBoltzmann:
         assert np.argmax(dens) == 300
         np.testing.assert_allclose(dens, dens[::-1], atol=1e-12)
 
-    def test_normalization_random_fields(self):
-        rng = np.random.default_rng(0)
-        grid = line_grid(points=301)
-        for _ in range(25):
-            field = GridField(grid, rng.uniform(-2, 4, 301))
-            res = boltzmann(field, float(rng.uniform(0.2, 8)))
-            total = res.density.values.sum() * grid.cell_volume
-            assert abs(total - 1.0) <= 1e-12
+    @given(arrays(np.float64, st.integers(3, 301), elements=st.floats(-2.0, 4.0)),
+           st.floats(0.2, 8.0))
+    def test_normalization_random_fields(self, values, temperature):
+        field = GridField(line_grid(points=len(values)), values)
+        assert verify.densities_normalized(field, temperature)[0]
 
     def test_extreme_field_survives_shifting(self):
         grid = line_grid(points=101)
@@ -70,13 +70,10 @@ class TestKLDivergence:
         p = boltzmann(GridField(grid, grid.axis() ** 2), 1.0).density
         assert kl_divergence(p, p) == 0.0
 
-    def test_nonnegative_sweep(self):
-        rng = np.random.default_rng(1)
-        grid = line_grid(points=101)
-        for _ in range(100):
-            p = boltzmann(GridField(grid, rng.uniform(0, 3, 101)), 1.0).density
-            q = boltzmann(GridField(grid, rng.uniform(0, 3, 101)), 1.0).density
-            assert kl_divergence(p, q) >= 0.0
+    @given(arrays(np.float64, st.tuples(st.just(2), st.integers(3, 101)),
+                  elements=st.floats(0.0, 3.0)))
+    def test_nonnegative_sweep(self, fields):
+        assert verify.kl_nonnegative(line_grid(points=fields.shape[1]), *fields)[0]
 
     def test_support_violation(self):
         grid = line_grid(points=11)
@@ -111,10 +108,7 @@ class TestSchemeReport:
     def test_unweighted_divergence_monotone_on_testbed(self):
         report = scheme_kl_report(self.L1, self.L2, self.p_opt, self.betas,
                                   [1.0, 2.0, 3.0, 4.0])
-        d = report.modes["unweighted"].d_non
-        ps = sorted(d)
-        for a, b in zip(ps, ps[1:]):
-            assert d[b] <= d[a] + 1e-9
+        # the values themselves: verify's analysis.testbed_divergence_monotone_in_p
         assert report.modes["unweighted"].orderings["d_non_non_increasing_in_p"]
 
     def test_dd_dp_negative_on_testbed(self):
@@ -140,13 +134,12 @@ class TestSchemeReport:
 
 
 class TestPointwiseInequality:
-    def test_corollary_driver(self):
-        rng = np.random.default_rng(2)
-        for _ in range(1000):
-            l1 = rng.uniform(0.01, 0.99)
-            l2 = rng.uniform(0.01, 0.99)
-            p = float(rng.uniform(1.0, 6.0))
-            assert (l1 ** p + l2 ** p) ** (1 / p) <= l1 + l2 + 1e-12
+    # test_composite's domain: K in [1, 5], values up to -ln CLAMP, p in [1, 8]
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 64)),
+                  elements=st.floats(VALUE_FLOOR, -math.log(CLAMP))),
+           st.floats(1.0, 8.0))
+    def test_corollary_driver(self, terms, p):
+        assert verify.pointwise_norm_inequality(terms, p)[0]
 
 
 class TestGeneralizedEntropy:
@@ -180,21 +173,8 @@ class TestGeneralizedEntropy:
             assert s2 >= s1 - 1e-12
 
     def test_grid_vs_mc_within_three_se(self):
-        grid_val = generalized_entropy([self.L1, self.L2], self.betas, 2.0,
-                                       mode="unweighted")
-
-        def f1(pts):
-            x = pts[:, 0]
-            return np.clip(0.05 + 0.15 * (x - 1.0) ** 2, 0.01, 0.99)
-
-        def f2(pts):
-            x = pts[:, 0]
-            return np.clip(0.05 + 0.15 * (x + 1.0) ** 2, 0.01, 0.99)
-
-        mc = generalized_entropy_mc([f1, f2], self.betas, 2.0, [(-3.0, 3.0)],
-                                    n_draws=50_000, seed=4, mode="unweighted")
-        # the grid value carries its own quadrature bias; allow it on top
-        assert abs(mc.value - grid_val) <= 3 * mc.std_error + 1e-3
+        # the default 601-point grid's quadrature bias is larger than verify's
+        assert verify.entropy_grid_matches_mc(601, 50_000, 4, 1e-3)[0]
 
 
 class TestSharpness:

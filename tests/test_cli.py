@@ -46,10 +46,10 @@ def moons_train_config(epochs=2, schemes=None, seeds=None, extra=None):
 
 
 class TestVerifyCommand:
-    def test_clean_build_exits_zero(self, tmp_path, capsys):
-        code = run_cli(["verify", "--out", str(tmp_path)])
+    def test_clean_build_exits_zero(self, verify_run):
+        code, summary = verify_run
         assert code == 0
-        summary = json.loads((tmp_path / "verify_summary.json").read_text())
+        summary = json.loads(summary)
         assert summary["all_passed"] is True
         assert summary["n_invariants"] >= 30
 
@@ -61,9 +61,8 @@ class TestVerifyCommand:
         failing = [i["name"] for i in summary["invariants"] if not i["passed"]]
         assert "composite.gradient_matches_finite_differences" in failing
 
-    def test_summary_schema(self, tmp_path, capsys):
-        run_cli(["verify", "--out", str(tmp_path)])
-        summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    def test_summary_schema(self, verify_run):
+        summary = json.loads(verify_run[1])
         assert set(summary) == {"all_passed", "n_invariants", "invariants"}
         for item in summary["invariants"]:
             assert set(item) == {"name", "passed", "detail"}
@@ -508,6 +507,11 @@ SMALL_CONFIGS = {
     ("klsweep", "grid/lo", "-Infinity"),
     ("bounds", "bound/lambda", "1e400"),
     ("bounds", "posterior/sigma", "NaN"),
+    # an integer literal passes the parse hooks, but no float holds it
+    pytest.param("train", "train/learning_rate", "1" + "0" * 400,
+                 id="train-train/learning_rate-401-digit-integer"),
+    pytest.param("bounds", "bound/lambda", "-1" + "0" * 400,
+                 id="bounds-bound/lambda-401-digit-integer"),
 ])
 def test_non_finite_numbers_rejected_at_load(tmp_path, monkeypatch, capsys,
                                              command, path, literal):
@@ -523,6 +527,11 @@ def test_non_finite_numbers_rejected_at_load(tmp_path, monkeypatch, capsys,
     assert code == 1
     assert f"config number {literal} is not finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_integer_fields_take_any_integer():
+    doc = dict(SMALL_CONFIGS["train"], seeds=[10 ** 400])
+    assert cli._check(doc, cli.TRAIN_SCHEMA) == doc
 
 
 def result_files(root: Path) -> dict:

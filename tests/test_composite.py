@@ -3,16 +3,40 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lossmix import composite
+from lossmix import composite, verify
 from lossmix.composite import (VALUE_FLOOR, BetaWeights, Scheme, adaptive_betas,
                                composite_grad, composite_value,
                                constraint9_check, critical_p,
                                directional_curvature, dvalue_dp)
 from lossmix.losses import CLAMP
-from lossmix.netcore import finite_diff_grad
+
+# K terms in [1, 5], powers in [1, 8], term values from VALUE_FLOOR up to the
+# largest clamped cross-entropy. The 1e-12 tolerances are verify's. Above
+# about 1e3, one value's (v^p)^(1/p) alone can round off by more than 1e-12.
+MAX_VALUE = -math.log(CLAMP)
+powers = st.floats(1.0, 8.0)
+norm_lists = st.lists(st.floats(0.0, allow_infinity=False), min_size=1, max_size=5)
+
+
+@st.composite
+def compositions(draw):
+    """(values, simplex weights, p_lo <= p_hi) for a random K."""
+    k = draw(st.integers(1, 5))
+    values = draw(st.lists(st.floats(VALUE_FLOOR, MAX_VALUE), min_size=k, max_size=k))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    w += w.sum() == 0  # all zero weights stand for equal ones
+    p_lo, p_hi = sorted((draw(powers), draw(powers)))
+    return values, BetaWeights(tuple(w / w.sum())), p_lo, p_hi
+
+
+# verify's finite-difference domain: values in [0.1, 0.9], weights (b, 1 - b)
+# with b in [0.2, 0.8], either mode
+fd_values = st.lists(st.floats(0.1, 0.9), min_size=2, max_size=2).map(np.array)
+fd_betas = st.floats(0.2, 0.8).map(lambda b: BetaWeights((b, 1.0 - b)))
+modes = st.sampled_from(composite.MODES)
 
 
 class TestBetaWeights:
@@ -46,34 +70,10 @@ class TestValue:
         with pytest.raises(ValueError, match="below 1"):
             composite_value([0.2, 0.8], BetaWeights.uniform(2), 0.5)
 
-    def test_one_hot_reduction_sweep(self):
-        rng = np.random.default_rng(1)
-        for _ in range(1000):
-            vals = rng.uniform(0.02, 0.98, 3)
-            idx = int(rng.integers(0, 3))
-            p = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]))
-            got = composite_value(vals, BetaWeights.one_hot(3, idx), p)
-            assert abs(got - vals[idx]) <= 1e-12
-
-    def test_unweighted_monotone_down_and_subadditive(self):
-        rng = np.random.default_rng(3)
-        betas = BetaWeights.uniform(2)
-        for _ in range(1000):
-            vals = rng.uniform(0.02, 0.98, 2)
-            p_lo, p_hi = sorted(rng.uniform(1.0, 6.0, 2))
-            lo = composite_value(vals, betas, p_lo, "unweighted")
-            hi = composite_value(vals, betas, p_hi, "unweighted")
-            assert hi <= lo + 1e-12
-            assert hi <= vals.sum() + 1e-12
-
-    def test_bounds(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            vals = rng.uniform(0.02, 0.98, 3)
-            w = rng.uniform(0.05, 1.0, 3)
-            betas = BetaWeights(tuple(w / w.sum()))
-            got = composite_value(vals, betas, float(rng.uniform(1, 6)))
-            assert vals.min() - 1e-12 <= got <= vals.max() + 1e-12
+    @given(compositions(), st.integers(0, 4))
+    def test_one_hot_reduction_sweep(self, case, index):
+        values, _, p, _ = case
+        assert verify.one_hot_equals_single_loss(values, index % len(values), p)[0]
 
 
 class TestGrad:
@@ -88,20 +88,9 @@ class TestGrad:
         got = composite_grad([0.4, 0.6], [g1, g2], betas, 1.0)
         np.testing.assert_array_equal(got, 0.3 * g1 + 0.7 * g2)
 
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(5)
-        eye = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        for _ in range(100):
-            vals = rng.uniform(0.1, 0.9, 2)
-            b1 = rng.uniform(0.2, 0.8)
-            betas = BetaWeights((b1, 1.0 - b1))
-            p = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]))
-            mode = str(rng.choice(["weighted", "unweighted"]))
-            analytic = composite_grad(vals, eye, betas, p, mode)
-            numeric = finite_diff_grad(
-                lambda v: composite_value(v, betas, p, mode), vals, 1e-5)
-            for a, num in zip(analytic, numeric):
-                assert abs(a - num) <= 1e-8 * max(abs(num), abs(a))
+    @given(fd_values, fd_betas, st.floats(1.0, 4.0), modes)
+    def test_matches_finite_differences(self, values, betas, p, mode):
+        assert verify.gradient_matches_finite_differences(values, betas, p, mode)[0]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="gradients"):
@@ -171,12 +160,9 @@ class TestAdaptiveBetas:
         shuffled = np.asarray(adaptive_betas(norms[perm]).betas)
         np.testing.assert_allclose(shuffled, base[perm], atol=1e-15)
 
-    def test_largest_weight_tracks_smallest_norm(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            norms = rng.uniform(0, 10, int(rng.integers(2, 6)))
-            betas = adaptive_betas(norms)
-            assert int(np.argmax(betas.as_array())) == int(np.argmin(norms))
+    @given(norm_lists)
+    def test_largest_weight_tracks_smallest_norm(self, norms):
+        assert verify.adaptive_betas_on_simplex(norms)[0]
 
     def test_large_norms_stay_finite(self):
         betas = adaptive_betas([1e6, 1e6 + 1.0])
@@ -188,14 +174,10 @@ class TestDvalueDp:
         got = dvalue_dp([0.4, 0.4], BetaWeights.uniform(2), 2.0)
         assert got == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_finite_difference(self):
-        got = dvalue_dp([0.2, 0.8], BetaWeights.uniform(2), 2.0)
-
-        def f(p):
-            return composite_value([0.2, 0.8], BetaWeights.uniform(2), p)
-
-        num = (f(2.0 + 1e-6) - f(2.0 - 1e-6)) / 2e-6
-        assert got == pytest.approx(num, abs=1e-8)
+    @given(fd_values, fd_betas, st.floats(1.2, 4.0), modes)
+    @example([0.2, 0.8], BetaWeights.uniform(2), 2.0, "weighted")
+    def test_matches_finite_difference(self, values, betas, p, mode):
+        assert verify.dvalue_dp_matches_finite_differences(values, betas, p, mode)[0]
 
     def test_unweighted_negative(self):
         got = dvalue_dp([0.3, 0.4], BetaWeights.uniform(2), 2.0, "unweighted")
@@ -221,6 +203,11 @@ class TestConstraintNine:
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError, match="undefined critical"):
             critical_p(0.5, 0.0, -0.02)
+
+    @given(st.floats(0.05, 1.0), st.floats(0.1, 2.0), st.sampled_from([-1.0, 1.0]),
+           st.floats(0.01, 2.0))
+    def test_flips_at_critical_p(self, L, g, sign, h):
+        assert verify.constraint9_flips_at_critical_p(L, sign * g, -h)[0]
 
 
 def curvature(fn, params, direction, h=1e-4):
@@ -290,16 +277,14 @@ class TestDirectionalCurvature:
 
 
 class TestScheme:
-    def test_multi_is_nonlinear_p1(self):
-        # assert the identity at the objective level
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            vals = rng.uniform(0.05, 0.95, 2)
-            b1 = rng.uniform(0.1, 0.9)
-            betas = BetaWeights((b1, 1.0 - b1))
-            multi = composite_value(vals, betas, Scheme.multi().effective_p)
-            non1 = composite_value(vals, betas, Scheme.nonlinear(1.0).effective_p)
-            assert multi == non1
+    @given(compositions())
+    def test_multi_is_nonlinear_p1(self, case):
+        # assert the identity at the objective level, where both are the
+        # linear combination of the terms
+        values, betas, _, _ = case
+        assert (composite_value(values, betas, Scheme.multi().effective_p)
+                == composite_value(values, betas, Scheme.nonlinear(1.0).effective_p))
+        assert verify.p1_equals_linear_combination(values, betas)[0]
 
     def test_labels(self):
         assert Scheme.single(0).label() == "single[0]"
@@ -319,40 +304,17 @@ def test_mutation_hook_flips_gradient(monkeypatch):
     np.testing.assert_array_equal(mutated, -clean)
 
 
-# --- properties over random compositions ----------------------------------------
-# K terms in [1, 5], powers in [1, 8], term values from VALUE_FLOOR up to the
-# largest clamped cross-entropy. The 1e-12 tolerances are verify's. Above
-# about 1e3, one value's (v^p)^(1/p) alone can round off by more than 1e-12.
-MAX_VALUE = -math.log(CLAMP)
-powers = st.floats(1.0, 8.0)
-
-
-@st.composite
-def compositions(draw):
-    """(values, simplex weights, p_lo <= p_hi) for a random K."""
-    k = draw(st.integers(1, 5))
-    values = draw(st.lists(st.floats(VALUE_FLOOR, MAX_VALUE), min_size=k, max_size=k))
-    w = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
-             .filter(lambda w: sum(w) > 0))
-    w = np.array(w)
-    p_lo, p_hi = sorted((draw(powers), draw(powers)))
-    return values, BetaWeights(tuple(w / w.sum())), p_lo, p_hi
-
-
 @given(compositions())
 def test_weighted_mean_rises_and_norm_falls_in_p(case):
     values, betas, p_lo, p_hi = case
-    assert (composite_value(values, betas, p_hi, "weighted")
-            >= composite_value(values, betas, p_lo, "weighted") - 1e-12)
-    assert (composite_value(values, betas, p_hi, "unweighted")
-            <= composite_value(values, betas, p_lo, "unweighted") + 1e-12)
+    assert verify.weighted_power_mean_monotone_in_p(values, betas, p_lo, p_hi)[0]
+    assert verify.unweighted_norm_monotone_in_p(values, p_lo, p_hi)[0]
 
 
 @given(compositions())
 def test_weighted_value_within_term_range(case):
     values, betas, p, _ = case
-    got = composite_value(values, betas, p, "weighted")
-    assert min(values) - 1e-12 <= got <= max(values) + 1e-12
+    assert verify.value_between_min_and_max(values, betas, p)[0]
 
 
 @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
@@ -369,7 +331,7 @@ def test_power_sum_field_has_each_vectors_bits(case, p):
         assert mj.tobytes() == m[j].tobytes()
 
 
-@given(st.lists(st.floats(0.0, allow_infinity=False), min_size=1, max_size=5))
+@given(norm_lists)
 def test_adaptive_betas_keep_the_shifted_exp_formula(norms):
     n = np.asarray(norms)
     e = np.exp(-(n - n.min()))  # the formula adaptive_betas had before softmax

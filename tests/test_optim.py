@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossmix import composite, data, netcore, optim
 from lossmix.composite import (BetaWeights, Scheme, composite_grad, composite_value,
@@ -18,11 +20,23 @@ from lossmix.netcore import MLPSpec
 from lossmix.optim import TrainConfig, TrainingDiverged, optimizer_step, train
 
 
-def moons_setup(seed=0):
-    full = data.two_moons(240, 0.1, seed=seed)
+def moons_setup(seed=0, n=240, width=12, hidden="tanh", output_kind="softmax"):
+    full = data.two_moons(n, 0.1, seed=seed)
     train_set, val_set = data.train_val_split(full, 0.75, seed=seed)
-    spec = MLPSpec((2, 12, 2), hidden_activation="tanh", output_kind="softmax")
+    spec = MLPSpec((2, width, 2), hidden_activation=hidden, output_kind=output_kind)
     return spec, train_set, val_set
+
+
+def tone_setup(width, n_points, hidden="sigmoid", output_kind="sigmoid",
+               freqs=(1.0, 3.0, 5.0), amps=(1.0, 1.0, 1.0)):
+    """A 1-width-1 net and a tone target in [0.1, 0.9], the target as both
+    sets; criterion 08's net and target by default."""
+    spec = MLPSpec((1, width, 1), hidden_activation=hidden, output_kind=output_kind)
+    raw = data.freq_target_1d(list(freqs), list(amps), n_points)
+    y = raw.targets[:, 0]
+    ds = data.Dataset(inputs=raw.inputs,
+                      targets=(0.1 + 0.8 * (y - y.min()) / (y.max() - y.min()))[:, None])
+    return spec, ds, ds
 
 
 def epoch_final_params(monkeypatch):
@@ -282,19 +296,11 @@ def per_term_row(spec, params, data, val, config, betas, epoch, warmup):
         constraint9=int(satisfied))
 
 
-def sigmoid_regression_setup():
-    raw = data.freq_target_1d([1.0, 3.0], [1.0, 0.5], 48)
-    y = raw.targets[:, 0]
-    scaled = 0.1 + 0.8 * (y - y.min()) / (y.max() - y.min())
-    ds = data.Dataset(inputs=raw.inputs, targets=scaled[:, None], k_classes=0)
-    spec = MLPSpec((1, 10, 1), hidden_activation="sigmoid", output_kind="sigmoid")
-    return spec, ds, ds
-
-
 @pytest.mark.parametrize("net", ["softmax-classification", "sigmoid-regression"])
 def test_epoch_row_matches_per_term_curvature_loop(net, monkeypatch):
-    spec, train_set, val_set = (moons_setup(3) if net == "softmax-classification"
-                                else sigmoid_regression_setup())
+    spec, train_set, val_set = (
+        moons_setup(3) if net == "softmax-classification"
+        else tone_setup(10, 48, freqs=(1.0, 3.0), amps=(1.0, 0.5)))
     # at seed 4 every sigmoid-regression row satisfies constraint 9; seed 7
     # adds rows that do not
     seeds = (4,) if net == "softmax-classification" else (4, 7)
@@ -360,59 +366,97 @@ def test_save_run_layout(tmp_path):
 
 # --- stacked runs --------------------------------------------------------------
 
-def regression_setup(hidden="sigmoid", output_kind="linear"):
-    raw = data.freq_target_1d([1.0, 2.0], [1.0, 0.5], 50)
-    y = raw.targets[:, 0]
-    scaled = 0.1 + 0.8 * (y - y.min()) / (y.max() - y.min())
-    ds = data.Dataset(inputs=raw.inputs, targets=scaled[:, None], k_classes=0)
-    return MLPSpec((1, 10, 1), hidden_activation=hidden, output_kind=output_kind), ds, ds
+def stack_setup(task, n, seed, width, hidden, output_kind):
+    """(spec, train set, val set) of moons_setup, or of a two-tone target."""
+    if task == "moons":
+        return moons_setup(seed, n, width, hidden, output_kind)
+    return tone_setup(width, n, hidden, output_kind, (1.0, 2.0), (1.0, 0.5))
 
 
-def moons_net(hidden, output_kind, seed=0):
-    _, train_set, val_set = moons_setup(seed)
-    return MLPSpec((2, 10, 2), hidden_activation=hidden,
-                   output_kind=output_kind), train_set, val_set
+@st.composite
+def stacks(draw):
+    """stack_setup's arguments, shared hyperparameters and (scheme, seed) runs."""
+    task = draw(st.sampled_from(["moons", "tone"]))
+    # a softmax head needs two outputs, and the regression target has one
+    heads = [k for k in netcore.OUTPUT_KINDS if task == "moons" or k != "softmax"]
+    setup = (task, draw(st.integers(8, 40)), draw(st.integers(0, 3)),
+             draw(st.integers(1, 10)), draw(st.sampled_from(netcore.HIDDEN_ACTIVATIONS)),
+             draw(st.sampled_from(heads)))
+    terms = tuple(draw(st.lists(st.sampled_from([LossKind.CE, LossKind.MSE, LossKind.JSD]),
+                                min_size=1, max_size=3, unique=True)))
+    rules = [r for r in optim.BETA_RULES if r != "paper-max" or len(terms) == 2]
+    epochs = draw(st.integers(1, 2))
+    hyper = dict(
+        terms=terms, epochs=epochs, mode=draw(st.sampled_from(composite.MODES)),
+        optimizer=draw(st.sampled_from(optim.OPTIMIZERS)),
+        beta_rule=draw(st.sampled_from(rules)), batch_size=draw(st.integers(4, 48)),
+        warmup_epochs=draw(st.integers(0, epochs - 1)) if LossKind.CE in terms else 0,
+        noise_eps=draw(st.sampled_from([0.0, 1e-4, 1e-3])),
+        l2_reg=draw(st.sampled_from([0.0, 5e-4, 1e-3])))
+    if hyper["beta_rule"] == "fixed":
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(terms),
+                                   max_size=len(terms))))
+        hyper["fixed_betas"] = tuple(w / w.sum())
+    schemes = [*map(Scheme.single, range(len(terms))), Scheme.multi(),
+               Scheme.nonlinear(2.5)]
+    runs = draw(st.lists(st.tuples(st.sampled_from(schemes), st.integers(0, 3)),
+                         min_size=1, max_size=4))
+    return setup, hyper, runs
 
 
-# each case: (spec, train set, val set), shared hyperparameters; the moons
-# sets have 180 training rows, so a minibatch of 32 leaves an uneven 20
-STACK_CASES = {
-    "softmax-tanh-adam-softmax-rule-jsd-warmup-noise-l2": (
-        lambda: moons_net("tanh", "softmax"),
-        dict(optimizer="adam", beta_rule="softmax", warmup_epochs=1,
-             terms=(LossKind.CE, LossKind.MSE, LossKind.JSD),
-             noise_eps=1e-4, l2_reg=5e-4)),
-    "sigmoid-relu-momentum-paper-max": (
-        lambda: moons_net("relu", "sigmoid", seed=1),
-        dict(optimizer="momentum", beta_rule="paper-max", learning_rate=0.05)),
-    "linear-sigmoid-sgd-fixed-jsd": (
-        regression_setup,
-        dict(optimizer="sgd", beta_rule="fixed", fixed_betas=(0.7, 0.3),
-             terms=(LossKind.MSE, LossKind.JSD), learning_rate=0.2,
-             batch_size=16, l2_reg=1e-3)),
-    "sigmoid-tanh-adam-softmax-rule-unweighted": (
-        lambda: regression_setup("tanh", "sigmoid"),
-        dict(optimizer="adam", mode="unweighted", batch_size=12, noise_eps=1e-3,
-             terms=(LossKind.MSE, LossKind.CE, LossKind.JSD))),
-}
 STACK_SCHEMES = [Scheme.single(0), Scheme.single(1), Scheme.multi(),
                  Scheme.nonlinear(2.5)]
+STACK_RUNS = [(s, seed) for s in STACK_SCHEMES for seed in (1, 2)]
+
+# each case: stack_setup's arguments and shared hyperparameters, trained as
+# STACK_RUNS; the moons sets have 180 training rows, so a minibatch of 32
+# leaves an uneven 20
+STACK_CASES = {
+    "softmax-tanh-adam-softmax-rule-jsd-warmup-noise-l2": (
+        ("moons", 240, 0, 10, "tanh", "softmax"),
+        dict(epochs=4, optimizer="adam", beta_rule="softmax", warmup_epochs=1,
+             terms=(LossKind.CE, LossKind.MSE, LossKind.JSD), noise_eps=1e-4,
+             l2_reg=5e-4)),
+    "sigmoid-relu-momentum-paper-max": (
+        ("moons", 240, 1, 10, "relu", "sigmoid"),
+        dict(epochs=4, optimizer="momentum", beta_rule="paper-max", learning_rate=0.05)),
+    "linear-sigmoid-sgd-fixed-jsd": (
+        ("tone", 50, 0, 10, "sigmoid", "linear"),
+        dict(epochs=4, optimizer="sgd", beta_rule="fixed", fixed_betas=(0.7, 0.3),
+             terms=(LossKind.MSE, LossKind.JSD), learning_rate=0.2, batch_size=16,
+             l2_reg=1e-3)),
+    "sigmoid-tanh-adam-softmax-rule-unweighted": (
+        ("tone", 50, 0, 10, "tanh", "sigmoid"),
+        dict(epochs=4, optimizer="adam", mode="unweighted", batch_size=12,
+             noise_eps=1e-3, terms=(LossKind.MSE, LossKind.CE, LossKind.JSD))),
+}
 
 
-@pytest.mark.parametrize("case", list(STACK_CASES))
-def test_stacked_runs_match_runs_trained_alone(case):
-    make, hyper = STACK_CASES[case]
-    spec, train_set, val_set = make()
-    base = TrainConfig(scheme=Scheme.multi(), epochs=4, **hyper)
-    configs = [replace(base, scheme=s, seed=seed)
-               for s in STACK_SCHEMES for seed in (1, 2)]
+def assert_stack_matches_runs_alone(setup, hyper, runs):
+    spec, train_set, val_set = stack_setup(*setup)
+    base = TrainConfig(scheme=Scheme.multi(), **hyper)
+    configs = [replace(base, scheme=s, seed=seed) for s, seed in runs]
     assert optim.stack_size(spec, train_set, val_set) >= len(configs)
     stacked = train(spec, train_set, val_set, configs)
     for cfg, record in zip(configs, stacked, strict=True):
         alone = train(spec, train_set, val_set, [cfg])[0]
-        assert (record.config, record.stack_size, alone.stack_size) == (cfg, 8, 1)
+        assert (record.config, record.stack_size, alone.stack_size) == (cfg, len(configs), 1)
         assert record.to_csv_text() == alone.to_csv_text()
-        assert np.array_equal(record.final_params, alone.final_params)
+        assert record.final_params.tobytes() == alone.final_params.tobytes()
+
+
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stacked_runs_match_runs_trained_alone(case):
+    setup, hyper = STACK_CASES[case]
+    assert_stack_matches_runs_alone(setup, hyper, STACK_RUNS)
+
+
+# each example trains every run twice, so this one test takes fewer than the
+# profile's examples
+@settings(max_examples=10)
+@given(stacks())
+def test_drawn_stacks_match_runs_trained_alone(case):
+    assert_stack_matches_runs_alone(*case)
 
 
 def test_lone_config_is_a_one_run_stack():
@@ -443,19 +487,9 @@ def forward_stack_heights(monkeypatch):
     return heights
 
 
-def tone_setup(width, n_points):
-    """The criterion-08 net and target at a given width and grid size."""
-    spec = MLPSpec((1, width, 1), hidden_activation="sigmoid", output_kind="sigmoid")
-    raw = data.freq_target_1d([1.0, 3.0, 5.0], [1.0, 1.0, 1.0], n_points)
-    y = raw.targets[:, 0]
-    ds = data.Dataset(inputs=raw.inputs,
-                      targets=(0.1 + 0.8 * (y - y.min()) / (y.max() - y.min()))[:, None])
-    return spec, ds
-
-
 def test_spectral_shape_trains_one_run_at_a_time(monkeypatch):
     # the criterion-08 net: 256 rows through a width-200 layer
-    spec, ds = tone_setup(200, 256)
+    spec, ds, _ = tone_setup(200, 256)
     assert optim.stack_size(spec, ds, ds) == 1
     heights = forward_stack_heights(monkeypatch)
     base = TrainConfig(scheme=Scheme.multi(), epochs=1, batch_size=256)
@@ -533,7 +567,7 @@ def test_rows_false_hands_the_callback_the_same_bits(lone, setup, monkeypatch):
     # each epoch's predictions on a record without rows, the reused capture
     # included, are the bits of a forward at the epoch's final parameters
     width, n_points, batch_size, tanh_widths = CAPTURE_SETUPS[setup]
-    spec, ds = tone_setup(width, n_points)
+    spec, ds, _ = tone_setup(width, n_points)
     if tanh_widths is not None:
         spec = MLPSpec(tanh_widths, hidden_activation="tanh", output_kind="linear")
     base = TrainConfig(scheme=Scheme.nonlinear(2.0), epochs=6, batch_size=batch_size,
@@ -593,7 +627,7 @@ def test_divergence_without_rows_names_the_same_run():
 
 def test_rows_false_checks_the_capture_predictions(monkeypatch):
     # the last epoch has no next step to catch non-finite predictions
-    spec, ds = tone_setup(8, 64)
+    spec, ds, _ = tone_setup(8, 64)
     base = TrainConfig(scheme=Scheme.multi(), epochs=1, batch_size=64)
     forward = netcore.forward
 
@@ -630,7 +664,7 @@ def test_full_batch_capture_of_a_fan_in_two_net_is_a_full_forward(monkeypatch):
 def test_rows_false_names_a_reused_capture_at_its_own_epoch(monkeypatch):
     # a full batch: epoch 2's capture runs inside epoch 3's step, and is
     # still checked first and named at epoch 2
-    spec, ds = tone_setup(8, 37)
+    spec, ds, _ = tone_setup(8, 37)
     base = TrainConfig(scheme=Scheme.multi(), epochs=4, batch_size=37)
     cached = netcore._forward_cache
     captures = []

@@ -3,8 +3,10 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lossmix import data, netcore, optim, pacbayes
+from lossmix import data, netcore, optim, pacbayes, verify
 from lossmix.losses import LossKind, loss_value
 from lossmix.netcore import MLPSpec
 from lossmix.pacbayes import (BoundParams, GaussianPosterior, GaussianPrior,
@@ -38,20 +40,8 @@ class TestGaussianKL:
         assert kl_gaussians(q, p) == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_mc_oracle(self):
-        d = 4
-        q = GaussianPosterior(mean=np.linspace(-0.5, 1.0, d), sigma=0.7)
-        p = GaussianPrior(lambda_p=1.2)
-        closed = kl_gaussians(q, p)
-        rng = np.random.default_rng(0)
-        n = 100_000
-        w = q.mean + q.sigma * rng.standard_normal((n, d))
-        log_ratio = ((-0.5 * ((w - q.mean) / q.sigma) ** 2).sum(1)
-                     - d * math.log(q.sigma)
-                     - ((-0.5 * (w / p.lambda_p) ** 2).sum(1)
-                        - d * math.log(p.lambda_p)))
-        mc = float(log_ratio.mean())
-        se = float(log_ratio.std(ddof=1) / math.sqrt(n))
-        assert abs(mc - closed) <= 3 * se
+        q = GaussianPosterior(mean=np.linspace(-0.5, 1.0, 4), sigma=0.7)
+        assert verify.gaussian_kl_matches_mc(q, GaussianPrior(lambda_p=1.2), 0)[0]
 
 
 class TestEmpiricalRisk:
@@ -148,21 +138,7 @@ class TestBounds:
         above = dp_pac_bound(1.0, BoundParams(lam=1.0, l_max=1.0, delta=delta,
                                               m=m, eps_dp=eps_star * 2.0))
         assert above > below  # the privacy branch takes over
-        near_lo = dp_pac_bound(1.0, BoundParams(lam=1.0, l_max=1.0, delta=delta,
-                                                m=m, eps_dp=eps_star * (1 - 1e-9)))
-        near_hi = dp_pac_bound(1.0, BoundParams(lam=1.0, l_max=1.0, delta=delta,
-                                                m=m, eps_dp=eps_star * (1 + 1e-9)))
-        assert abs(near_hi - near_lo) <= 1e-9
-
-    def test_dp_monotone(self):
-        kls = np.linspace(0, 20, 10)
-        params = BoundParams(lam=1.0, l_max=1.0, delta=0.1, m=100)
-        bounds = [dp_pac_bound(k, params) for k in kls]
-        assert all(b > a for a, b in zip(bounds, bounds[1:]))
-        ms = [10, 100, 1000]
-        by_m = [dp_pac_bound(5.0, BoundParams(lam=1.0, l_max=1.0, delta=0.1, m=m))
-                for m in ms]
-        assert all(b < a for a, b in zip(by_m, by_m[1:]))
+        # continuity at eps_star: verify's pacbayes.dp_bound_branch_continuous
 
 
 class TestBernoulliKL:
@@ -176,6 +152,12 @@ class TestBernoulliKL:
     def test_zero_risk_closed_form(self):
         assert kl_inverse(0.0, 0.1) == pytest.approx(0.09516258196404048,
                                                      abs=1e-9)
+
+    # verify's domain: q in [0, 0.9] and p in [q + 0.01, 0.99]
+    @given(st.floats(0.0, 0.9).flatmap(
+        lambda q: st.tuples(st.just(q), st.floats(q + 0.01, 0.99))))
+    def test_inversion_roundtrip(self, qp):
+        assert verify.bernoulli_kl_inversion_roundtrip(*qp)[0]
 
     def test_inverse_at_least_q(self):
         rng = np.random.default_rng(13)

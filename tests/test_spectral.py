@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lossmix import netcore, spectral
+from lossmix import netcore, spectral, verify
 from lossmix.optim import TrainConfig
 from lossmix.composite import Scheme
 from lossmix.spectral import (SigmoidUnit, SpectralDomainError,
@@ -59,14 +62,11 @@ class TestResidualSpectrum:
         freqs = np.minimum(np.arange(n), n - np.arange(n))
         assert energy[freqs == k].sum() / energy.sum() > 0.999
 
-    def test_parseval(self):
-        rng = np.random.default_rng(0)
-        for n in (64, 128, 256):
-            res = rng.standard_normal(n)
-            spectrum = residual_spectrum(res, np.zeros(n))
-            lhs = float((res ** 2).sum())
-            rhs = float((np.abs(spectrum) ** 2).sum() / n)
-            assert abs(lhs - rhs) / lhs <= 1e-9
+    # float32 values, so that no square underflows below float64's normal range
+    @given(arrays(np.float64, st.integers(1, 256),
+                  elements=st.floats(-10.0, 10.0, width=32)))
+    def test_parseval(self, residual):
+        assert verify.parseval_identity(residual)[0]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -131,17 +131,6 @@ class TestFrequencyCapture:
             frequency_capture([np.sin(x)], np.sin(x), [(120.0, 200.0)], 0.2)
         with pytest.raises(ValueError, match="overlap"):
             frequency_capture([np.sin(x)], np.sin(x), [(0.0, 3.0), (2.0, 5.0)], 0.2)
-
-    def test_band_separability(self):
-        # adding a captured band's exact component does not disturb the
-        # other bands' measurements
-        x = self.grid()
-        target = np.sin(x) + np.sin(5 * x)
-        bands = default_bands([1, 5])
-        with_tone = frequency_capture([np.sin(x)], target, bands, 0.2)
-        without = frequency_capture([np.zeros_like(x)], target, bands, 0.2)
-        assert with_tone.rel_errors[0, 1] == pytest.approx(
-            without.rel_errors[0, 1], abs=1e-12)
 
 
 class TestSchemeCompare:
