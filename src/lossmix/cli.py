@@ -9,7 +9,8 @@ a number field an integer no float holds, such as 1 followed by 400 zeros
 (an integer field takes any integer). A number with a zero fraction, such
 as 3.0, in an integer field is read as the integer 3.
 Every output directory is named by the SHA-256 of the config as parsed, so
-reruns land in the same place with the same bytes.
+reruns land in the same place with the same bytes: every seed is a config
+key, and no flag (--config, --out, train's --jobs) changes a result.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure,
 3 invariant failure.
@@ -110,7 +111,6 @@ _BOUND_SCHEMA = {
         "lambda": {"type": "number"},
         "l_max": {"type": "number", "exclusiveMinimum": 0},
         "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "m": {"type": "integer", "minimum": 2},
         "eps_dp": {"type": "number", "minimum": 0},
     },
     "required": ["lambda", "l_max", "delta"],
@@ -354,9 +354,9 @@ def _check_distinct(field: str, values) -> None:
 
 
 def _bound_params_from(doc: dict, m: int) -> pacbayes.BoundParams:
+    """The bound block's parameters for a training set of m points."""
     return pacbayes.BoundParams(lam=doc["lambda"], l_max=doc["l_max"],
-                                delta=doc["delta"], m=doc.get("m", m),
-                                eps_dp=doc.get("eps_dp", 0.0))
+                                delta=doc["delta"], m=m, eps_dp=doc.get("eps_dp", 0.0))
 
 
 def _write_json(path: Path, doc: dict, digest: str | None = None) -> Path:
@@ -403,31 +403,30 @@ def cmd_train(args) -> int:
     train_set, val_set = _dataset_from(config["dataset"])
     _check_widths(spec, train_set)
     schemes = [_scheme_from(s) for s in config["schemes"]]
-    seeds = ([args.seed_override] if args.seed_override is not None
-             else list(config["seeds"]))
+    seeds = config["seeds"]
     # each run writes <scheme>-seed<seed>, so a repeat would overwrite a run
     _check_distinct("schemes", [s.label() for s in schemes])
     _check_distinct("seeds", seeds)
 
     configs = [optim.TrainConfig(scheme=scheme, seed=seed, **config.get("train", {}))
                for scheme in schemes for seed in seeds]
-
-    def save(record):
-        cfg = record.config
-        return optim.save_run(out / f"{_slug(cfg.scheme)}-seed{cfg.seed}", record, digest)
-
+    run_dirs = [out / f"{_slug(c.scheme)}-seed{c.seed}" for c in configs]
+    for run_dir in run_dirs:
+        if len(run_dir.name) > 255:  # an ASCII name, one byte a character
+            raise ConfigError(f"config field seeds: run name {run_dir.name[:32]}... "
+                              f"is longer than a file name's 255 bytes")
     try:
         records = optim.train(spec, train_set, val_set, configs)
     except optim.TrainingDiverged as exc:
-        for record in exc.finished:
-            save(record)
-        run_dir = save(exc.record)
+        for run_dir, record in zip(run_dirs, exc.finished):
+            optim.save_run(run_dir, record, digest)
+        run_dir = optim.save_run(run_dirs[exc.run], exc.record, digest)
         _write_json(run_dir / "failure.json",
                     {"run": run_dir.name, "epoch": exc.epoch, "message": str(exc)})
         print(f"runtime error: {exc}; partial trajectory in {run_dir}", file=sys.stderr)
         return EXIT_RUNTIME
-    for record in records:
-        save(record)
+    for run_dir, record in zip(run_dirs, records, strict=True):
+        optim.save_run(run_dir, record, digest)
     print(f"{len(records)} runs written under {out}")
     return EXIT_OK
 
@@ -459,8 +458,7 @@ def cmd_spectral(args) -> int:
     target = spectral.SpectralTarget(frequencies=freqs, amplitudes=amps,
                                      n_points=config.get("n_points", 256))
     schemes = [_scheme_from(s) for s in config["schemes"]]
-    seed = (args.seed_override if args.seed_override is not None
-            else config.get("seed", 1))
+    seed = config.get("seed", 1)
     # spectral_scheme_compare sets each run's scheme, seed, epochs and batch
     base = optim.TrainConfig(scheme=Scheme.multi(),
                              learning_rate=config.get("learning_rate", 0.02),
@@ -480,8 +478,7 @@ def cmd_bounds(args) -> int:
     spec = _model_from(config["model"])
     train_set, val_set = _dataset_from(config["dataset"])
     _check_widths(spec, train_set)
-    seed = (args.seed_override if args.seed_override is not None
-            else config.get("seed", 0))
+    seed = config.get("seed", 0)
     post_doc = config["posterior"]
     # built before any training, so a bad bound or prior block fails up front
     prior = pacbayes.GaussianPrior(lambda_p=config["prior"]["lambda_p"])
@@ -491,7 +488,12 @@ def cmd_bounds(args) -> int:
         if not path.exists():
             raise ConfigError(f"config field posterior/params_file: "
                               f"missing model file {path}")
-        mean = np.load(path)["params"]
+        try:
+            with np.load(path) as archive:  # a .npy gives an array: a TypeError
+                mean = archive["params"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"config field posterior/params_file: no params "
+                              f"array in {path}: {exc}") from exc
     else:
         scheme = _scheme_from(config.get("scheme", {"kind": "multi"}))
         cfg = optim.TrainConfig(scheme=scheme, seed=seed, **config.get("train", {}))
@@ -535,9 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--jobs", type=_positive_int, default=1,
                              help="kept for old command lines; a config's runs "
                                   "train as stacks in one process")
-        if name in ("train", "spectral", "bounds"):
-            cmd.add_argument("--seed-override", type=int, default=None,
-                             help="replace every seed in the config")
     return parser
 
 

@@ -241,12 +241,13 @@ def _hidden(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _hidden_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _hidden_deriv(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, from its output a = _hidden(z, kind)."""
     if kind == "sigmoid":
         return a * (1.0 - a)
     if kind == "tanh":
         return 1.0 - a * a
-    return (z > 0.0).astype(np.float64)
+    return (a > 0.0).astype(np.float64)  # max(z, 0) > 0 exactly where z > 0
 
 
 def elementwise_layers(spec: MLPSpec) -> int:
@@ -267,7 +268,7 @@ def elementwise_layers(spec: MLPSpec) -> int:
 
 def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
                    start: int = 0):
-    """Forward pass keeping pre/post activations for a later backward pass.
+    """Forward pass keeping each layer's activations for a later backward pass.
 
     With start > 0, inputs are the activations entering layer start and the
     pass runs the layers from there on; its cache then covers only those
@@ -285,13 +286,11 @@ def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
         raise ShapeError(f"{inputs.shape[0]} input blocks for parameters "
                          f"of shape {lead + (spec.n_params,)}")
     acts = [inputs]
-    zs = []
     a = inputs
     n_layers = len(layers)
     for i in range(start, n_layers):
         w, b = layers[i]
         z = (a * w if w.shape[-2] == 1 else a @ w) + b[..., None, :]
-        zs.append(z)
         if i < n_layers - 1:
             a = _hidden(z, spec.hidden_activation)
         elif spec.output_kind == "softmax":
@@ -301,7 +300,7 @@ def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
         else:
             a = z
         acts.append(a)
-    return a, (layers, acts, zs)
+    return a, (layers, acts)
 
 
 def forward(spec: MLPSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
@@ -312,16 +311,15 @@ def forward(spec: MLPSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
 
 def _hidden_derivs(spec: MLPSpec, cache) -> list[np.ndarray]:
     """Activation derivative of each hidden layer, first hidden layer first."""
-    layers, acts, zs = cache
-    return [_hidden_deriv(zs[i - 1], acts[i], spec.hidden_activation)
-            for i in range(1, len(layers))]
+    layers, acts = cache
+    return [_hidden_deriv(a, spec.hidden_activation) for a in acts[1:len(layers)]]
 
 
 def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
                          derivs: list[np.ndarray]) -> np.ndarray:
     """Backward pass through a forward cache. derivs is _hidden_derivs of
     that cache, computed by the caller so several backward passes share it."""
-    layers, acts, _ = cache
+    layers, acts = cache
     preds = acts[-1]
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if output_grad.shape != preds.shape:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import copy
 import dataclasses
@@ -43,6 +44,15 @@ def moons_train_config(epochs=2, schemes=None, seeds=None, extra=None):
     if extra:
         doc.update(extra)
     return doc
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """For a config that must fail at load time, before any training."""
+    def fail(*args, **kwargs):
+        raise AssertionError("trained a config that should fail at load time")
+
+    monkeypatch.setattr(optim, "train", fail)
 
 
 class TestVerifyCommand:
@@ -150,14 +160,14 @@ class TestTrainCommand:
         assert repeat in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_seed_override(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, moons_train_config(seeds=[5, 6]))
-        out = str(tmp_path / "o")
-        code = run_cli(["train", "--config", cfg, "--out", out,
-                        "--seed-override", "9"])
-        assert code == 0
-        dirs = [p.name for p in (tmp_path / "o").rglob("*seed*")]
-        assert all("seed9" in d for d in dirs)
+    def test_run_name_too_long_for_a_file_rejected_before_training(
+            self, tmp_path, no_training, capsys):
+        # any integer is a seed, but <scheme>-seed<seed> must be a file name
+        cfg = write_config(tmp_path, moons_train_config(seeds=[1, 10 ** 400]))
+        code = run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config field seeds: run name multi-seed1000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_stacked_runs_match_one_config_per_call(self, tmp_path, capsys):
         schemes = [{"kind": "single", "index": 0}, {"kind": "multi"},
@@ -199,6 +209,26 @@ class TestTrainCommand:
         assert "seed 3" in failure["message"]
         rows = (failure_path.parent / "trajectory.csv").read_text().splitlines()[1:]
         assert failure["epoch"] > 0 and len(rows) == failure["epoch"]
+
+    def test_divergence_of_a_later_run_writes_its_own_directory(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        # the run named by the exception's index gets failure.json; the runs
+        # of the stacks before it are written in full under their own names
+        train = optim.train
+
+        def second_diverges(spec, data, val, configs, rows=True):
+            exc = optim.TrainingDiverged("non-finite loss at epoch 1",
+                                         optim.TrajectoryRecord(configs[1], 1), 1, 1)
+            exc.finished = train(spec, data, val, configs[:1], rows)
+            raise exc
+
+        monkeypatch.setattr(optim, "train", second_diverges)
+        cfg = write_config(tmp_path, moons_train_config(seeds=[5, 6]))
+        assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        (failure,) = (tmp_path / "o").rglob("failure.json")
+        assert json.loads(failure.read_text())["run"] == failure.parent.name == "multi-seed6"
+        (params,) = (tmp_path / "o").rglob("params.npz")
+        assert params.parent.name == "multi-seed5"
 
     def test_outputs_carry_config_hash(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, moons_train_config())
@@ -344,6 +374,7 @@ class TestBoundsCommand:
         path = next((tmp_path / "o").rglob("certificate.json"))
         cert = json.loads(path.read_text())
         assert cert["risk_upper"] >= cert["emp_risk"]
+        assert cert["m"] == 45  # the training set: 0.75 of the 60 points
         # recorded when the posterior mean was still trained with telemetry rows
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "d0a038555249e1a2eb7d21594e4f0695a3f40a7a9232790e0ccaeeed6e022d41")
@@ -368,6 +399,33 @@ class TestBoundsCommand:
         code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "model/layer_widths" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bound_m_is_unknown_key(self, tmp_path, no_training, capsys):
+        # m is the training set's size, never a config value
+        doc = self.bounds_config()
+        doc["bound"]["m"] = 100000
+        cfg = write_config(tmp_path, doc)
+        code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config field bound: Additional properties are not allowed ('m' was " \
+            "unexpected)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, save", [
+        ("model.npz", lambda path: np.savez(path, weights=np.zeros(3))),
+        ("model.npy", lambda path: np.save(path, np.zeros(3))),
+        ("model.txt", lambda path: path.write_text("not an array")),
+    ], ids=["npz-without-params", "npy", "text"])
+    def test_model_file_without_params_is_config_error(self, tmp_path, no_training,
+                                                       capsys, name, save):
+        save(tmp_path / name)
+        cfg = write_config(tmp_path, self.bounds_config(
+            {"params_file": str(tmp_path / name)}))
+        code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config field posterior/params_file: no params array in" in \
+            capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_model_file(self, tmp_path, capsys):
@@ -398,6 +456,10 @@ class TestBoundsCommand:
     ["bounds", "--config", "c.json", "--jobs", "2"],
     ["train", "--config", "c.json", "--jobs", "0"],
     ["nosuchcommand"],
+    # every seed comes from the config its digest names
+    ["train", "--config", "c.json", "--seed-override", "3"],
+    ["spectral", "--config", "c.json", "--seed-override", "3"],
+    ["bounds", "--config", "c.json", "--seed-override", "3"],
 ])
 def test_usage_error_exits_one(argv, capsys):
     # flags a command would ignore are refused, and a bad command line is a
@@ -406,6 +468,18 @@ def test_usage_error_exits_one(argv, capsys):
         run_cli(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_flags_are_config_out_and_jobs():
+    # a flag that set a seed or a bound parameter would change results the
+    # config's digest does not name
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {f for a in cmd._actions for f in a.option_strings} - {"-h", "--help"}
+             for name, cmd in sub.choices.items()}
+    assert flags == {"verify": {"--out"}, "train": {"--config", "--out", "--jobs"},
+                     "klsweep": {"--config", "--out"}, "spectral": {"--config", "--out"},
+                     "bounds": {"--config", "--out"}}
 
 
 def test_only_spectral_loads_scipy_and_only_expits_extension(tmp_path):

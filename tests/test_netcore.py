@@ -91,7 +91,7 @@ class TestForward:
         wide, x, params = spectral_net()
         (w0, b0), _ = netcore.unpack_params(wide, params)
         z = x @ w0 + b0
-        _, (_, acts, _) = netcore._forward_cache(wide, params, x)
+        _, (_, acts) = netcore._forward_cache(wide, params, x)
         assert np.array_equal(acts[1], expit(z))
         assert not np.array_equal(1.0 / (1.0 + np.exp(-z)), expit(z))
 
@@ -263,9 +263,9 @@ def test_forward_from_a_later_layer_gives_the_full_pass_bits():
     spec = MLPSpec((1, 1, 8, 2), hidden_activation="tanh", output_kind="softmax")
     params = np.stack([netcore.init_params(spec, s, 1.5) for s in (1, 2)])
     x = np.linspace(-2.0, 2.0, 13)[:, None]
-    preds, (_, acts, _) = netcore._forward_cache(spec, params, x)
+    preds, (_, acts) = netcore._forward_cache(spec, params, x)
     for start in (1, 2):
-        tail, (_, tail_acts, _) = netcore._forward_cache(spec, params, acts[start], start)
+        tail, (_, tail_acts) = netcore._forward_cache(spec, params, acts[start], start)
         assert np.array_equal(tail, preds) and len(tail_acts) == 4 - start
     with pytest.raises(ShapeError, match="layer 2 expects input dim 8"):
         netcore._forward_cache(spec, params, acts[1], 2)
