@@ -148,7 +148,7 @@ class KLModeReport:
     d_single_2: float
     d_multi: float
     d_non: dict
-    dd_dp: dict
+    dD_dp: dict
     kl_single_1: float
     kl_single_2: float
     kl_multi: float
@@ -157,9 +157,8 @@ class KLModeReport:
     practical_range_ok: bool
 
     def to_json_dict(self) -> dict:
-        """The fields, with dd_dp named dD_dp and every p key as %g text."""
+        """The fields, with every p key as %g text."""
         doc = asdict(self)
-        doc["dD_dp"] = doc.pop("dd_dp")
         for key in ("d_non", "dD_dp", "kl_non"):
             doc[key] = {f"{p:g}": v for p, v in doc[key].items()}
         return doc
@@ -197,46 +196,38 @@ def scheme_kl_report(L1: GridField, L2: GridField, P_opt: GridField,
     def kl_of(field: GridField) -> float:
         return kl_divergence(P_opt, boltzmann(field, 1.0).density)
 
+    p_list = [float(p) for p in p_list]
+    singles = {"d_single_1": d_of(L1), "d_single_2": d_of(L2),
+               "kl_single_1": kl_of(L1), "kl_single_2": kl_of(L2)}
+    kl_best_single = min(singles["kl_single_1"], singles["kl_single_2"])
     modes = {}
     for mode in ("weighted", "unweighted"):
         def objective(p: float) -> GridField:
             return GridField(L1.grid, _objective([L1.values, L2.values], betas, p, mode))
 
         multi = objective(1.0)
-        d_non, kl_non, dd_dp = {}, {}, {}
+        kl_multi = kl_of(multi)
+        d_non, kl_non, dD_dp = {}, {}, {}
         for p in p_list:
-            non = objective(float(p))
-            d_non[float(p)] = d_of(non)
-            kl_non[float(p)] = kl_of(non)
-            hi = d_of(objective(float(p) + P_STEP))
-            lo_p = max(float(p) - P_STEP, 1.0)
-            lo = d_of(objective(lo_p))
-            dd_dp[float(p)] = (hi - lo) / (float(p) + P_STEP - lo_p)
-
-        report = KLModeReport(
-            mode=mode,
-            p_list=[float(p) for p in p_list],
-            d_single_1=d_of(L1), d_single_2=d_of(L2), d_multi=d_of(multi),
-            d_non=d_non, dd_dp=dd_dp,
-            kl_single_1=kl_of(L1), kl_single_2=kl_of(L2), kl_multi=kl_of(multi),
-            kl_non=kl_non,
-            orderings={},
-            practical_range_ok=in_range,
-        )
+            non = objective(p)
+            d_non[p] = d_of(non)
+            kl_non[p] = kl_of(non)
+            lo_p = max(p - P_STEP, 1.0)
+            dD_dp[p] = ((d_of(objective(p + P_STEP)) - d_of(objective(lo_p)))
+                        / (p + P_STEP - lo_p))
         ps = sorted(d_non)
-        report.orderings = {
-            "kl_multi_below_both_singles": bool(
-                report.kl_multi < report.kl_single_1
-                and report.kl_multi < report.kl_single_2),
-            "kl_non_below_both_singles_at_max_p": bool(
-                kl_non[ps[-1]] < report.kl_single_1
-                and kl_non[ps[-1]] < report.kl_single_2),
-            "d_non_non_increasing_in_p": bool(
-                all(d_non[b] <= d_non[a] + 1e-12 for a, b in zip(ps, ps[1:]))),
-            "kl_non_non_increasing_in_p": bool(
-                all(kl_non[b] <= kl_non[a] + 1e-12 for a, b in zip(ps, ps[1:]))),
+        orderings = {
+            "kl_multi_below_both_singles": kl_multi < kl_best_single,
+            "kl_non_below_both_singles_at_max_p": kl_non[ps[-1]] < kl_best_single,
+            "d_non_non_increasing_in_p": all(
+                d_non[b] <= d_non[a] + 1e-12 for a, b in zip(ps, ps[1:])),
+            "kl_non_non_increasing_in_p": all(
+                kl_non[b] <= kl_non[a] + 1e-12 for a, b in zip(ps, ps[1:])),
         }
-        modes[mode] = report
+        modes[mode] = KLModeReport(
+            mode=mode, p_list=p_list, **singles, d_multi=d_of(multi), d_non=d_non,
+            dD_dp=dD_dp, kl_multi=kl_multi, kl_non=kl_non, orderings=orderings,
+            practical_range_ok=in_range)
     return KLReport(modes=modes)
 
 

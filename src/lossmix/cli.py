@@ -353,12 +353,6 @@ def _check_distinct(field: str, values) -> None:
         seen.add(value)
 
 
-def _bound_params_from(doc: dict, m: int) -> pacbayes.BoundParams:
-    """The bound block's parameters for a training set of m points."""
-    return pacbayes.BoundParams(lam=doc["lambda"], l_max=doc["l_max"],
-                                delta=doc["delta"], m=m, eps_dp=doc.get("eps_dp", 0.0))
-
-
 def _write_json(path: Path, doc: dict, digest: str | None = None) -> Path:
     """Write doc as sorted, indented JSON, with the config's hash if given."""
     if digest is not None:
@@ -366,11 +360,6 @@ def _write_json(path: Path, doc: dict, digest: str | None = None) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     return path
-
-
-def _out_dir(args, command: str, digest: str) -> Path:
-    base = Path(args.out) if args.out else Path("runs")
-    return base / f"{command}-{digest[:12]}"
 
 
 def _slug(scheme: Scheme) -> str:
@@ -381,9 +370,8 @@ def _slug(scheme: Scheme) -> str:
     return f"nonlinear{scheme.p:g}"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(out: Path) -> int:
     summary = verify.run_all()
-    out = Path(args.out) if args.out else Path("runs")
     path = _write_json(out / "verify_summary.json", summary)
     for item in summary["invariants"]:
         status = "pass" if item["passed"] else "FAIL"
@@ -396,9 +384,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    config, digest = _load_config(args.config, TRAIN_SCHEMA)
-    out = _out_dir(args, "train", digest)
+def cmd_train(config: dict, digest: str, out: Path) -> int:
     spec = _model_from(config["model"])
     train_set, val_set = _dataset_from(config["dataset"])
     _check_widths(spec, train_set)
@@ -431,9 +417,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_klsweep(args) -> int:
-    config, digest = _load_config(args.config, KLSWEEP_SCHEMA)
-    out = _out_dir(args, "klsweep", digest)
+def cmd_klsweep(config: dict, digest: str, out: Path) -> int:
     grid = config.get("grid", {})
     if grid and grid["lo"] >= grid["hi"]:
         raise ConfigError("config field grid: lo must be below hi")
@@ -447,9 +431,7 @@ def cmd_klsweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_spectral(args) -> int:
-    config, digest = _load_config(args.config, SPECTRAL_SCHEMA)
-    out = _out_dir(args, "spectral", digest)
+def cmd_spectral(config: dict, digest: str, out: Path) -> int:
     # read as integers, but a target's frequencies are floats
     freqs = tuple(map(float, config.get("frequencies", [1.0, 3.0, 5.0])))
     amps = tuple(config.get("amplitudes", [1.0] * len(freqs)))
@@ -472,9 +454,7 @@ def cmd_spectral(args) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    config, digest = _load_config(args.config, BOUNDS_SCHEMA)
-    out = _out_dir(args, "bounds", digest)
+def cmd_bounds(config: dict, digest: str, out: Path) -> int:
     spec = _model_from(config["model"])
     train_set, val_set = _dataset_from(config["dataset"])
     _check_widths(spec, train_set)
@@ -482,7 +462,10 @@ def cmd_bounds(args) -> int:
     post_doc = config["posterior"]
     # built before any training, so a bad bound or prior block fails up front
     prior = pacbayes.GaussianPrior(lambda_p=config["prior"]["lambda_p"])
-    params = _bound_params_from(config["bound"], m=train_set.n)
+    bound = config["bound"]
+    params = pacbayes.BoundParams(lam=bound["lambda"], l_max=bound["l_max"],
+                                  delta=bound["delta"], m=train_set.n,
+                                  eps_dp=bound.get("eps_dp", 0.0))
     if "params_file" in post_doc:
         path = Path(post_doc["params_file"])
         if not path.exists():
@@ -508,6 +491,16 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# command -> (its config schema, or None for a command with no config; its handler)
+COMMANDS = {
+    "verify": (None, cmd_verify),
+    "train": (TRAIN_SCHEMA, cmd_train),
+    "klsweep": (KLSWEEP_SCHEMA, cmd_klsweep),
+    "spectral": (SPECTRAL_SCHEMA, cmd_spectral),
+    "bounds": (BOUNDS_SCHEMA, cmd_bounds),
+}
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -528,11 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lossmix",
         description="Experiment runner for the composed-loss training lab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "train", "klsweep", "spectral", "bounds"):
+    for name, (schema, _) in COMMANDS.items():
         cmd = sub.add_parser(name)
-        if name != "verify":
+        if schema is not None:
             cmd.add_argument("--config", required=True, help="JSON config path")
-        cmd.add_argument("--out", default=None, help="output directory root")
+        cmd.add_argument("--out", default="runs", help="output directory root")
         if name == "train":
             cmd.add_argument("--jobs", type=_positive_int, default=1,
                              help="kept for old command lines; a config's runs "
@@ -542,11 +535,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"verify": cmd_verify, "train": cmd_train, "klsweep": cmd_klsweep,
-                "spectral": cmd_spectral, "bounds": cmd_bounds}
+    schema, handler = COMMANDS[args.command]
     try:
-        return handlers[args.command](args)
-    except (ConfigError, ValueError) as exc:
+        if schema is None:
+            return handler(Path(args.out))
+        config, digest = _load_config(args.config, schema)
+        return handler(config, digest, Path(args.out) / f"{args.command}-{digest[:12]}")
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

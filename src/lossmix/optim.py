@@ -85,14 +85,18 @@ class TrainConfig:
         object.__setattr__(self, "terms", tuple(LossKind(t) for t in self.terms))
         if self.fixed_betas is not None:
             object.__setattr__(self, "fixed_betas", tuple(self.fixed_betas))
+        if not self.terms:
+            raise ValueError("need at least one term")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ValueError("warmup_epochs must be in [0, epochs)")
-        if self.noise_eps < 0 or self.l2_reg < 0 or self.init_scale < 0:
-            raise ValueError("noise_eps, l2_reg and init_scale must be nonnegative")
+        if any(v < 0 for v in (self.momentum, self.noise_eps, self.l2_reg,
+                               self.init_scale)):
+            raise ValueError("momentum, noise_eps, l2_reg and init_scale must be "
+                             "nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.optimizer not in OPTIMIZERS:

@@ -90,12 +90,11 @@ def check_bands(bands: Sequence[tuple[float, float]], n_points: int) -> None:
 
 @dataclass
 class FrequencyCaptureReport:
-    """Per-epoch relative residual energy per band, plus capture epochs."""
+    """Per-epoch relative residual energy per band, plus capture epochs.
+    A band with no target energy has a NaN column and no capture."""
 
-    bands: list[tuple[float, float]]
     rel_errors: np.ndarray  # (epochs, bands)
     capture_epochs: list[int | None]
-    flagged: list[bool]  # bands with no target energy
 
 
 def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray,
@@ -122,25 +121,17 @@ def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray
     target_energy = np.array([float((np.abs(target_f[m]) ** 2).sum()) for m in masks])
     # fft roundoff leaves ~1e-30 of relative leakage in truly empty bands
     total = float((np.abs(target_f) ** 2).sum())
-    flagged = [bool(te <= 1e-12 * max(total, 1e-300)) for te in target_energy]
+    filled = [b for b, te in enumerate(target_energy) if te > 1e-12 * max(total, 1e-300)]
 
     rel = np.full((len(outputs_by_epoch), len(bands)), np.nan)
     for e, out in enumerate(outputs_by_epoch):
         res_f = residual_spectrum(out, target)
-        for b, m in enumerate(masks):
-            if flagged[b]:
-                continue
-            rel[e, b] = float((np.abs(res_f[m]) ** 2).sum()) / target_energy[b]
+        for b in filled:
+            rel[e, b] = float((np.abs(res_f[masks[b]]) ** 2).sum()) / target_energy[b]
 
-    captures: list[int | None] = []
-    for b in range(len(bands)):
-        cap = None
-        if not flagged[b]:
-            below = np.nonzero(rel[:, b] < threshold)[0]
-            cap = int(below[0]) if below.size else None
-        captures.append(cap)
-    return FrequencyCaptureReport(bands=list(bands), rel_errors=rel,
-                                  capture_epochs=captures, flagged=flagged)
+    # NaN is never below the threshold, so an empty band is never captured
+    captures = [int(c.argmax()) if c.any() else None for c in (rel < threshold).T]
+    return FrequencyCaptureReport(rel_errors=rel, capture_epochs=captures)
 
 
 def default_bands(frequencies: Sequence[float]) -> list[tuple[float, float]]:
@@ -178,28 +169,22 @@ class SpectralComparison:
     bands: list[tuple[float, float]]
     threshold: float
 
-    def capture_summary(self) -> dict:
-        return {
-            label: {
-                f"{lo:g}-{hi:g}": report.capture_epochs[i]
-                for i, (lo, hi) in enumerate(report.bands)
-            }
-            for label, report in self.reports.items()
-        }
-
     def to_csv_text(self) -> str:
         lines = ["scheme,epoch,band_lo,band_hi,rel_error"]
         for label, report in self.reports.items():
             for e, errors in enumerate(report.rel_errors):
                 lines.extend(f"{label},{e},{lo:g},{hi:g},{err:.17g}"
-                             for (lo, hi), err in zip(report.bands, errors))
+                             for (lo, hi), err in zip(self.bands, errors))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
             "threshold": self.threshold,
             "bands": [[lo, hi] for lo, hi in self.bands],
-            "capture_epochs": self.capture_summary(),
+            "capture_epochs": {
+                label: {f"{lo:g}-{hi:g}": cap
+                        for (lo, hi), cap in zip(self.bands, report.capture_epochs)}
+                for label, report in self.reports.items()},
         }
 
 

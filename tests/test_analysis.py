@@ -114,7 +114,7 @@ class TestSchemeReport:
     def test_dd_dp_negative_on_testbed(self):
         report = scheme_kl_report(self.L1, self.L2, self.p_opt, self.betas,
                                   [1.5, 2.5])
-        for v in report.modes["unweighted"].dd_dp.values():
+        for v in report.modes["unweighted"].dD_dp.values():
             assert v < 0.0
 
     def test_practical_range_flagged(self):

@@ -267,6 +267,15 @@ class TestKlsweepCommand:
         assert run_cli(["klsweep", "--config", cfg,
                         "--out", str(tmp_path / "o")]) == 1
 
+    def test_shipped_config_bytes_are_pinned(self, tmp_path, capsys):
+        # the report the benchmark's klsweep digest reads; like
+        # test_spectral's capture pin, its digest may move with the BLAS build
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "klsweep.json"
+        assert run_cli(["klsweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        path = next(tmp_path.rglob("kl_report.json"))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ef76e04e8ba65775550445851a70492336bbe5e1889947a09bb3a4c31062cc40")
+
 
 class TestSpectralCommand:
     def test_small_run(self, tmp_path, capsys):
@@ -293,6 +302,21 @@ class TestSpectralCommand:
         comparison = spectral.spectral_scheme_compare(
             base, schemes, target, epochs=5, seed=2, width=8, threshold=0.2)
         assert csv == comparison.to_csv_text()
+
+    def test_band_without_target_energy_reads_nan(self, tmp_path, capsys):
+        # a zero-amplitude tone leaves its band no relative error to write
+        # and no capture epoch
+        cfg = write_config(tmp_path, {
+            "frequencies": [1, 3], "amplitudes": [1.0, 0.0], "n_points": 32,
+            "width": 8, "epochs": 5, "schemes": [{"kind": "multi"}]})
+        assert run_cli(["spectral", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        out_dir = next((tmp_path / "o").glob("spectral-*"))
+        rows = [line.split(",") for line in
+                (out_dir / "capture.csv").read_text().splitlines()[1:]]
+        assert [row[4] for row in rows if row[2:4] == ["2", "4"]] == ["nan"] * 5
+        assert "nan" not in [row[4] for row in rows if row[2:4] == ["0", "2"]]
+        doc = json.loads((out_dir / "capture.json").read_text())
+        assert doc["capture_epochs"]["multi"]["2-4"] is None
 
     @pytest.mark.parametrize("frequencies, message", [
         ([1.0, 2.0], "overlap"), ([1.0, 40.0], "Nyquist"),

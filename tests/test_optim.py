@@ -134,6 +134,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="init_scale must be nonnegative"):
             TrainConfig(scheme=Scheme.single(0), init_scale=-1.0)
 
+    def test_negative_momentum_rejected(self):
+        # the schema's momentum minimum of 0, held for a config built in code
+        with pytest.raises(ValueError, match="momentum, noise_eps"):
+            TrainConfig(scheme=Scheme.multi(), optimizer="momentum", momentum=-3.0)
+
+    def test_no_terms_rejected(self):
+        # the schema's minItems of 1: without it, training fails at its first step
+        with pytest.raises(ValueError, match="need at least one term"):
+            TrainConfig(scheme=Scheme.multi(), terms=())
+
     def test_zero_one_term_rejected(self):
         with pytest.raises(ValueError, match="zero_one"):
             TrainConfig(scheme=Scheme.multi(),

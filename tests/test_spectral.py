@@ -101,7 +101,9 @@ class TestFrequencyCapture:
         x = self.grid()
         target = np.sin(x)
         report = frequency_capture([target], target, [(0.0, 2.0), (6.0, 8.0)], 0.2)
-        assert report.flagged == [False, True]
+        # a band with no target energy has no relative error and no capture
+        assert not np.isnan(report.rel_errors[:, 0]).any()
+        assert np.isnan(report.rel_errors[:, 1]).all()
         assert report.capture_epochs[1] is None
 
     @pytest.mark.parametrize("n, tone, leak, band", [
@@ -146,7 +148,7 @@ class TestSchemeCompare:
             self.base_config(30), [Scheme.single(0)], target, epochs=30,
             seed=1, width=16, threshold=0.2)
         report = comparison.reports["single[0]"]
-        assert len(report.bands) == 1
+        assert comparison.bands == [(0.0, 2.0)]
         assert report.rel_errors.shape == (30, 1)
 
     def test_three_schemes_deterministic(self):
