@@ -8,10 +8,21 @@ unweighted norm non-increasing. This module provides the power-sum kernel
 (also used for the analysis module's objective fields), the value, its
 exact gradient and p-derivative, the adaptive weight rules, and the
 curvature constraint whose sign flip marks the critical power.
+
+The value, the gradient and the adaptive weights take one run's (K,)
+vector of term values, or a stack of runs with a leading run axis: values
+(R, K), gradients (K, R, P), betas (R, K) and one p per run. Each row of a
+stack gets the bits its run gets alone. So the runs are grouped by p and
+each group is powered by its scalar p, since numpy takes fast paths for a
+scalar exponent of 2 or 0.5 that an array of exponents misses; each run's
+M = sum_m beta_m v_m^p is a dot of its own row; and each run's M^(1/p) and
+M^(1/p - 1) is a scalar power, since one array power of the Ms can differ
+from it in the last bit.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,6 +45,18 @@ def _mutated(tag: str) -> bool:
     return os.environ.get(MUTATE_ENV, "") == tag
 
 
+def _check_simplex(rows) -> None:
+    """Raise ValueError unless each row of weights is nonnegative and sums
+    to 1 within SIMPLEX_TOL. The tests are written to fail on a NaN."""
+    for row in rows:
+        if len(row) < 1:
+            raise ValueError("need at least one weight")
+        if not all(b >= 0 for b in row):
+            raise ValueError(f"weights must be nonnegative, got {tuple(row)}")
+        if not abs(sum(row) - 1.0) <= SIMPLEX_TOL:
+            raise ValueError(f"weights must sum to 1, got sum {sum(row)!r}")
+
+
 @dataclass(frozen=True)
 class BetaWeights:
     """Simplex weights over the loss terms."""
@@ -42,12 +65,7 @@ class BetaWeights:
 
     def __post_init__(self):
         betas = tuple(float(b) for b in self.betas)
-        if len(betas) < 1:
-            raise ValueError("need at least one weight")
-        if any(b < 0 for b in betas):
-            raise ValueError(f"weights must be nonnegative, got {betas}")
-        if abs(sum(betas) - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"weights must sum to 1, got sum {sum(betas)!r}")
+        _check_simplex((betas,))
         object.__setattr__(self, "betas", betas)
 
     @classmethod
@@ -80,6 +98,8 @@ class Scheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
+        if not math.isfinite(self.p):
+            raise ValueError(f"power must be finite, got {self.p!r}")
         if self.kind == "nonlinear" and self.p < 1.0:
             raise ValueError("power must be >= 1")
 
@@ -107,15 +127,19 @@ class Scheme:
         return f"nonlinear(p={self.p:g})"
 
 
-def weight_vector(betas: BetaWeights, mode: str, k: int) -> np.ndarray:
-    """The per-term weights of a mode: the betas, or all ones when unweighted."""
+def weight_vector(betas, mode: str, k: int) -> np.ndarray:
+    """The per-term weights of a mode: the betas, or all ones when unweighted.
+
+    betas is a BetaWeights, or an (R, K) array of checked weight rows, one
+    per run, as adaptive_betas returns for a stack.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "unweighted":
         return np.ones(k)
-    b = betas.as_array()
-    if b.size != k:
-        raise ValueError(f"{b.size} weights for {k} values")
+    b = betas.as_array() if isinstance(betas, BetaWeights) else np.asarray(betas, np.float64)
+    if b.shape[-1] != k:
+        raise ValueError(f"{b.shape[-1]} weights for {k} values")
     return b
 
 
@@ -124,9 +148,10 @@ def power_sum(stack, b: np.ndarray, p: float):
 
     Every composite quantity is built on this one reduction. stack is a
     1-d vector of term values (M is then a numpy scalar) or a 2-d
-    (terms, points) array of fields (M is then one value per point). Each
-    point's M is the BLAS dot of its own contiguous row of powers: the bits
-    a lone vector of its values gets, which a matrix-vector product misses.
+    (terms, points) array of fields (M is then one value per point), and b
+    is one weight vector or one per point. Each point's M is the BLAS dot
+    of its own contiguous row of powers: the bits a lone vector of its
+    values gets, which a matrix-vector product misses.
     """
     v = np.maximum(np.asarray(stack, dtype=np.float64), VALUE_FLOOR)
     return v, np.vecdot(np.ascontiguousarray((v ** p).T), b)
@@ -137,62 +162,117 @@ def power_mean(stack, b: np.ndarray, p: float):
     return power_sum(stack, b, p)[1] ** (1.0 / p)
 
 
-def _prep(values: Sequence[float], betas: BetaWeights, p: float, mode: str):
+def _power(p) -> float:
+    p = float(p)
+    if not math.isfinite(p):
+        raise ValueError(f"power p={p} is not finite")
     if p < 1.0:
         raise ValueError(f"power p={p} is below 1, outside the analyzed regime")
+    return p
+
+
+def _prep(values, betas, p, mode: str):
+    """The values as float64, the mode's weights, and (rows, p) for each
+    distinct power: a lone vector is one group, a stack's runs are grouped
+    by their p."""
     values = np.asarray(values, dtype=np.float64)
-    return values, weight_vector(betas, mode, values.size)
+    if values.ndim == 1:
+        groups = [(..., _power(p))]
+    else:
+        powers = [_power(q) for q in p]
+        if len(powers) != len(values):
+            raise ValueError(f"{len(powers)} powers for {len(values)} runs")
+        groups = ([(slice(None), powers[0])] if len(set(powers)) == 1 else
+                  [([r for r, x in enumerate(powers) if x == q], q)
+                   for q in dict.fromkeys(powers)])
+    b = weight_vector(betas, mode, values.shape[-1])
+    if b.ndim > 1 and b.shape != values.shape:
+        raise ValueError(f"weights of shape {b.shape} for values of shape {values.shape}")
+    return values, b, groups
 
 
-def composite_value(values: Sequence[float], betas: BetaWeights, p: float,
-                    mode: str = "weighted") -> float:
-    """(sum_m beta_m v_m^p)^(1/p); unweighted mode drops the betas."""
-    values, b = _prep(values, betas, p, mode)
-    return float(power_mean(values, b, p))
+def _power_sums(values, b, groups):
+    """(rows, p, v, b, M) for each group: its runs' floored (runs, K) values
+    and weights, and each run's M = sum_m b_m v_m^p at the group's p."""
+    for rows, q in groups:
+        bq = b if b.ndim == 1 else b[rows]
+        v, m = power_sum(values[rows].T, bq, q)
+        yield rows, q, v.T, bq, m
 
 
-def composite_grad(values: Sequence[float], grads: Sequence[np.ndarray],
-                   betas: BetaWeights, p: float, mode: str = "weighted") -> np.ndarray:
+def _scalar_powers(m, e):
+    """m ** e, taken on each run's M as a numpy scalar."""
+    return np.array([x ** e for x in m]) if isinstance(m, np.ndarray) else m ** e
+
+
+def composite_value(values, betas, p, mode: str = "weighted"):
+    """(sum_m beta_m v_m^p)^(1/p); unweighted mode drops the betas.
+
+    A (K,) vector gives a float; an (R, K) stack gives each run's value in
+    an (R,) array.
+    """
+    values, b, groups = _prep(values, betas, p, mode)
+    out = np.empty(values.shape[:-1])
+    for rows, q, _, _, m in _power_sums(values, b, groups):
+        out[rows] = _scalar_powers(m, 1.0 / q)
+    return float(out) if out.ndim == 0 else out
+
+
+def composite_grad(values, grads: Sequence[np.ndarray], betas, p,
+                   mode: str = "weighted") -> np.ndarray:
     """Chain-rule gradient M^(1/p - 1) * sum_m beta_m v_m^(p-1) g_m.
 
-    M = sum_m beta_m v_m^p; the g_m are the per-term parameter gradients.
+    M = sum_m beta_m v_m^p; the g_m are the per-term parameter gradients,
+    one (R, P) array per term for an (R, K) stack of values. Each run's
+    gradient is accumulated from zeros in term order.
     """
-    values, b = _prep(values, betas, p, mode)
+    values, b, groups = _prep(values, betas, p, mode)
     gs = [np.asarray(g, dtype=np.float64) for g in grads]
-    if len(gs) != values.size:
-        raise ValueError(f"{len(gs)} gradients for {values.size} values")
+    if len(gs) != values.shape[-1]:
+        raise ValueError(f"{len(gs)} gradients for {values.shape[-1]} values")
     if len({g.shape for g in gs}) > 1:
         raise ValueError("gradient vectors must share one shape")
-    v, m = power_sum(values, b, p)
-    coeffs = m ** (1.0 / p - 1.0) * b * v ** (p - 1.0)
+    if values.ndim == 2 and gs[0].shape[:-1] != values.shape[:-1]:
+        raise ValueError(f"gradients of shape {gs[0].shape} for {len(values)} runs")
+    coeffs = np.empty(values.shape)
+    for rows, q, v, bq, m in _power_sums(values, b, groups):
+        coeffs[rows] = _scalar_powers(m, 1.0 / q - 1.0)[..., None] * bq * v ** (q - 1.0)
     total = np.zeros_like(gs[0])
-    for c, g in zip(coeffs, gs):
-        total += c * g
+    for k, g in enumerate(gs):
+        total += coeffs[..., k, None] * g
     if _mutated("composite-grad-sign"):
         total = -total
     return total
 
 
-def adaptive_betas(grad_norms: Sequence[float], rule: str = "softmax") -> BetaWeights:
+def adaptive_betas(grad_norms, rule: str = "softmax"):
     """Weights from per-term gradient norms.
 
     softmax: beta_m = exp(-norm_m) / Z, which rewards the term whose
     gradient is currently smallest. paper-max (two terms only): the
     larger softmax weight is handed to the first term as printed in the
     adaptive rule, and the second gets the remainder.
+
+    A (K,) vector of norms gives a BetaWeights; an (R, K) stack gives an
+    (R, K) array of weight rows, checked once.
     """
     norms = np.asarray(grad_norms, dtype=np.float64)
     if not np.all(np.isfinite(norms)):
         raise ValueError("non-finite gradient norms")
     soft = softmax(-norms)
     if rule == "softmax":
-        return BetaWeights(tuple(soft.tolist()))
-    if rule == "paper-max":
-        if norms.size != 2:
+        betas = soft
+    elif rule == "paper-max":
+        if norms.shape[-1] != 2:
             raise ValueError("paper-max rule is defined for exactly two terms")
-        b1 = float(soft.max())
-        return BetaWeights((b1, 1.0 - b1))
-    raise ValueError(f"unknown adaptive rule {rule!r}")
+        b1 = soft.max(axis=-1)
+        betas = np.stack([b1, 1.0 - b1], axis=-1)
+    else:
+        raise ValueError(f"unknown adaptive rule {rule!r}")
+    if betas.ndim == 1:
+        return BetaWeights(tuple(betas.tolist()))
+    _check_simplex(betas.tolist())
+    return betas
 
 
 def dvalue_dp(values: Sequence[float], betas: BetaWeights, p: float,
@@ -203,7 +283,7 @@ def dvalue_dp(values: Sequence[float], betas: BetaWeights, p: float,
     Both terms are kept; dropping the -ln(M)/p^2 piece flips signs in the
     weighted mode, so every monotonicity claim is checked numerically.
     """
-    values, b = _prep(values, betas, p, mode)
+    values, b, _ = _prep(values, betas, p, mode)
     v, m = power_sum(values, b, p)
     term = float(np.dot(b, v ** p * np.log(v)))
     return float(m ** (1.0 / p) * (-np.log(m) / p ** 2 + term / (p * m)))

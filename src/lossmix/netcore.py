@@ -45,6 +45,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -118,8 +119,9 @@ class MLPSpec:
     def output_dim(self) -> int:
         return self.layer_widths[-1]
 
-    @property
+    @cached_property
     def n_params(self) -> int:
+        # computed once per spec: the training loop reads it every minibatch
         ws = self.layer_widths
         return sum(ws[i] * ws[i + 1] + ws[i + 1] for i in range(len(ws) - 1))
 

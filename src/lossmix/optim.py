@@ -23,7 +23,6 @@ stay byte-identical.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -250,6 +249,8 @@ def _followed(config: TrainConfig, epoch: int) -> int | None:
 def _epoch_row(spec, params, data, val, configs, betas, epoch, check):
     """Full-dataset telemetry at the epoch's final parameters, one row per run.
 
+    betas holds one weight row per run, read for the runs that follow the
+    composite; their values and gradients are composed in one stacked call.
     Constraint 9 is checked for every term from one shared pair of
     forward passes at params +/- h along each run's descent direction: the
     negative normalized gradient of what the run steps on, the followed
@@ -267,26 +268,25 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, check):
     check(vals, "loss")
     for g in grads:
         check(g, "gradient")
-    live, directions, parts = [], [], []
+    grads = np.stack(grads)
+    composite, descent, row_betas = np.empty(len(configs)), np.empty_like(params), betas.copy()
+    composed = []
     for r, cfg in enumerate(configs):
-        v, g = vals[r], [gk[r] for gk in grads]
         followed = _followed(cfg, epoch)
         if followed is None:
-            b = betas[r]
-            p_eff = cfg.scheme.effective_p
-            composite = composite_value(v, b, p_eff, config.mode)
-            descent = composite_grad(v, g, b, p_eff, config.mode)
+            composed.append(r)
         else:
-            b = BetaWeights.one_hot(len(terms), followed)
-            composite = v[followed]
-            descent = g[followed]
-        norm = float(np.linalg.norm(descent))
-        check(np.array([norm]), "gradient norm", [r])
-        if norm > 0:
-            live.append(r)
-            directions.append(-descent / norm)
-        parts.append((float(composite), tuple(b.betas),
-                      tuple(float(np.linalg.norm(x)) for x in g)))
+            composite[r], descent[r] = vals[r, followed], grads[followed, r]
+            row_betas[r] = BetaWeights.one_hot(len(terms), followed).betas
+    if composed:
+        powers = [configs[r].scheme.effective_p for r in composed]
+        composite[composed] = composite_value(vals[composed], betas[composed], powers,
+                                              config.mode)
+        descent[composed] = composite_grad(vals[composed], grads[:, composed],
+                                           betas[composed], powers, config.mode)
+    norms = np.sqrt(np.vecdot(descent, descent))
+    check(norms, "gradient norm")
+    live = [r for r in range(len(configs)) if norms[r] > 0]
     satisfied = [False] * len(configs)
     if live:
         def along(w):
@@ -295,7 +295,8 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, check):
             check(out, "loss along the descent direction", live)
             return out
 
-        g_dir, h_dir = directional_curvature(along, params[live], np.stack(directions),
+        g_dir, h_dir = directional_curvature(along, params[live],
+                                             -descent[live] / norms[live, None],
                                              CURVATURE_H, f0=vals[live])
         for j, r in enumerate(live):
             p_eff = configs[r].scheme.effective_p
@@ -303,16 +304,17 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, check):
                                for v, g, h in zip(vals[r], g_dir[j], h_dir[j]))
     train_acc = _accuracy(spec, params, data, preds)
     val_acc = _accuracy(spec, params, val)
+    grad_norms = np.sqrt(np.vecdot(grads, grads)).T
     return [TrajectoryRow(
         epoch=epoch,
         train_acc=float(train_acc[r]),
         val_acc=float(val_acc[r]),
-        losses=tuple(float(v) for v in vals[r]),
-        composite=composite,
-        betas=row_betas,
-        grad_norms=gnorms,
+        losses=tuple(vals[r].tolist()),
+        composite=float(composite[r]),
+        betas=tuple(row_betas[r].tolist()),
+        grad_norms=tuple(grad_norms[r].tolist()),
         constraint9=int(satisfied[r]),
-    ) for r, (composite, row_betas, gnorms) in enumerate(parts)]
+    ) for r in range(len(configs))]
 
 
 def train(spec: MLPSpec, data: Dataset, val: Dataset, configs, rows: bool = True):
@@ -375,9 +377,12 @@ def _train_stack(spec, data, val, configs, rows):
     epoch_seconds = []
     records = [TrajectoryRecord(config=c, stack_size=len(configs),
                                 epoch_seconds=epoch_seconds) for c in configs]
-    # weights of the runs that follow the composite; adaptive rules update them
-    betas = [BetaWeights(config.fixed_betas) if config.fixed_betas is not None
-             else BetaWeights.uniform(len(terms))] * len(configs)
+    # one weight row per run, read while it follows the composite; adaptive
+    # rules update the rows of the runs that step on it
+    initial = (BetaWeights(config.fixed_betas) if config.fixed_betas is not None
+               else BetaWeights.uniform(len(terms)))
+    betas = np.tile(initial.as_array(), (len(configs), 1))
+    adaptive = config.beta_rule in ("softmax", "paper-max")
     opt_state = None
 
     # without rows, a full-batch step's forward also gives the previous
@@ -385,24 +390,22 @@ def _train_stack(spec, data, val, configs, rows):
     reuse = not rows and config.batch_size >= data.n
     rerun_from = netcore.elementwise_layers(spec)
 
-    def diverged(r, what, at):
-        cfg = configs[r]
-        return TrainingDiverged(
-            f"non-finite {what} at epoch {at} in run {cfg.scheme.label()} "
-            f"seed {cfg.seed}", records[r], r, at)
-
     def check(stack, what, runs=range(len(configs)), at=None):
         if np.isfinite(stack).all():
             return
         finite = np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
-        raise diverged(runs[int(np.argmin(finite))], what,
-                       epoch if at is None else at)
+        r, at = runs[int(np.argmin(finite))], epoch if at is None else at
+        raise TrainingDiverged(
+            f"non-finite {what} at epoch {at} in run {configs[r].scheme.label()} "
+            f"seed {configs[r].seed}", records[r], r, at)
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         direct = [None if i is None else terms[i]
                   for i in (_followed(c, epoch) for c in configs)]
         grad_kinds = terms if None in direct else tuple(t for t in terms if t in direct)
+        composed = [r for r, kind in enumerate(direct) if kind is None]
+        powers = [configs[r].scheme.effective_p for r in composed]
         orders = np.stack([rng.permutation(data.n) for rng in rngs])
         for start in range(0, data.n, config.batch_size):
             idx = orders[:, start:start + config.batch_size]
@@ -423,18 +426,18 @@ def _train_stack(spec, data, val, configs, rows):
             vals = np.stack(vals, axis=-1)
             check(vals, "loss")
             step = np.empty_like(params)
-            for r, cfg in enumerate(configs):
-                g = [gk[r] for gk in grads]
-                if direct[r] is not None:
-                    step[r] = g[grad_kinds.index(direct[r])]
-                    continue
-                if config.beta_rule in ("softmax", "paper-max"):
-                    norms = [float(np.linalg.norm(x)) for x in g]
-                    if not all(map(math.isfinite, norms)):
-                        raise diverged(r, "gradient norm", epoch)
-                    betas[r] = adaptive_betas(norms, rule=config.beta_rule)
-                step[r] = composite_grad(vals[r], g, betas[r], cfg.scheme.effective_p,
-                                         config.mode)
+            for r, kind in enumerate(direct):
+                if kind is not None:
+                    step[r] = grads[grad_kinds.index(kind)][r]
+            if composed:
+                g = np.stack([gk[composed] for gk in grads])
+                if adaptive:
+                    # the norms are checked before any run is composed
+                    norms = np.sqrt(np.vecdot(g, g)).T
+                    check(norms, "gradient norm", composed)
+                    betas[composed] = adaptive_betas(norms, rule=config.beta_rule)
+                step[composed] = composite_grad(vals[composed], g, betas[composed], powers,
+                                                config.mode)
             if config.l2_reg > 0:
                 step = step + config.l2_reg * params
             if config.noise_eps > 0:

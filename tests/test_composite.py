@@ -46,6 +46,17 @@ class TestBetaWeights:
         with pytest.raises(ValueError, match="nonnegative"):
             BetaWeights((1.5, -0.5))
 
+    @pytest.mark.parametrize("betas", [(math.nan, 1.0), (math.nan, math.nan),
+                                       (1.0, math.nan), (math.inf, 0.0)])
+    def test_non_finite_weights_fail_the_simplex_check(self, betas):
+        with pytest.raises(ValueError, match="weights must"):
+            BetaWeights(betas)
+
+    def test_stacked_weights_take_the_same_check(self):
+        composite._check_simplex([[0.25, 0.75], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="nonnegative, got \\(nan, 1.0\\)"):
+            composite._check_simplex([[0.25, 0.75], [math.nan, 1.0]])
+
     def test_constructors(self):
         assert BetaWeights.uniform(4).betas == (0.25, 0.25, 0.25, 0.25)
         assert BetaWeights.one_hot(3, 1).betas == (0.0, 1.0, 0.0)
@@ -69,6 +80,19 @@ class TestValue:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError, match="below 1"):
             composite_value([0.2, 0.8], BetaWeights.uniform(2), 0.5)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_rejects_non_finite_p(self, p):
+        # nan would give a nan value, and inf 1.0 where the limit is the max
+        betas = BetaWeights.uniform(2)
+        with pytest.raises(ValueError, match="not finite"):
+            composite_value([0.3, 0.5], betas, p)
+        with pytest.raises(ValueError, match="not finite"):
+            composite_grad([0.3, 0.5], [np.ones(1), np.ones(1)], betas, p)
+        with pytest.raises(ValueError, match="not finite"):
+            composite_value([[0.3, 0.5], [0.3, 0.5]], betas, [2.0, p])
+        with pytest.raises(ValueError, match="finite"):
+            Scheme.nonlinear(p)
 
     @given(compositions(), st.integers(0, 4))
     def test_one_hot_reduction_sweep(self, case, index):
@@ -336,3 +360,40 @@ def test_adaptive_betas_keep_the_shifted_exp_formula(norms):
     n = np.asarray(norms)
     e = np.exp(-(n - n.min()))  # the formula adaptive_betas had before softmax
     assert adaptive_betas(norms).betas == tuple((e / e.sum()).tolist())
+
+
+@st.composite
+def run_stacks(draw):
+    """(values, gradients, norms, one p per run, mode, rule) for R runs of K
+    terms: values and norms (R, K), gradients (K, R, P). The powers mix the
+    exact 1, 2 and 3, which numpy may power by special paths, with others."""
+    k, r = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+
+    def rows(elements):
+        return np.array(draw(st.lists(st.lists(elements, min_size=k, max_size=k),
+                                      min_size=r, max_size=r)))
+
+    values = rows(st.floats(0.0, MAX_VALUE))
+    norms = rows(st.floats(0.0, 100.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    grads = np.random.default_rng(seed).standard_normal((k, r, draw(st.integers(1, 6))))
+    p = draw(st.lists(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), powers),
+                      min_size=r, max_size=r))
+    rule = draw(st.sampled_from(["softmax", "paper-max"] if k == 2 else ["softmax"]))
+    return values, grads, norms, p, draw(modes), rule
+
+
+@given(run_stacks())
+def test_each_row_of_a_stack_has_its_lone_runs_bits(case):
+    values, grads, norms, p, mode, rule = case
+    betas = adaptive_betas(norms, rule)
+    stacked_value = composite_value(values, betas, p, mode)
+    stacked_grad = composite_grad(values, grads, betas, p, mode)
+    assert stacked_value.shape == (len(values),) and stacked_grad.shape == grads.shape[1:]
+    for r in range(len(values)):
+        lone = adaptive_betas(norms[r], rule)
+        assert lone.betas == tuple(betas[r].tolist())
+        value = composite_value(values[r], lone, p[r], mode)
+        assert np.float64(value).tobytes() == stacked_value[r].tobytes()
+        grad = composite_grad(values[r], list(grads[:, r]), lone, p[r], mode)
+        assert grad.tobytes() == stacked_grad[r].tobytes()

@@ -522,6 +522,29 @@ def test_two_moons_shape_trains_nine_runs_as_one_stack(monkeypatch):
     assert {r.stack_size for r in records} == {9}
 
 
+def test_two_moons_shape_composes_each_stack_in_one_call(monkeypatch):
+    # the shipped two_moons shape: 10 minibatches per epoch, and the six
+    # runs that are not single[0] follow the composite after 5 warm-up epochs
+    full = data.two_moons(400, 0.1, seed=7)
+    train_set, val_set = data.train_val_split(full, 0.75, seed=7)
+    spec = MLPSpec((2, 16, 2), hidden_activation="tanh", output_kind="softmax")
+    calls = dict.fromkeys(["composite_grad", "adaptive_betas", "composite_value"], 0)
+    for name in calls:
+        def counting(*args, _fn=getattr(optim, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(optim, name, counting)
+    base = TrainConfig(scheme=Scheme.multi(), epochs=30, warmup_epochs=5,
+                       batch_size=32, beta_rule="softmax")
+    schemes = (Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0))
+    train(spec, train_set, val_set,
+          [replace(base, scheme=s, seed=seed) for s in schemes for seed in (1, 2, 3)])
+    # one call per stack-minibatch, plus one grad and one value per epoch row
+    assert calls == {"composite_grad": 25 * 10 + 25, "adaptive_betas": 25 * 10,
+                     "composite_value": 25}
+
+
 def test_epoch_callback_sees_every_run_and_epoch(monkeypatch):
     spec, train_set, val_set = moons_setup()
     # room for two runs per stack, so the three runs train as stacks of 2 and 1
