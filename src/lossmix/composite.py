@@ -47,7 +47,7 @@ def _mutated(tag: str) -> bool:
 
 def _check_simplex(rows) -> None:
     """Raise ValueError unless each row of weights is nonnegative and sums
-    to 1 within SIMPLEX_TOL. The tests are written to fail on a NaN."""
+    to 1 within SIMPLEX_TOL; both conditions are written so a NaN fails."""
     for row in rows:
         if len(row) < 1:
             raise ValueError("need at least one weight")
@@ -163,6 +163,7 @@ def power_mean(stack, b: np.ndarray, p: float):
 
 
 def _power(p) -> float:
+    """p as a float, checked to be finite and at least 1."""
     p = float(p)
     if not math.isfinite(p):
         raise ValueError(f"power p={p} is not finite")
@@ -172,9 +173,9 @@ def _power(p) -> float:
 
 
 def _prep(values, betas, p, mode: str):
-    """The values as float64, the mode's weights, and (rows, p) for each
-    distinct power: a lone vector is one group, a stack's runs are grouped
-    by their p."""
+    """The values as float64 and, for each group of runs that share a power
+    p, (rows, p, v, b, M): the group's floored (runs, K) values and weights
+    and each run's M = sum_m b_m v_m^p. A lone (K,) vector is one group."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         groups = [(..., _power(p))]
@@ -188,16 +189,12 @@ def _prep(values, betas, p, mode: str):
     b = weight_vector(betas, mode, values.shape[-1])
     if b.ndim > 1 and b.shape != values.shape:
         raise ValueError(f"weights of shape {b.shape} for values of shape {values.shape}")
-    return values, b, groups
-
-
-def _power_sums(values, b, groups):
-    """(rows, p, v, b, M) for each group: its runs' floored (runs, K) values
-    and weights, and each run's M = sum_m b_m v_m^p at the group's p."""
+    sums = []
     for rows, q in groups:
         bq = b if b.ndim == 1 else b[rows]
         v, m = power_sum(values[rows].T, bq, q)
-        yield rows, q, v.T, bq, m
+        sums.append((rows, q, v.T, bq, m))
+    return values, sums
 
 
 def _scalar_powers(m, e):
@@ -211,9 +208,9 @@ def composite_value(values, betas, p, mode: str = "weighted"):
     A (K,) vector gives a float; an (R, K) stack gives each run's value in
     an (R,) array.
     """
-    values, b, groups = _prep(values, betas, p, mode)
+    values, sums = _prep(values, betas, p, mode)
     out = np.empty(values.shape[:-1])
-    for rows, q, _, _, m in _power_sums(values, b, groups):
+    for rows, q, _, _, m in sums:
         out[rows] = _scalar_powers(m, 1.0 / q)
     return float(out) if out.ndim == 0 else out
 
@@ -226,7 +223,7 @@ def composite_grad(values, grads: Sequence[np.ndarray], betas, p,
     one (R, P) array per term for an (R, K) stack of values. Each run's
     gradient is accumulated from zeros in term order.
     """
-    values, b, groups = _prep(values, betas, p, mode)
+    values, sums = _prep(values, betas, p, mode)
     gs = [np.asarray(g, dtype=np.float64) for g in grads]
     if len(gs) != values.shape[-1]:
         raise ValueError(f"{len(gs)} gradients for {values.shape[-1]} values")
@@ -235,7 +232,7 @@ def composite_grad(values, grads: Sequence[np.ndarray], betas, p,
     if values.ndim == 2 and gs[0].shape[:-1] != values.shape[:-1]:
         raise ValueError(f"gradients of shape {gs[0].shape} for {len(values)} runs")
     coeffs = np.empty(values.shape)
-    for rows, q, v, bq, m in _power_sums(values, b, groups):
+    for rows, q, v, bq, m in sums:
         coeffs[rows] = _scalar_powers(m, 1.0 / q - 1.0)[..., None] * bq * v ** (q - 1.0)
     total = np.zeros_like(gs[0])
     for k, g in enumerate(gs):
@@ -283,8 +280,7 @@ def dvalue_dp(values: Sequence[float], betas: BetaWeights, p: float,
     Both terms are kept; dropping the -ln(M)/p^2 piece flips signs in the
     weighted mode, so every monotonicity claim is checked numerically.
     """
-    values, b, _ = _prep(values, betas, p, mode)
-    v, m = power_sum(values, b, p)
+    ((_, p, v, b, m),) = _prep(values, betas, p, mode)[1]
     term = float(np.dot(b, v ** p * np.log(v)))
     return float(m ** (1.0 / p) * (-np.log(m) / p ** 2 + term / (p * m)))
 

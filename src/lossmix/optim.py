@@ -323,9 +323,12 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs, rows: bool = True
     The configs may differ only in scheme and seed. They train in stacks of
     stack_size(spec, data, val) runs: one (R, P) parameter array through
     every forward, backward, loss mean and optimizer step, while each run
-    keeps its own RNG stream, betas and composite. Every run's record is
-    the bits it gets when trained alone. A lone TrainConfig trains as a
-    one-run sequence and returns its record.
+    keeps its own RNG stream and weight row. The runs that follow the
+    composite are composed together: one adaptive_betas and one
+    composite_grad call per minibatch, one composite_value and one
+    composite_grad call per epoch row, each on (R, K) values and one p per
+    run. Every run's record is the bits it gets when trained alone. A lone
+    TrainConfig trains as a one-run sequence and returns its record.
 
     Each epoch: seeded shuffle, minibatch loop computing every term's value
     and gradient, weight update per beta_rule, composition, optional
