@@ -31,10 +31,6 @@ ASCENT_STEPS = 20  # signed-gradient steps per sharpness restart
 RESTARTS = 5  # sharpness starting points, nu = 0 included
 
 
-class SupportError(ValueError):
-    """Q vanishes somewhere P does not."""
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform 1-d lattice of n_points from lo to hi, with its cell width."""
@@ -113,7 +109,7 @@ def kl_divergence(P: GridField, Q: GridField) -> float:
     p, q = P.values, Q.values
     mask = p > 0
     if np.any(q[mask] <= 0):
-        raise SupportError("Q has zero mass where P is positive")
+        raise ValueError("Q has zero mass where P is positive")
     kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])) * P.grid.cell_volume)
     # KL is nonnegative; between near-equal densities the sum can round below 0
     return max(kl, 0.0)
@@ -248,7 +244,7 @@ def default_kl_testbed(lo: float = -3.0, hi: float = 3.0, points: int = 601):
 
 
 def generalized_entropy(fields: Sequence[GridField], betas: BetaWeights, p: float,
-                        mode: str = "weighted") -> float:
+                        mode: str) -> float:
     """log integral exp(-(sum_m beta_m L_m^p)^(1/p)) by log-sum-exp quadrature."""
     if len(fields) < 1:
         raise ValueError("need at least one loss field")
@@ -269,7 +265,7 @@ class MCEntropyEstimate:
 
 def generalized_entropy_mc(loss_fns: Sequence[Callable], betas: BetaWeights, p: float,
                            bounds: Sequence[tuple[float, float]], n_draws: int,
-                           seed: int, mode: str = "weighted") -> MCEntropyEstimate:
+                           seed: int, mode: str) -> MCEntropyEstimate:
     """Importance-sampling estimate of the generalized entropy under a
     uniform proposal over the box with per-axis (lo, hi) bounds.
 
@@ -297,7 +293,7 @@ def generalized_entropy_mc(loss_fns: Sequence[Callable], betas: BetaWeights, p: 
 
 def box_sharpness(risk_fn: Callable[[np.ndarray], float],
                   grad_fn: Callable[[np.ndarray], np.ndarray],
-                  params: np.ndarray, alpha: float, seed: int = 0,
+                  params: np.ndarray, alpha: float, seed: int,
                   warm_start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """max over |nu_i| <= alpha (|w_i| + 1) of risk(w + nu) - risk(w).
 
@@ -355,7 +351,7 @@ def sharpness(spec: MLPSpec, params: np.ndarray, batch: Batch, alpha: float,
 
 
 def sharpness_sweep(spec: MLPSpec, params: np.ndarray, batch: Batch,
-                    alphas: Sequence[float], seed: int = 0) -> list[float]:
+                    alphas: Sequence[float], seed: int) -> list[float]:
     """Cross-entropy sharpness over increasing alphas with nested-box evaluation.
 
     The maximizer found at each alpha seeds the next (the boxes nest), so

@@ -203,10 +203,6 @@ BOUNDS_SCHEMA = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # keyword -> (test that fails a number, the failure's message)
 _BOUNDS = {
     "minimum": (operator.lt, "is less than the minimum of"),
@@ -229,7 +225,7 @@ def _checked(value, schema: dict, path: list, errors: list):
     """value with each integer field's float made an int. Appends (path,
     message) for each keyword of schema that value breaks, in the order
     jsonschema's iter_errors yields them and with its message texts. An
-    integer in a number field that no float holds raises ConfigError, as a
+    integer in a number field that no float holds raises ValueError, as a
     float literal beyond range does at parse time."""
     out = value
     for key, rule in schema.items():
@@ -275,22 +271,22 @@ def _checked(value, schema: dict, path: list, errors: list):
 
 
 def _check(config, schema: dict):
-    """config as the program reads it, or ConfigError naming the first
+    """config as the program reads it, or ValueError naming the first
     error in path order, ties kept in schema keyword order."""
     errors = []
     checked = _checked(config, schema, [], errors)
     if errors:
         path, message = min(errors, key=lambda e: e[0])
         where = "/".join(map(str, path)) or "<root>"
-        raise ConfigError(f"config field {where}: {message}")
+        raise ValueError(f"config field {where}: {message}")
     return checked
 
 
 def _finite(text: str) -> float:
-    """A JSON number literal as a float, or ConfigError if it is not finite."""
+    """A JSON number literal as a float, or ValueError if it is not finite."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"config number {text} is not finite")
+        raise ValueError(f"config number {text} is not finite")
     return value
 
 
@@ -298,12 +294,12 @@ def _load_config(path: str, schema: dict) -> tuple[dict, str]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ValueError(f"cannot read config: {exc}") from exc
     try:
         # json.loads hands NaN, Infinity and -Infinity to parse_constant
         config = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()
     return _check(config, schema), digest
@@ -339,7 +335,7 @@ def _check_widths(spec: MLPSpec, train_set: data.Dataset) -> None:
     want = (train_set.inputs.shape[1], train_set.targets.shape[1])
     got = (spec.input_dim, spec.output_dim)
     if got != want:
-        raise ConfigError(
+        raise ValueError(
             f"config field model/layer_widths: input/output widths {got[0]}/{got[1]} "
             f"do not match the dataset's {want[0]}/{want[1]}")
 
@@ -349,7 +345,7 @@ def _check_distinct(field: str, values) -> None:
     seen = set()
     for value in values:
         if value in seen:
-            raise ConfigError(f"config field {field}: {value} is repeated")
+            raise ValueError(f"config field {field}: {value} is repeated")
         seen.add(value)
 
 
@@ -399,8 +395,8 @@ def cmd_train(config: dict, digest: str, out: Path) -> int:
     run_dirs = [out / f"{_slug(c.scheme)}-seed{c.seed}" for c in configs]
     for run_dir in run_dirs:
         if len(run_dir.name) > 255:  # an ASCII name, one byte a character
-            raise ConfigError(f"config field seeds: run name {run_dir.name[:32]}... "
-                              f"is longer than a file name's 255 bytes")
+            raise ValueError(f"config field seeds: run name {run_dir.name[:32]}... "
+                             f"is longer than a file name's 255 bytes")
     try:
         records = optim.train(spec, train_set, val_set, configs)
     except optim.TrainingDiverged as exc:
@@ -420,11 +416,15 @@ def cmd_train(config: dict, digest: str, out: Path) -> int:
 def cmd_klsweep(config: dict, digest: str, out: Path) -> int:
     grid = config.get("grid", {})
     if grid and grid["lo"] >= grid["hi"]:
-        raise ConfigError("config field grid: lo must be below hi")
+        raise ValueError("config field grid: lo must be below hi")
+    p_list = config.get("p_list", [1.0, 2.0, 3.0, 4.0])
+    for p in p_list:
+        if p + analysis.P_STEP == p:  # the report's dD_dp would divide by 0
+            raise ValueError(f"config field p_list: {p} is too large for the "
+                             f"p step {analysis.P_STEP}")
     L1, L2, p_opt = analysis.default_kl_testbed(**grid)
     betas_doc = config.get("betas", [0.5, 0.5])
     betas = BetaWeights(tuple(betas_doc))
-    p_list = config.get("p_list", [1.0, 2.0, 3.0, 4.0])
     report = analysis.scheme_kl_report(L1, L2, p_opt, betas, p_list)
     path = _write_json(out / "kl_report.json", report.to_json_dict(), digest)
     print(f"report written to {path}")
@@ -436,7 +436,7 @@ def cmd_spectral(config: dict, digest: str, out: Path) -> int:
     freqs = tuple(map(float, config.get("frequencies", [1.0, 3.0, 5.0])))
     amps = tuple(config.get("amplitudes", [1.0] * len(freqs)))
     if len(amps) != len(freqs):
-        raise ConfigError("config field amplitudes: must match frequencies")
+        raise ValueError("config field amplitudes: must match frequencies")
     target = spectral.SpectralTarget(frequencies=freqs, amplitudes=amps,
                                      n_points=config.get("n_points", 256))
     schemes = [_scheme_from(s) for s in config["schemes"]]
@@ -469,14 +469,14 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
     if "params_file" in post_doc:
         path = Path(post_doc["params_file"])
         if not path.exists():
-            raise ConfigError(f"config field posterior/params_file: "
-                              f"missing model file {path}")
+            raise ValueError(f"config field posterior/params_file: "
+                             f"missing model file {path}")
         try:
             with np.load(path) as archive:  # a .npy gives an array: a TypeError
                 mean = archive["params"]
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"config field posterior/params_file: no params "
-                              f"array in {path}: {exc}") from exc
+            raise ValueError(f"config field posterior/params_file: no params "
+                             f"array in {path}: {exc}") from exc
     else:
         scheme = _scheme_from(config.get("scheme", {"kind": "multi"}))
         cfg = optim.TrainConfig(scheme=scheme, seed=seed, **config.get("train", {}))

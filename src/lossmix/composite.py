@@ -102,6 +102,11 @@ class Scheme:
             raise ValueError(f"power must be finite, got {self.p!r}")
         if self.kind == "nonlinear" and self.p < 1.0:
             raise ValueError("power must be >= 1")
+        # a field the kind ignores would train the same run under another name
+        if self.kind != "nonlinear" and self.p != 1.0:
+            raise ValueError(f"a {self.kind} scheme takes no p, got {self.p!r}")
+        if self.kind != "single" and self.index != 0:
+            raise ValueError(f"a {self.kind} scheme takes no index, got {self.index!r}")
 
     @classmethod
     def single(cls, index: int) -> "Scheme":
@@ -109,15 +114,11 @@ class Scheme:
 
     @classmethod
     def multi(cls) -> "Scheme":
-        return cls(kind="multi", p=1.0)
+        return cls(kind="multi")
 
     @classmethod
     def nonlinear(cls, p: float) -> "Scheme":
         return cls(kind="nonlinear", p=float(p))
-
-    @property
-    def effective_p(self) -> float:
-        return self.p if self.kind == "nonlinear" else 1.0
 
     def label(self) -> str:
         if self.kind == "single":
@@ -273,7 +274,7 @@ def adaptive_betas(grad_norms, rule: str = "softmax"):
 
 
 def dvalue_dp(values: Sequence[float], betas: BetaWeights, p: float,
-              mode: str = "weighted") -> float:
+              mode: str) -> float:
     """Exact derivative of composite_value with respect to p.
 
     d/dp M^(1/p) = M^(1/p) * [ -ln(M)/p^2 + (sum beta v^p ln v) / (p M) ].

@@ -16,10 +16,6 @@ CIFAR_PIXELS = 3072
 CIFAR_CLASSES = 10
 
 
-class CifarFormatError(ValueError):
-    """Malformed CIFAR-10 binary file, with the offending byte offset."""
-
-
 @dataclass(frozen=True)
 class Dataset(Batch):
     """A Batch (inputs plus one-hot labels or real targets) that knows its
@@ -138,13 +134,13 @@ def load_cifar10_bin(path, max_records: int) -> Dataset:
         raise ValueError("empty request: max_records must be >= 1")
     raw = Path(path).read_bytes()
     if len(raw) % CIFAR_RECORD_BYTES != 0:
-        raise CifarFormatError(
+        raise ValueError(
             f"truncated record: file length {len(raw)} leaves a partial record "
             f"at byte offset {len(raw) - len(raw) % CIFAR_RECORD_BYTES}"
         )
     available = len(raw) // CIFAR_RECORD_BYTES
     if available < max_records:
-        raise CifarFormatError(
+        raise ValueError(
             f"requested {max_records} records but file holds {available}"
         )
     arr = np.frombuffer(raw, dtype=np.uint8, count=max_records * CIFAR_RECORD_BYTES)
@@ -152,7 +148,7 @@ def load_cifar10_bin(path, max_records: int) -> Dataset:
     labels = records[:, 0].astype(int)
     bad = np.nonzero(labels > 9)[0]
     if bad.size:
-        raise CifarFormatError(
+        raise ValueError(
             f"label {labels[bad[0]]} out of range at byte offset "
             f"{int(bad[0]) * CIFAR_RECORD_BYTES}"
         )

@@ -28,10 +28,6 @@ class LossKind(str, enum.Enum):
     ZERO_ONE = "zero_one"
 
 
-class NonDifferentiableLoss(ValueError):
-    """Raised when a gradient is requested from the 0-1 loss."""
-
-
 @dataclass(frozen=True)
 class LossValue:
     value: float
@@ -118,7 +114,7 @@ def loss_output_grad(kind: LossKind, predictions: np.ndarray,
     _check_shapes(predictions, targets)
     n = predictions.shape[-2]
     if kind == LossKind.ZERO_ONE:
-        raise NonDifferentiableLoss("non-differentiable surrogate target")
+        raise ValueError("non-differentiable surrogate target")
     if kind == LossKind.MSE:
         return 2.0 * (predictions - targets) / n
     if kind == LossKind.CE:

@@ -83,10 +83,6 @@ def _keep_freed_pages() -> None:
 _keep_freed_pages()
 
 
-class ShapeError(ValueError):
-    """Dimension mismatch between spec, parameters, or data."""
-
-
 @dataclass(frozen=True)
 class MLPSpec:
     """Architecture of a fully-connected net, input width first."""
@@ -137,13 +133,13 @@ class Batch:
         inputs = np.asarray(self.inputs, dtype=np.float64)
         targets = np.asarray(self.targets, dtype=np.float64)
         if inputs.ndim != 2 or targets.ndim != 2:
-            raise ShapeError("inputs and targets must be 2-d arrays")
+            raise ValueError("inputs and targets must be 2-d arrays")
         if inputs.shape[0] != targets.shape[0]:
-            raise ShapeError(
+            raise ValueError(
                 f"row mismatch: {inputs.shape[0]} inputs vs {targets.shape[0]} targets"
             )
         if inputs.shape[0] < 1:
-            raise ShapeError("batch must contain at least one sample")
+            raise ValueError("batch must contain at least one sample")
         if not np.all(np.isfinite(inputs)):
             raise ValueError("non-finite inputs")
         if not np.all(np.isfinite(targets)):
@@ -156,7 +152,7 @@ class Batch:
         return self.inputs.shape[0]
 
 
-def init_params(spec: MLPSpec, seed: int, scale: float = 0.5) -> np.ndarray:
+def init_params(spec: MLPSpec, seed: int, scale: float) -> np.ndarray:
     """Flat parameter vector with entries uniform in [-scale, scale]."""
     if scale < 0:
         raise ValueError("scale must be nonnegative")
@@ -167,7 +163,7 @@ def init_params(spec: MLPSpec, seed: int, scale: float = 0.5) -> np.ndarray:
 def check_params(spec: MLPSpec, params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
     if params.ndim not in (1, 2) or params.shape[-1] != spec.n_params:
-        raise ShapeError(
+        raise ValueError(
             f"parameters of shape {params.shape}; spec needs vectors of length "
             f"{spec.n_params}, alone or stacked as (runs, {spec.n_params})"
         )
@@ -280,12 +276,12 @@ def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
     inputs = np.asarray(inputs, dtype=np.float64)
     width = spec.layer_widths[start]
     if inputs.ndim not in (2, 3) or inputs.shape[-1] != width:
-        raise ShapeError(
+        raise ValueError(
             f"layer {start} expects input dim {width}, got shape {inputs.shape}"
         )
     lead = layers[0][1].shape[:-1]
     if inputs.ndim == 3 and inputs.shape[:1] != lead:
-        raise ShapeError(f"{inputs.shape[0]} input blocks for parameters "
+        raise ValueError(f"{inputs.shape[0]} input blocks for parameters "
                          f"of shape {lead + (spec.n_params,)}")
     acts = [inputs]
     a = inputs
@@ -325,7 +321,7 @@ def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
     preds = acts[-1]
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if output_grad.shape != preds.shape:
-        raise ShapeError(
+        raise ValueError(
             f"output gradient shape {output_grad.shape} does not match "
             f"predictions {preds.shape}"
         )

@@ -279,7 +279,7 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, check):
             composite[r], descent[r] = vals[r, followed], grads[followed, r]
             row_betas[r] = BetaWeights.one_hot(len(terms), followed).betas
     if composed:
-        powers = [configs[r].scheme.effective_p for r in composed]
+        powers = [configs[r].scheme.p for r in composed]
         composite[composed] = composite_value(vals[composed], betas[composed], powers,
                                               config.mode)
         descent[composed] = composite_grad(vals[composed], grads[:, composed],
@@ -299,8 +299,8 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, check):
                                              -descent[live] / norms[live, None],
                                              CURVATURE_H, f0=vals[live])
         for j, r in enumerate(live):
-            p_eff = configs[r].scheme.effective_p
-            satisfied[r] = all(constraint9_check(max(v, VALUE_FLOOR), g, h, p_eff)
+            p = configs[r].scheme.p
+            satisfied[r] = all(constraint9_check(max(v, VALUE_FLOOR), g, h, p)
                                for v, g, h in zip(vals[r], g_dir[j], h_dir[j]))
     train_acc = _accuracy(spec, params, data, preds)
     val_acc = _accuracy(spec, params, val)
@@ -408,7 +408,7 @@ def _train_stack(spec, data, val, configs, rows):
                   for i in (_followed(c, epoch) for c in configs)]
         grad_kinds = terms if None in direct else tuple(t for t in terms if t in direct)
         composed = [r for r, kind in enumerate(direct) if kind is None]
-        powers = [configs[r].scheme.effective_p for r in composed]
+        powers = [configs[r].scheme.p for r in composed]
         orders = np.stack([rng.permutation(data.n) for rng in rngs])
         for start in range(0, data.n, config.batch_size):
             idx = orders[:, start:start + config.batch_size]

@@ -23,10 +23,6 @@ from .data import Dataset, freq_target_1d
 from .netcore import MLPSpec
 
 
-class SpectralDomainError(ValueError):
-    """Frequency outside the formula's domain."""
-
-
 @dataclass(frozen=True)
 class SigmoidUnit:
     """One sigmoid activation sigma(a x + b)."""
@@ -53,7 +49,7 @@ def sigmoid_ft(unit: SigmoidUnit, omega: float) -> complex:
     distributional delta at omega = 0 is excluded.
     """
     if omega == 0.0:
-        raise SpectralDomainError("distributional component excluded at omega = 0")
+        raise ValueError("distributional component excluded at omega = 0")
     phase = complex(math.cos(unit.b * omega / unit.a),
                     math.sin(unit.b * omega / unit.a))
     return -1j * math.pi / abs(unit.a) * phase * _csch(math.pi * omega / unit.a)

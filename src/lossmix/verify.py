@@ -300,12 +300,12 @@ def check_composite_end_to_end_grad():
 
 # --- optim -------------------------------------------------------------------
 
-def _tiny_run(seed=1, epochs=4, **overrides):
+def _tiny_run(**overrides):
     train = data.two_moons(60, 0.05, seed=100)
     val = data.two_moons(30, 0.05, seed=101)
     spec = MLPSpec((2, 8, 2), hidden_activation="tanh", output_kind="softmax")
-    kwargs = dict(scheme=Scheme.nonlinear(2.0), epochs=epochs, batch_size=16,
-                  seed=seed, warmup_epochs=1, learning_rate=0.05)
+    kwargs = dict(scheme=Scheme.nonlinear(2.0), epochs=4, batch_size=16,
+                  seed=1, warmup_epochs=1, learning_rate=0.05)
     kwargs.update(overrides)
     cfg = optim.TrainConfig(**kwargs)
     return optim.train(spec, train, val, [cfg])[0], cfg

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lossmix
-from lossmix import cli, composite, data, optim, spectral
+from lossmix import analysis, cli, composite, data, optim, spectral
 
 
 def run_cli(argv):
@@ -266,6 +266,18 @@ class TestKlsweepCommand:
                            {"grid": {"lo": 3.0, "hi": -3.0, "points": 101}})
         assert run_cli(["klsweep", "--config", cfg,
                         "--out", str(tmp_path / "o")]) == 1
+
+    def test_p_too_large_for_its_step_rejected(self, tmp_path, monkeypatch, capsys):
+        # dD_dp divides by the step p takes, which rounds to 0 at such a p
+        def no_report(*args, **kwargs):
+            raise AssertionError("built a report for a p its step cannot move")
+
+        monkeypatch.setattr(analysis, "default_kl_testbed", no_report)
+        cfg = write_config(tmp_path, {"p_list": [2.0, 1e300]})
+        code = run_cli(["klsweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config field p_list: 1e+300 is too large" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_shipped_config_bytes_are_pinned(self, tmp_path, capsys):
         # the report the benchmark's klsweep digest reads; like
@@ -556,6 +568,19 @@ def test_start_up_loads_no_schema_library(tmp_path):
         "attr", "idna", "certifi"}
 
 
+def test_bare_package_import_loads_no_module_and_no_numpy():
+    # every caller imports the module it uses; the package re-exports nothing
+    probe = ("import json, sys; before = set(sys.modules); import lossmix\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = str(Path(lossmix.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert "lossmix" in loaded
+    assert [m for m in loaded if m.startswith("lossmix.")
+            or m.partition(".")[0] == "numpy"] == []
+
+
 def test_declared_dependencies_are_the_imported_ones():
     tomllib = pytest.importorskip("tomllib")
     package = Path(lossmix.__file__).resolve().parent
@@ -624,6 +649,23 @@ def test_non_finite_numbers_rejected_at_load(tmp_path, monkeypatch, capsys,
     code = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
     assert f"config number {literal} is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, path, scheme, message", [
+    ("train", "schemes/0", {"kind": "multi", "p": 3.0}, "a multi scheme takes no p, got 3.0"),
+    ("spectral", "schemes/0", {"kind": "single", "index": 0, "p": 7.0},
+     "a single scheme takes no p, got 7.0"),
+    ("bounds", "scheme", {"kind": "nonlinear", "p": 2.0, "index": 1},
+     "a nonlinear scheme takes no index, got 1"),
+], ids=["train-multi-p", "spectral-single-p", "bounds-nonlinear-index"])
+def test_scheme_field_its_kind_ignores_rejected_before_training(
+        tmp_path, no_training, capsys, command, path, scheme, message):
+    # such a run would train the run without the field, under another name
+    cfg = write_config(tmp_path, with_value(SMALL_CONFIGS[command], path, scheme))
+    code = run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -776,7 +818,7 @@ def test_checker_agrees_with_jsonschema(data):
         expected = f"config field {where}: {errors[0].message}"
     try:
         checked, got = cli._check(doc, schema), None
-    except cli.ConfigError as exc:
+    except ValueError as exc:
         got = str(exc)
     assert got == expected
     if got is None:

@@ -195,7 +195,7 @@ class TestAdaptiveBetas:
 
 class TestDvalueDp:
     def test_equal_values_zero(self):
-        got = dvalue_dp([0.4, 0.4], BetaWeights.uniform(2), 2.0)
+        got = dvalue_dp([0.4, 0.4], BetaWeights.uniform(2), 2.0, "weighted")
         assert got == pytest.approx(0.0, abs=1e-12)
 
     @given(fd_values, fd_betas, st.floats(1.2, 4.0), modes)
@@ -306,8 +306,8 @@ class TestScheme:
         # assert the identity at the objective level, where both are the
         # linear combination of the terms
         values, betas, _, _ = case
-        assert (composite_value(values, betas, Scheme.multi().effective_p)
-                == composite_value(values, betas, Scheme.nonlinear(1.0).effective_p))
+        assert (composite_value(values, betas, Scheme.multi().p)
+                == composite_value(values, betas, Scheme.nonlinear(1.0).p))
         assert verify.p1_equals_linear_combination(values, betas)[0]
 
     def test_labels(self):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lossmix.losses import (LossKind, NonDifferentiableLoss, loss_output_grad,
-                            loss_value)
+from lossmix.losses import LossKind, loss_output_grad, loss_value
 from lossmix.netcore import finite_diff_grad
 
 
@@ -85,7 +84,7 @@ class TestGrads:
         assert g[0, 0] == pytest.approx(-0.2, abs=1e-15)
 
     def test_zero_one_refuses(self):
-        with pytest.raises(NonDifferentiableLoss, match="non-differentiable"):
+        with pytest.raises(ValueError, match="non-differentiable"):
             loss_output_grad(LossKind.ZERO_ONE, np.array([[0.5]]),
                              np.array([[1.0]]))
 

@@ -10,7 +10,7 @@ import pytest
 import lossmix
 from lossmix import netcore
 from lossmix.losses import LossKind, loss_means, loss_output_grad, loss_value
-from lossmix.netcore import Batch, MLPSpec, ShapeError
+from lossmix.netcore import Batch, MLPSpec
 
 
 def make_batch(n=6, d=3, k=2, seed=0):
@@ -123,12 +123,12 @@ class TestForward:
     def test_dimension_mismatch_names_layer(self):
         spec = MLPSpec((3, 2))
         batch = make_batch(d=4)
-        with pytest.raises(ShapeError, match="layer 0"):
+        with pytest.raises(ValueError, match="layer 0"):
             netcore.forward(spec, np.zeros(spec.n_params), batch)
 
     def test_param_length_checked(self):
         spec = MLPSpec((3, 2))
-        with pytest.raises(ShapeError, match="length"):
+        with pytest.raises(ValueError, match="length"):
             netcore.forward(spec, np.zeros(3), make_batch())
 
 
@@ -171,7 +171,7 @@ class TestBackward:
     def test_shape_mismatch(self):
         spec = MLPSpec((3, 2))
         params = np.zeros(spec.n_params)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="output gradient shape"):
             netcore.backward(spec, params, make_batch(), np.zeros((6, 3)))
 
 
@@ -267,7 +267,7 @@ def test_forward_from_a_later_layer_gives_the_full_pass_bits():
     for start in (1, 2):
         tail, (_, tail_acts) = netcore._forward_cache(spec, params, acts[start], start)
         assert np.array_equal(tail, preds) and len(tail_acts) == 4 - start
-    with pytest.raises(ShapeError, match="layer 2 expects input dim 8"):
+    with pytest.raises(ValueError, match="layer 2 expects input dim 8"):
         netcore._forward_cache(spec, params, acts[1], 2)
 
 
@@ -285,7 +285,7 @@ def test_stacked_inputs_need_one_block_per_run():
     params = np.zeros((2, spec.n_params))
     # inputs shared by every run are fine; a third block for two runs is not
     assert netcore.forward(spec, params, make_batch()).shape == (2, 6, 2)
-    with pytest.raises(ShapeError, match="input blocks"):
+    with pytest.raises(ValueError, match="input blocks"):
         netcore._forward_cache(spec, params, np.zeros((3, 6, 3)))
 
 

@@ -267,7 +267,7 @@ def per_term_row(spec, params, data, val, config, betas, epoch, warmup):
     batch = data.as_batch()
     acts, vals, grads = netcore.term_values_and_grads(spec, params, batch.inputs,
                                                      batch.targets, config.terms)
-    p_eff = config.scheme.effective_p
+    p_eff = config.scheme.p
     # the direction the run steps along: its followed term's gradient, or
     # the composite's
     if warmup:

@@ -10,8 +10,7 @@ from hypothesis.extra.numpy import arrays
 from lossmix import netcore, spectral, verify
 from lossmix.optim import TrainConfig
 from lossmix.composite import Scheme
-from lossmix.spectral import (SigmoidUnit, SpectralDomainError,
-                              SpectralTarget, check_bands,
+from lossmix.spectral import (SigmoidUnit, SpectralTarget, check_bands,
                               default_bands, frequency_capture, residual_spectrum,
                               sigmoid_ft)
 
@@ -29,7 +28,7 @@ class TestSigmoidFT:
             assert shifted == pytest.approx(base, abs=1e-15)
 
     def test_omega_zero_excluded(self):
-        with pytest.raises(SpectralDomainError, match="distributional"):
+        with pytest.raises(ValueError, match="distributional"):
             sigmoid_ft(SigmoidUnit(a=1.0), 0.0)
 
     def test_zero_slope_rejected(self):
