@@ -227,6 +227,11 @@ def scheme_kl_report(L1: GridField, L2: GridField, P_opt: GridField,
     return KLReport(modes=modes)
 
 
+def testbed_loss(x: np.ndarray, center: float) -> np.ndarray:
+    """The KL testbed's loss at x: a quadratic about center, clipped to [0.01, 0.99]."""
+    return np.clip(0.05 + 0.15 * (x - center) ** 2, 0.01, 0.99)
+
+
 def default_kl_testbed(lo: float = -3.0, hi: float = 3.0, points: int = 601):
     """Mirrored clipped quadratics in (0, 1) plus the reference density.
 
@@ -236,8 +241,8 @@ def default_kl_testbed(lo: float = -3.0, hi: float = 3.0, points: int = 601):
     """
     grid = Grid(lo, hi, points)
     x = grid.axis()
-    L1 = GridField(grid, np.clip(0.05 + 0.15 * (x - 1.0) ** 2, 0.01, 0.99))
-    L2 = GridField(grid, np.clip(0.05 + 0.15 * (x + 1.0) ** 2, 0.01, 0.99))
+    L1 = GridField(grid, testbed_loss(x, 1.0))
+    L2 = GridField(grid, testbed_loss(x, -1.0))  # x - (-1) is x + 1 to the bit
     min_field = GridField(grid, np.minimum(L1.values, L2.values))
     p_opt = boltzmann(min_field, 10.0).density
     return L1, L2, p_opt

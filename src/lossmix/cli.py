@@ -85,6 +85,13 @@ _DATASET_SCHEMA = {
     "additionalProperties": False,
 }
 
+# the fields that only one dataset kind reads; every kind reads the others
+_DATASET_KIND_FIELDS = {
+    "two_moons": ("n", "noise"),
+    "blobs": ("classes", "per_class", "dim", "spread"),
+    "cifar10_bin": ("path", "max_records"),
+}
+
 _TRAIN_FIELDS = {
     # the 0-1 loss has no gradient, so it cannot be a training term
     "terms": {"type": "array", "minItems": 1, "items": {
@@ -311,14 +318,25 @@ def _scheme_from(doc: dict) -> Scheme:
 
 def _dataset_from(doc: dict) -> tuple[data.Dataset, data.Dataset]:
     kind = doc["kind"]
+    unread = [key for other, keys in _DATASET_KIND_FIELDS.items() if other != kind
+              for key in keys if key in doc]
+    if unread:
+        raise ValueError(f"config field dataset/{unread[0]}: a {kind} dataset does not "
+                         f"read it")
     seed = doc.get("seed", 0)
     if kind == "two_moons":
         full = data.two_moons(doc.get("n", 400), doc.get("noise", 0.1), seed)
     elif kind == "blobs":
         full = data.gaussian_blobs(doc.get("classes", 3), doc.get("per_class", 100),
                                    doc.get("dim", 2), doc.get("spread", 0.5), seed)
+    elif "path" not in doc:
+        raise ValueError("config field dataset/path: a cifar10_bin dataset needs a path")
     else:
-        full = data.load_cifar10_bin(doc["path"], doc.get("max_records", 3000))
+        try:
+            full = data.load_cifar10_bin(doc["path"], doc.get("max_records", 3000))
+        except OSError as exc:
+            raise ValueError(f"config field dataset/path: cannot read "
+                             f"{doc['path']}: {exc.strerror}") from exc
     level = doc.get("randomize_level", 0.0)
     if level > 0:
         full = data.randomize_labels(full, level, doc.get("randomize_seed", seed))
@@ -338,6 +356,15 @@ def _check_widths(spec: MLPSpec, train_set: data.Dataset) -> None:
         raise ValueError(
             f"config field model/layer_widths: input/output widths {got[0]}/{got[1]} "
             f"do not match the dataset's {want[0]}/{want[1]}")
+
+
+def _train_configs(config: dict, schemes, seeds) -> list[optim.TrainConfig]:
+    """One TrainConfig per scheme and seed, from the config's train block."""
+    doc = config.get("train", {})
+    if "momentum" in doc and doc.get("optimizer") != "momentum":  # adam by default
+        raise ValueError("config field train/momentum: only the momentum optimizer reads it")
+    return [optim.TrainConfig(scheme=scheme, seed=seed, **doc)
+            for scheme in schemes for seed in seeds]
 
 
 def _check_distinct(field: str, values) -> None:
@@ -390,8 +417,7 @@ def cmd_train(config: dict, digest: str, out: Path) -> int:
     _check_distinct("schemes", [s.label() for s in schemes])
     _check_distinct("seeds", seeds)
 
-    configs = [optim.TrainConfig(scheme=scheme, seed=seed, **config.get("train", {}))
-               for scheme in schemes for seed in seeds]
+    configs = _train_configs(config, schemes, seeds)
     run_dirs = [out / f"{_slug(c.scheme)}-seed{c.seed}" for c in configs]
     for run_dir in run_dirs:
         if len(run_dir.name) > 255:  # an ASCII name, one byte a character
@@ -455,11 +481,15 @@ def cmd_spectral(config: dict, digest: str, out: Path) -> int:
 
 
 def cmd_bounds(config: dict, digest: str, out: Path) -> int:
+    post_doc = config["posterior"]
+    for key in ("scheme", "train"):
+        if key in config and "params_file" in post_doc:
+            raise ValueError(f"config field {key}: a posterior mean read from "
+                             f"posterior/params_file is not trained")
     spec = _model_from(config["model"])
     train_set, val_set = _dataset_from(config["dataset"])
     _check_widths(spec, train_set)
     seed = config.get("seed", 0)
-    post_doc = config["posterior"]
     # built before any training, so a bad bound or prior block fails up front
     prior = pacbayes.GaussianPrior(lambda_p=config["prior"]["lambda_p"])
     bound = config["bound"]
@@ -479,9 +509,9 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
                              f"array in {path}: {exc}") from exc
     else:
         scheme = _scheme_from(config.get("scheme", {"kind": "multi"}))
-        cfg = optim.TrainConfig(scheme=scheme, seed=seed, **config.get("train", {}))
+        configs = _train_configs(config, [scheme], [seed])
         # only the final weights are read, so no telemetry rows
-        mean = optim.train(spec, train_set, val_set, [cfg], rows=False)[0].final_params
+        mean = optim.train(spec, train_set, val_set, configs, rows=False)[0].final_params
     q = pacbayes.GaussianPosterior(mean=mean, sigma=post_doc["sigma"])
     cert = pacbayes.risk_certificate(q, prior, spec, val_set, params,
                                      n_samples=config.get("n_samples", 100),

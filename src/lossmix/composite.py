@@ -41,10 +41,6 @@ SCHEME_KINDS = ("single", "multi", "nonlinear")
 MUTATE_ENV = "LOSSMIX_MUTATE"
 
 
-def _mutated(tag: str) -> bool:
-    return os.environ.get(MUTATE_ENV, "") == tag
-
-
 def _check_simplex(rows) -> None:
     """Raise ValueError unless each row of weights is nonnegative and sums
     to 1 within SIMPLEX_TOL; both conditions are written so a NaN fails."""
@@ -238,7 +234,7 @@ def composite_grad(values, grads: Sequence[np.ndarray], betas, p,
     total = np.zeros_like(gs[0])
     for k, g in enumerate(gs):
         total += coeffs[..., k, None] * g
-    if _mutated("composite-grad-sign"):
+    if os.environ.get(MUTATE_ENV, "") == "composite-grad-sign":
         total = -total
     return total
 

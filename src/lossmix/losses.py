@@ -42,18 +42,6 @@ def _clip_probs(p: np.ndarray) -> np.ndarray:
     return np.clip(p, CLAMP, 1.0 - CLAMP)
 
 
-def _check_pair(predictions: np.ndarray, targets: np.ndarray):
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape or predictions.ndim != 2:
-        raise ValueError(
-            f"shape mismatch: predictions {predictions.shape} vs targets {targets.shape}"
-        )
-    if not (np.all(np.isfinite(predictions)) and np.all(np.isfinite(targets))):
-        raise ValueError("non-finite loss inputs")
-    return predictions, targets
-
-
 def _check_shapes(predictions: np.ndarray, targets: np.ndarray) -> None:
     if predictions.ndim < 2 or predictions.shape[-2:] != targets.shape[-2:]:
         raise ValueError(
@@ -104,7 +92,14 @@ def loss_means(kind: LossKind, predictions: np.ndarray, targets: np.ndarray):
 
 def loss_value(kind: LossKind, predictions: np.ndarray, targets: np.ndarray) -> LossValue:
     """The checked mean loss of one (n, k) prediction block."""
-    predictions, targets = _check_pair(predictions, targets)
+    predictions = np.asarray(predictions, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if predictions.shape != targets.shape or predictions.ndim != 2:
+        raise ValueError(
+            f"shape mismatch: predictions {predictions.shape} vs targets {targets.shape}"
+        )
+    if not (np.all(np.isfinite(predictions)) and np.all(np.isfinite(targets))):
+        raise ValueError("non-finite loss inputs")
     return LossValue(value=float(loss_means(kind, predictions, targets)), kind=kind)
 
 

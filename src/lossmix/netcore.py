@@ -160,20 +160,15 @@ def init_params(spec: MLPSpec, seed: int, scale: float) -> np.ndarray:
     return rng.uniform(-scale, scale, spec.n_params)
 
 
-def check_params(spec: MLPSpec, params: np.ndarray) -> np.ndarray:
+def unpack_params(spec: MLPSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split flat parameters into per-layer (weight, bias) views; a stack
+    (R, P) gives (R, n_in, n_out) weights and (R, n_out) biases."""
     params = np.asarray(params, dtype=np.float64)
     if params.ndim not in (1, 2) or params.shape[-1] != spec.n_params:
         raise ValueError(
             f"parameters of shape {params.shape}; spec needs vectors of length "
             f"{spec.n_params}, alone or stacked as (runs, {spec.n_params})"
         )
-    return params
-
-
-def unpack_params(spec: MLPSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split flat parameters into per-layer (weight, bias) views; a stack
-    (R, P) gives (R, n_in, n_out) weights and (R, n_out) biases."""
-    params = check_params(spec, params)
     lead = params.shape[:-1]
     ws = spec.layer_widths
     layers = []

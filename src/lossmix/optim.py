@@ -449,6 +449,10 @@ def _train_stack(spec, data, val, configs, rows):
                     for rng in rngs])
             check(step, "gradient")
             params, opt_state = optimizer_step(opt_state, params, step, config)
+            if "v" in opt_state:
+                # momentum's v and adam's sum of squares can overflow from
+                # finite steps; adam's m, an average of them, cannot
+                check(opt_state["v"], "optimizer state")
 
         seconds = time.perf_counter() - t0
         if rows:

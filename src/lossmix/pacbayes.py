@@ -7,17 +7,16 @@ Natural logarithms throughout. The linear bound is only meaningful for
 lambda > 1/2, where its (1 - 1/(2 lambda)) factor is positive; the
 evaluators reject anything at or below that threshold.
 
-The Bernoulli-KL inversion bisects with ``_bisect``, a port of
-``scipy.optimize.bisect`` that gives the same root bits; importing
-scipy.optimize cost about 0.2 s of every command's start-up for that one
-call.
+The Bernoulli-KL inversion bisects in ``kl_inverse`` itself, with the
+steps of ``scipy.optimize.bisect`` from its one bracket, so the root has
+scipy's bits; importing scipy.optimize cost about 0.2 s of every command's
+start-up for that one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -154,7 +153,7 @@ def bernoulli_kl(q: float, p: float) -> float:
 
 def kl_inverse(q: float, c: float) -> float:
     """Largest p >= q with bernoulli_kl(q, p) <= c, by bisection."""
-    if c < 0:
+    if not c >= 0:  # a NaN budget fails too
         raise ValueError("kl budget must be nonnegative")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
@@ -165,42 +164,21 @@ def kl_inverse(q: float, c: float) -> float:
         return q
     if bernoulli_kl(q, p_max) <= c:
         return 1.0
-    root = _bisect(lambda p: bernoulli_kl(q, p) - c, q if q > 0 else 1e-300, p_max,
-                   xtol=1e-12)
-    return float(root)
-
-
-_BISECT_RTOL = 4 * math.ulp(1.0)  # scipy's smallest rtol, 4 eps
-_BISECT_MAXITER = 100
-
-
-def _bisect(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
-    """scipy.optimize.bisect's loop and checks, step for step, so the root
-    has the same bits without importing scipy.optimize."""
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    fa, fb = value(a), value(b)
-    if fa * fb > 0:
-        raise ValueError("f(a) and f(b) must have different signs")
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    dm = b - a
-    for _ in range(_BISECT_MAXITER):
+    # scipy.optimize.bisect's steps for bernoulli_kl(q, .) - c on
+    # [a, p_max]: it is -c at a, where kl(q, q) is 0 and kl(0, 1e-300)
+    # rounds to 0, and positive at p_max, so neither end is a root; an
+    # interval under 1 halves below xtol 1e-12 within 40 steps
+    a = q if q > 0 else 1e-300
+    dm = p_max - a
+    rtol = 4 * math.ulp(1.0)  # scipy's smallest rtol, 4 eps
+    while True:
         dm *= 0.5
         xm = a + dm
-        fm = value(xm)
-        if fm * fa >= 0:
+        fm = bernoulli_kl(q, xm) - c
+        if fm * -c >= 0:
             a = xm
-        if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+        if fm == 0 or abs(dm) < 1e-12 + rtol * abs(xm):
             return xm
-    raise RuntimeError(f"Failed to converge after {_BISECT_MAXITER} iterations.")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ sign mutation (LOSSMIX_MUTATE=composite-grad-sign) must trip.
 
 A property that holds for every input is written once, as a predicate on
 one input that returns (ok, measure) with its tolerance inside. Its
-invariant runs it over fixed seeded draws (`_seeded`), and the property
-tests in tests/ call the same predicate on Hypothesis draws.
+INVARIANTS row is the check `_seeded` builds over fixed seeded draws (a
+check with a test of its own calls it first), and the property tests in
+tests/ call the same predicate on Hypothesis draws.
 """
 
 from __future__ import annotations
@@ -43,13 +44,17 @@ def _small_problem(seed=0):
 
 
 def _seeded(seed, n, draw, predicate, detail):
-    """(every draw held, detail) for predicate over n seeded draws; detail is
-    formatted with the draws' largest measure and their sum."""
-    rng = np.random.default_rng(seed)
-    results = [predicate(*draw(rng)) for _ in range(n)]
-    measures = [measure for _, measure in results]
-    return (all(ok for ok, _ in results),
-            detail.format(max=max(measures), sum=sum(measures)))
+    """The check that runs predicate over n seeded draws and returns (every
+    draw held, detail); detail is formatted with the draws' largest measure
+    and their sum."""
+    def check():
+        rng = np.random.default_rng(seed)
+        results = [predicate(*draw(rng)) for _ in range(n)]
+        measures = [measure for _, measure in results]
+        return (all(ok for ok, _ in results),
+                detail.format(max=max(measures), sum=sum(measures)))
+
+    return check
 
 
 # --- netcore ---------------------------------------------------------------
@@ -152,24 +157,11 @@ def gradient_matches_finite_differences(values, betas, p, mode):
     return err <= 1e-8, err
 
 
-def check_composite_grad_oracle():
-    return _seeded(11, 40, lambda rng: (
-        rng.uniform(0.1, 0.9, 2), _pair_betas(rng, 0.2, 0.8),
-        rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]), rng.choice(composite.MODES)),
-        gradient_matches_finite_differences, "max relative error {max:.2e}")
-
-
 def p1_equals_linear_combination(values, betas):
     """At p = 1 the weighted value is sum_m beta_m v_m, to 1e-12."""
     dev = abs(composite.composite_value(values, betas, 1.0, "weighted")
               - float(np.dot(betas.as_array(), values)))
     return dev <= 1e-12, dev
-
-
-def check_composite_p1_reduction():
-    return _seeded(12, 200, lambda rng: (
-        rng.uniform(0.05, 0.95, 3), _simplex_betas(rng, 3)),
-        p1_equals_linear_combination, "max deviation {max:.2e}")
 
 
 def one_hot_equals_single_loss(values, index, p):
@@ -179,25 +171,11 @@ def one_hot_equals_single_loss(values, index, p):
     return dev <= 1e-12, dev
 
 
-def check_composite_one_hot_reduction():
-    return _seeded(13, 200, lambda rng: (
-        rng.uniform(0.05, 0.95, 3), int(rng.integers(0, 3)),
-        float(rng.choice([1.0, 2.0, 3.0]))), one_hot_equals_single_loss,
-        "max deviation {max:.2e}")
-
-
 def weighted_power_mean_monotone_in_p(values, betas, p_lo, p_hi):
     """The weighted value does not fall from p_lo to p_hi, to 1e-12."""
     ok = (composite.composite_value(values, betas, p_hi, "weighted")
           >= composite.composite_value(values, betas, p_lo, "weighted") - 1e-12)
     return ok, int(not ok)
-
-
-def check_composite_power_mean_monotone():
-    return _seeded(14, 300, lambda rng: (
-        rng.uniform(0.05, 0.95, 2), _pair_betas(rng, 0.1, 0.9),
-        *sorted(rng.uniform(1.0, 5.0, 2))), weighted_power_mean_monotone_in_p,
-        "{sum} violations")
 
 
 def unweighted_norm_monotone_in_p(values, p_lo, p_hi):
@@ -209,22 +187,10 @@ def unweighted_norm_monotone_in_p(values, p_lo, p_hi):
     return count == 0, count
 
 
-def check_composite_norm_monotone():
-    return _seeded(15, 300, lambda rng: (
-        rng.uniform(0.05, 0.95, 2), *sorted(rng.uniform(1.0, 5.0, 2))),
-        unweighted_norm_monotone_in_p, "{sum} violations")
-
-
 def value_between_min_and_max(values, betas, p):
     """The weighted value lies in the terms' [min, max], to 1e-12."""
     got = composite.composite_value(values, betas, p)
     return min(values) - 1e-12 <= got <= max(values) + 1e-12, got
-
-
-def check_composite_bounds():
-    return _seeded(16, 200, lambda rng: (
-        rng.uniform(0.05, 0.95, 3), _simplex_betas(rng, 3), float(rng.uniform(1, 5))),
-        value_between_min_and_max, "weighted value stayed inside [min, max]")
 
 
 def dvalue_dp_matches_finite_differences(values, betas, p, mode):
@@ -242,13 +208,6 @@ def dvalue_dp_matches_finite_differences(values, betas, p, mode):
     return err <= 1e-8 * max(abs(num), abs(got)) + 1e-12, err
 
 
-def check_composite_dvalue_dp_oracle():
-    return _seeded(17, 60, lambda rng: (
-        rng.uniform(0.1, 0.9, 2), _pair_betas(rng, 0.2, 0.8),
-        float(rng.uniform(1.2, 4.0)), rng.choice(composite.MODES)),
-        dvalue_dp_matches_finite_differences, "max absolute gap {max:.2e}")
-
-
 def adaptive_betas_on_simplex(norms):
     """Softmax weights lie on the simplex; the smallest norm gets the most."""
     arr = composite.adaptive_betas(norms).as_array()
@@ -259,7 +218,7 @@ def adaptive_betas_on_simplex(norms):
 def check_composite_adaptive_simplex():
     ok, detail = _seeded(18, 100, lambda rng: (
         rng.uniform(0.0, 50.0, int(rng.integers(2, 5))),), adaptive_betas_on_simplex,
-        "simplex, smallest-norm preference, paper-max >= 0.5")
+        "simplex, smallest-norm preference, paper-max >= 0.5")()
     paper_max = composite.adaptive_betas([1.0, 2.0], rule="paper-max")
     return ok and paper_max.betas[0] >= 0.5, detail
 
@@ -274,7 +233,7 @@ def constraint9_flips_at_critical_p(L, g, h):
 def check_composite_constraint9_critical():
     ok, _ = _seeded(19, 300, lambda rng: (
         rng.uniform(0.05, 1.0), rng.uniform(0.1, 2.0) * rng.choice([-1.0, 1.0]),
-        -rng.uniform(0.01, 2.0)), constraint9_flips_at_critical_p, "")
+        -rng.uniform(0.01, 2.0)), constraint9_flips_at_critical_p, "")()
     exact = composite.critical_p(0.5, 0.1, -0.02)
     return ok and exact == 2.0, f"bracketing held; analytic case gave {exact!r}"
 
@@ -399,13 +358,6 @@ def densities_normalized(field, temperature):
     return err <= 1e-12, err
 
 
-def check_analysis_density_normalization():
-    grid = analysis.Grid(-2.0, 2.0, 301)
-    return _seeded(23, 20, lambda rng: (
-        analysis.GridField(grid, rng.uniform(0.0, 3.0, 301)), float(rng.uniform(0.5, 5))),
-        densities_normalized, "max normalization error {max:.2e}")
-
-
 def check_analysis_kl_gaussian_oracle():
     grid = analysis.Grid(-8.0, 8.0, 4001)
     x = grid.axis()
@@ -424,25 +376,12 @@ def kl_nonnegative(grid, p_field, q_field):
     return kl >= 0.0 and abs(analysis.kl_divergence(p, p)) <= 1e-15, kl
 
 
-def check_analysis_kl_nonnegative():
-    grid = analysis.Grid(-1.0, 1.0, 101)
-    return _seeded(24, 50, lambda rng: (
-        grid, rng.uniform(0, 2, 101), rng.uniform(0, 2, 101)), kl_nonnegative,
-        "kl >= 0 and kl(P, P) = 0 over 50 pairs")
-
-
 def pointwise_norm_inequality(terms, p):
     """Pointwise over (terms, points) fields, the lp-norm is at most the sum."""
     terms = np.asarray(terms, dtype=np.float64)
     excess = max(0.0, float(np.max(composite.power_mean(terms, np.ones(len(terms)), p)
                                    - terms.sum(axis=0))))
     return excess <= 1e-12, excess
-
-
-def check_analysis_pointwise_norm_inequality():
-    return _seeded(25, 100, lambda rng: (
-        np.stack([rng.uniform(0.01, 0.99, 64), rng.uniform(0.01, 0.99, 64)]),
-        float(rng.uniform(1.0, 5.0))), pointwise_norm_inequality, "max excess {max:.2e}")
 
 
 def check_analysis_entropy_monotone():
@@ -461,9 +400,7 @@ def entropy_grid_matches_mc(points, n_draws, seed, bias):
     betas = BetaWeights.uniform(2)
     grid_val = analysis.generalized_entropy([L1, L2], betas, 2.0, mode="unweighted")
 
-    # the testbed's loss fields as functions; x - (-1) is x + 1 to the bit
-    fns = [lambda pts, c=c: np.clip(0.05 + 0.15 * (pts[:, 0] - c) ** 2, 0.01, 0.99)
-           for c in (1.0, -1.0)]
+    fns = [lambda pts, c=c: analysis.testbed_loss(pts[:, 0], c) for c in (1.0, -1.0)]
     mc = analysis.generalized_entropy_mc(fns, betas, 2.0, [(-3.0, 3.0)],
                                          n_draws=n_draws, seed=seed, mode="unweighted")
     return abs(mc.value - grid_val) <= 3 * mc.std_error + bias, (grid_val, mc)
@@ -502,13 +439,9 @@ def bernoulli_kl_inversion_roundtrip(q, p):
     return err <= 1e-9, err
 
 
-def check_pacbayes_bernoulli_roundtrip():
-    def draw(rng):
-        q = float(rng.uniform(0.0, 0.9))
-        return q, float(rng.uniform(q + 0.01, 0.99))
-
-    return _seeded(29, 200, draw, bernoulli_kl_inversion_roundtrip,
-                   "max round-trip error {max:.2e}")
+def _rate_pair(rng):
+    q = float(rng.uniform(0.0, 0.9))
+    return q, float(rng.uniform(q + 0.01, 0.99))
 
 
 def check_pacbayes_bound_monotone():
@@ -594,12 +527,6 @@ def parseval_identity(residual):
     return err <= 1e-9, err
 
 
-def check_spectral_parseval():
-    return _seeded(31, 20, lambda rng: (
-        rng.standard_normal(int(rng.choice([64, 128, 256]))),), parseval_identity,
-        "max parseval error {max:.2e}")
-
-
 def check_spectral_band_separability():
     n = 256
     x = np.linspace(-np.pi, np.pi, n, endpoint=False)
@@ -624,13 +551,31 @@ INVARIANTS = [
     ("losses.zero_at_perfect_fit", check_losses_zero_at_fit),
     ("losses.jsd_symmetric_and_bounded", check_losses_jsd_symmetric_bounded),
     ("losses.zero_one_argmax_invariant", check_losses_zero_one_argmax_invariant),
-    ("composite.gradient_matches_finite_differences", check_composite_grad_oracle),
-    ("composite.p1_equals_linear_combination", check_composite_p1_reduction),
-    ("composite.one_hot_equals_single_loss", check_composite_one_hot_reduction),
-    ("composite.weighted_power_mean_monotone_in_p", check_composite_power_mean_monotone),
-    ("composite.unweighted_norm_monotone_in_p", check_composite_norm_monotone),
-    ("composite.value_between_min_and_max", check_composite_bounds),
-    ("composite.dvalue_dp_matches_finite_differences", check_composite_dvalue_dp_oracle),
+    ("composite.gradient_matches_finite_differences", _seeded(11, 40, lambda rng: (
+        rng.uniform(0.1, 0.9, 2), _pair_betas(rng, 0.2, 0.8),
+        rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]), rng.choice(composite.MODES)),
+        gradient_matches_finite_differences, "max relative error {max:.2e}")),
+    ("composite.p1_equals_linear_combination", _seeded(12, 200, lambda rng: (
+        rng.uniform(0.05, 0.95, 3), _simplex_betas(rng, 3)),
+        p1_equals_linear_combination, "max deviation {max:.2e}")),
+    ("composite.one_hot_equals_single_loss", _seeded(13, 200, lambda rng: (
+        rng.uniform(0.05, 0.95, 3), int(rng.integers(0, 3)),
+        float(rng.choice([1.0, 2.0, 3.0]))), one_hot_equals_single_loss,
+        "max deviation {max:.2e}")),
+    ("composite.weighted_power_mean_monotone_in_p", _seeded(14, 300, lambda rng: (
+        rng.uniform(0.05, 0.95, 2), _pair_betas(rng, 0.1, 0.9),
+        *sorted(rng.uniform(1.0, 5.0, 2))), weighted_power_mean_monotone_in_p,
+        "{sum} violations")),
+    ("composite.unweighted_norm_monotone_in_p", _seeded(15, 300, lambda rng: (
+        rng.uniform(0.05, 0.95, 2), *sorted(rng.uniform(1.0, 5.0, 2))),
+        unweighted_norm_monotone_in_p, "{sum} violations")),
+    ("composite.value_between_min_and_max", _seeded(16, 200, lambda rng: (
+        rng.uniform(0.05, 0.95, 3), _simplex_betas(rng, 3), float(rng.uniform(1, 5))),
+        value_between_min_and_max, "weighted value stayed inside [min, max]")),
+    ("composite.dvalue_dp_matches_finite_differences", _seeded(17, 60, lambda rng: (
+        rng.uniform(0.1, 0.9, 2), _pair_betas(rng, 0.2, 0.8),
+        float(rng.uniform(1.2, 4.0)), rng.choice(composite.MODES)),
+        dvalue_dp_matches_finite_differences, "max absolute gap {max:.2e}")),
     ("composite.adaptive_betas_on_simplex", check_composite_adaptive_simplex),
     ("composite.constraint9_flips_at_critical_p", check_composite_constraint9_critical),
     ("composite.end_to_end_gradient_matches_finite_differences",
@@ -643,21 +588,32 @@ INVARIANTS = [
     ("data.randomize_labels_binomial", check_data_randomize_binomial),
     ("data.split_disjoint_exhaustive", check_data_split),
     ("data.cifar_roundtrip_bitexact", check_data_cifar_roundtrip),
-    ("analysis.densities_normalized", check_analysis_density_normalization),
+    ("analysis.densities_normalized", _seeded(23, 20, lambda rng: (
+        analysis.GridField(analysis.Grid(-2.0, 2.0, 301), rng.uniform(0.0, 3.0, 301)),
+        float(rng.uniform(0.5, 5))), densities_normalized,
+        "max normalization error {max:.2e}")),
     ("analysis.kl_matches_gaussian_closed_form", check_analysis_kl_gaussian_oracle),
-    ("analysis.kl_nonnegative", check_analysis_kl_nonnegative),
-    ("analysis.pointwise_norm_inequality", check_analysis_pointwise_norm_inequality),
+    ("analysis.kl_nonnegative", _seeded(24, 50, lambda rng: (
+        analysis.Grid(-1.0, 1.0, 101), rng.uniform(0, 2, 101), rng.uniform(0, 2, 101)),
+        kl_nonnegative, "kl >= 0 and kl(P, P) = 0 over 50 pairs")),
+    ("analysis.pointwise_norm_inequality", _seeded(25, 100, lambda rng: (
+        np.stack([rng.uniform(0.01, 0.99, 64), rng.uniform(0.01, 0.99, 64)]),
+        float(rng.uniform(1.0, 5.0))), pointwise_norm_inequality,
+        "max excess {max:.2e}")),
     ("analysis.generalized_entropy_monotone_in_p", check_analysis_entropy_monotone),
     ("analysis.entropy_grid_matches_mc", check_analysis_entropy_grid_vs_mc),
     ("analysis.testbed_divergence_monotone_in_p", check_analysis_kl_testbed_monotone),
     ("analysis.sharpness_nonnegative_monotone_in_alpha", check_analysis_sharpness),
-    ("pacbayes.bernoulli_kl_inversion_roundtrip", check_pacbayes_bernoulli_roundtrip),
+    ("pacbayes.bernoulli_kl_inversion_roundtrip", _seeded(29, 200, _rate_pair,
+        bernoulli_kl_inversion_roundtrip, "max round-trip error {max:.2e}")),
     ("pacbayes.bounds_monotone", check_pacbayes_bound_monotone),
     ("pacbayes.dp_bound_branch_continuous", check_pacbayes_dp_branch_continuity),
     ("pacbayes.gaussian_kl_matches_mc", check_pacbayes_gaussian_kl_mc),
     ("spectral.sigmoid_ft_matches_quadrature", check_spectral_ft_oracle),
     ("spectral.sigmoid_ft_exponential_decay", check_spectral_ft_decay),
-    ("spectral.parseval_identity", check_spectral_parseval),
+    ("spectral.parseval_identity", _seeded(31, 20, lambda rng: (
+        rng.standard_normal(int(rng.choice([64, 128, 256]))),), parseval_identity,
+        "max parseval error {max:.2e}")),
     ("spectral.capture_band_separability", check_spectral_band_separability),
 ]
 

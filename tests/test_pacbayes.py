@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lossmix import data, netcore, optim, pacbayes, verify
+from lossmix import data, netcore, optim, verify
 from lossmix.losses import LossKind, loss_value
 from lossmix.netcore import MLPSpec
 from lossmix.pacbayes import (BoundParams, GaussianPosterior, GaussianPrior,
@@ -168,7 +168,7 @@ class TestBernoulliKL:
 
 
 class TestBisect:
-    """pacbayes._bisect must be scipy.optimize.bisect, bit for bit."""
+    """kl_inverse's bisection must be scipy.optimize.bisect's, bit for bit."""
 
     P_MAX = 1.0 - 1e-15  # kl_inverse's upper end
 
@@ -191,36 +191,16 @@ class TestBisect:
             if q >= self.P_MAX or bernoulli_kl(q, self.P_MAX) <= c:
                 continue  # kl_inverse answers without bisecting
             reached += 1
-            def f(p):
-                return bernoulli_kl(q, p) - c
-            lo = q if q > 0 else 1e-300
-            want = bisect(f, lo, self.P_MAX, xtol=1e-12)
-            got = pacbayes._bisect(f, lo, self.P_MAX, xtol=1e-12)
-            assert got.hex() == float(want).hex(), (q, c)
-            assert kl_inverse(q, c) == got
+            want = bisect(lambda p: bernoulli_kl(q, p) - c, q if q > 0 else 1e-300,
+                          self.P_MAX, xtol=1e-12)
+            assert kl_inverse(q, c).hex() == float(want).hex(), (q, c)
         assert reached >= 10_000
 
-    @pytest.mark.parametrize("f, error", [
-        (lambda x: math.nan, ValueError),  # NaN value
-        (lambda x: x + 1.0, ValueError),   # same sign at both ends
-    ])
-    def test_raises_what_scipy_raises(self, f, error):
-        from scipy.optimize import bisect
-        with pytest.raises(error):
-            bisect(f, 0.0, 1.0, xtol=1e-12)
-        with pytest.raises(error):
-            pacbayes._bisect(f, 0.0, 1.0, xtol=1e-12)
-
-    def test_no_convergence_raises(self):
-        from scipy.optimize import bisect
-        # 100 halvings of [-1e300, 1e300] leave an interval far above xtol
-        for solve in (bisect, pacbayes._bisect):
-            with pytest.raises(RuntimeError, match="Failed to converge"):
-                solve(lambda x: x - 0.1, -1e300, 1e300, xtol=1e-300)
-
-    def test_root_at_an_end(self):
-        assert pacbayes._bisect(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
-        assert pacbayes._bisect(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12) == 1.0
+    def test_nan_budget_raises(self):
+        # scipy's bisect raised on the NaN it would bisect; the budget check
+        # now rejects it before any step
+        with pytest.raises(ValueError, match="kl budget"):
+            kl_inverse(0.3, math.nan)
 
 
 class TestCertificate:
