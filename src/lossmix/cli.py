@@ -376,6 +376,14 @@ def _check_distinct(field: str, values) -> None:
         seen.add(value)
 
 
+def _reading(field: str, make, *args, **kwargs):
+    """make(*args, **kwargs), whose ValueError names the config field it reads."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config field {field}: {exc}") from exc
+
+
 def _write_json(path: Path, doc: dict, digest: str | None = None) -> Path:
     """Write doc as sorted, indented JSON, with the config's hash if given."""
     if digest is not None:
@@ -490,12 +498,17 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
     train_set, val_set = _dataset_from(config["dataset"])
     _check_widths(spec, train_set)
     seed = config.get("seed", 0)
-    # built before any training, so a bad bound or prior block fails up front
-    prior = pacbayes.GaussianPrior(lambda_p=config["prior"]["lambda_p"])
+    # built before any training, so a bad bound or prior block fails up front,
+    # and so do the certificate's terms that the config alone fixes
+    prior = _reading("prior/lambda_p", pacbayes.GaussianPrior,
+                     lambda_p=config["prior"]["lambda_p"])
+    _reading("posterior/sigma", pacbayes.kl_spread_term, spec.n_params,
+             post_doc["sigma"], prior)
     bound = config["bound"]
     params = pacbayes.BoundParams(lam=bound["lambda"], l_max=bound["l_max"],
                                   delta=bound["delta"], m=train_set.n,
                                   eps_dp=bound.get("eps_dp", 0.0))
+    _reading("bound/eps_dp", pacbayes.privacy_term, params.m, params.eps_dp)
     if "params_file" in post_doc:
         path = Path(post_doc["params_file"])
         if not path.exists():

@@ -9,6 +9,19 @@ evaluation-only and refuses to produce a gradient.
 (n, k) or (R, n, k), one (n, k) block per stacked training run, against
 (n, k) or matching targets, and leave finiteness to the caller;
 ``loss_value`` is the checked single-run form.
+
+``row_sum`` and ``row_max`` reduce over the last axis with the bits of
+numpy's ``sum`` and ``max``. numpy's reduce is slow over a short axis:
+at (9, 300, 2), ``sum`` and ``max`` take about 60 and 120 us against 5 and
+3 us for two elementwise ops on the columns. numpy adds an axis of fewer
+than 8 entries left to right, onto its identity 0.0; pairwise summation
+starts at 8. So below 8 the helpers take the columns left to right, and
+``max`` is exact in any order. An axis of 8 or more keeps numpy's reduce.
+The 0-1 loss compares two columns directly, with argmax's rules: the
+first maximum wins a tie and the first NaN counts as the maximum.
+(``netcore``'s bias gradient follows the same aim: einsum's in-order sum
+over the samples only where a layer has n_out > 1, since with one column
+numpy sums pairwise and einsum moved the spectral workload's digests.)
 """
 
 from __future__ import annotations
@@ -19,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CLAMP = 1e-12
+_PAIRWISE_FROM = 8  # numpy sums a contiguous axis this long pairwise
 
 
 class LossKind(str, enum.Enum):
@@ -56,9 +70,40 @@ def _as_rows(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _fold(op, x: np.ndarray, keepdims: bool) -> np.ndarray:
+    """op over the columns of x, left to right, into a new array."""
+    k = x.shape[-1]
+    acc = op(x[..., 0], x[..., 1]) if k > 1 else x[..., 0].copy()
+    for j in range(2, k):  # not in place: a 1-d x folds to a numpy scalar
+        acc = op(acc, x[..., j])
+    return acc[..., None] if keepdims else acc
+
+
+def row_sum(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """x.sum(axis=-1, keepdims=keepdims), bit for bit."""
+    if x.shape[-1] >= _PAIRWISE_FROM:
+        return x.sum(axis=-1, keepdims=keepdims)
+    acc = _fold(np.add, x, keepdims)
+    acc += 0.0  # numpy adds onto its identity 0.0, so -0.0 + -0.0 sums to 0.0
+    return acc
+
+
+def row_max(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """x.max(axis=-1, keepdims=keepdims): the same bits, except that a NaN
+    keeps its own sign and payload where numpy's reduce writes its
+    default NaN."""
+    if x.shape[-1] >= _PAIRWISE_FROM:
+        return x.max(axis=-1, keepdims=keepdims)
+    return _fold(np.maximum, x, keepdims)
+
+
 def _argmax_classes(rows: np.ndarray) -> np.ndarray:
     if rows.shape[-1] == 1:
         return (rows[..., 0] >= 0.5).astype(int)
+    if rows.shape[-1] == 2:
+        # column 1 only where it is larger or NaN and column 0 is not NaN
+        a, b = rows[..., 0], rows[..., 1]
+        return np.greater(a == a, a >= b).astype(np.intp)
     return rows.argmax(axis=-1)
 
 
@@ -68,19 +113,19 @@ def loss_means(kind: LossKind, predictions: np.ndarray, targets: np.ndarray):
     non-finite means rather than an error."""
     _check_shapes(predictions, targets)
     if kind == LossKind.MSE:
-        v = ((targets - predictions) ** 2).sum(axis=-1).mean(axis=-1)
+        v = row_sum((targets - predictions) ** 2).mean(axis=-1)
     elif kind == LossKind.CE:
         f = _clip_probs(predictions)
         if predictions.shape[-1] == 1:
             per = -(targets * np.log(f) + (1.0 - targets) * np.log(1.0 - f))
         else:
             per = -(targets * np.log(f))
-        v = per.sum(axis=-1).mean(axis=-1)
+        v = row_sum(per).mean(axis=-1)
     elif kind == LossKind.JSD:
         p = _clip_probs(_as_rows(predictions))
         q = _clip_probs(_as_rows(targets))
         m = 0.5 * (p + q)
-        per = 0.5 * (p * np.log(p / m) + q * np.log(q / m)).sum(axis=-1)
+        per = 0.5 * row_sum(p * np.log(p / m) + q * np.log(q / m))
         v = per.mean(axis=-1)
     elif kind == LossKind.ZERO_ONE:
         v = np.mean(_argmax_classes(predictions) != _argmax_classes(targets), axis=-1)

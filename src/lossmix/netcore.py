@@ -24,6 +24,18 @@ of a wider product by its place. ``_forward_cache`` can start at that
 first layer from activations a previous pass computed on the same rows in
 another order.
 
+Reductions keep numpy's bits at the shapes the nets have. A last axis of
+fewer than 8 entries (the softmax's max and sum, its backward's inner
+product, the loss row sums) is reduced column by column with
+``losses.row_max`` and ``losses.row_sum``: numpy's reduce adds such an
+axis left to right, and its per-call cost dwarfs the arithmetic on a
+2-wide axis. A bias gradient sums delta over the sample axis, which numpy
+adds row by row when the layer has n_out > 1; ``np.einsum("...ij->...j")``
+adds in that order too, 2-4x faster at the two-moons stack's shapes. A
+layer with n_out == 1 keeps ``delta.sum(axis=-2)``: its sample axis is
+contiguous, so numpy sums it pairwise, and einsum there moved the spectral
+workload's output digests (see ``_bias_grad``).
+
 The sigmoid is ``scipy.special.expit``: numpy has no sigmoid with the
 same bits. The first sigmoid layer loads expit's compiled extension,
 ``scipy.special._special_ufuncs``, by itself (``_load_expit``), without
@@ -50,7 +62,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .losses import LossKind, loss_means, loss_output_grad
+from .losses import LossKind, loss_means, loss_output_grad, row_max, row_sum
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "tanh", "relu")
 OUTPUT_KINDS = ("linear", "softmax", "sigmoid")
@@ -186,9 +198,9 @@ def unpack_params(spec: MLPSpec, params: np.ndarray) -> list[tuple[np.ndarray, n
 def softmax(z: np.ndarray) -> np.ndarray:
     """exp(z) / sum exp(z) over the last axis; the max shift keeps exp from
     overflowing and cancels in the ratio."""
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - row_max(z, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / row_sum(e, keepdims=True)
 
 
 _EXPIT_MODULE = "scipy.special._special_ufuncs"
@@ -308,6 +320,18 @@ def _hidden_derivs(spec: MLPSpec, cache) -> list[np.ndarray]:
     return [_hidden_deriv(a, spec.hidden_activation) for a in acts[1:len(layers)]]
 
 
+def _bias_grad(delta: np.ndarray) -> np.ndarray:
+    """delta.sum(axis=-2), bit for bit: a layer's bias gradient.
+
+    With more than one column, numpy adds the rows in order, and einsum
+    does too without the reduce's overhead. A single column is contiguous
+    along the summed axis, so numpy sums it pairwise, which einsum does not.
+    """
+    if delta.shape[-1] == 1:
+        return delta.sum(axis=-2)
+    return np.einsum("...ij->...j", delta)
+
+
 def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
                          derivs: list[np.ndarray]) -> np.ndarray:
     """Backward pass through a forward cache. derivs is _hidden_derivs of
@@ -323,7 +347,7 @@ def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
     n_layers = len(layers)
     if spec.output_kind == "softmax":
         # softmax jacobian-vector product, row by row
-        inner = (output_grad * preds).sum(axis=-1, keepdims=True)
+        inner = row_sum(output_grad * preds, keepdims=True)
         delta = preds * (output_grad - inner)
     elif spec.output_kind == "sigmoid":
         delta = output_grad * preds * (1.0 - preds)
@@ -337,7 +361,7 @@ def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
         w, _ = layers[i]
         n_in, n_out = w.shape[-2:]
         pos -= n_out
-        grad[..., pos:pos + n_out] = delta.sum(axis=-2)
+        grad[..., pos:pos + n_out] = _bias_grad(delta)
         pos -= n_in * n_out
         gw = acts[i].swapaxes(-1, -2) @ delta
         grad[..., pos:pos + n_in * n_out] = gw.reshape(lead + (-1,))

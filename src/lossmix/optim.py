@@ -372,6 +372,10 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs, rows: bool = True
     return records
 
 
+# a value that stops being finite is a divergence, which check names and
+# reports, so numpy's overflow and invalid-value warnings would only print
+# ahead of that report, naming a line of this module
+@np.errstate(over="ignore", invalid="ignore")
 def _train_stack(spec, data, val, configs, rows):
     config = configs[0]  # the hyperparameters every run shares
     terms = config.terms

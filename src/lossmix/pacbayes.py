@@ -55,6 +55,13 @@ class GaussianPrior:
     def __post_init__(self):
         if self.lambda_p <= 0:
             raise ValueError("lambda_p must be positive")
+        try:
+            two_var = 2.0 * self.lambda_p ** 2
+        except OverflowError:
+            two_var = math.inf
+        if not 0.0 < two_var < math.inf:  # kl_gaussians divides by it
+            raise ValueError(f"2 lambda_p^2 is {two_var:g} for lambda_p "
+                             f"{self.lambda_p:g}; it must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -80,13 +87,26 @@ class BoundParams:
             raise ValueError("privacy budget must be nonnegative")
 
 
+def kl_spread_term(d: int, sigma: float, P: GaussianPrior) -> float:
+    """d (ln(lambda_p / sigma) + sigma^2 / (2 lambda_p^2) - 1/2): the part of
+    kl_gaussians that the posterior mean does not enter, so a config fixes
+    it before any training. ValueError where it has no finite value."""
+    try:
+        term = d * (math.log(P.lambda_p / sigma) + sigma ** 2 / (2.0 * P.lambda_p ** 2)
+                    - 0.5)
+    except (OverflowError, ValueError):  # sigma ** 2, or the log of 0
+        term = math.nan
+    if not math.isfinite(term):
+        raise ValueError(f"sigma {sigma:g} against lambda_p {P.lambda_p:g} in {d} "
+                         f"dimensions gives the KL no finite value")
+    return term
+
+
 def kl_gaussians(Q: GaussianPosterior, P: GaussianPrior) -> float:
-    """Closed-form KL from an isotropic Gaussian posterior to the zero-mean prior."""
-    d = Q.dim
-    ratio = P.lambda_p / Q.sigma
+    """Closed-form KL from an isotropic Gaussian posterior to the zero-mean
+    prior. The mean's term overflows to inf rather than raising."""
     shift = float(np.dot(Q.mean, Q.mean))
-    return (d * (math.log(ratio) + Q.sigma ** 2 / (2.0 * P.lambda_p ** 2) - 0.5)
-            + shift / (2.0 * P.lambda_p ** 2))
+    return kl_spread_term(Q.dim, Q.sigma, P) + shift / (2.0 * P.lambda_p ** 2)
 
 
 @dataclass(frozen=True)
@@ -131,11 +151,22 @@ def linear_pac_bound(emp_risk: float, kl: float, params: BoundParams) -> float:
     return (emp_risk + penalty) / (1.0 - 1.0 / (2.0 * params.lam))
 
 
+def privacy_term(m: int, eps_dp: float) -> float:
+    """m eps_dp^2, dp_pac_bound's privacy term; ValueError where it overflows."""
+    try:
+        term = m * eps_dp ** 2
+    except OverflowError:
+        term = math.inf
+    if not math.isfinite(term):
+        raise ValueError(f"m eps_dp^2 overflows for m {m} and eps_dp {eps_dp:g}")
+    return term
+
+
 def dp_pac_bound(kl: float, params: BoundParams) -> float:
     """(KL + ln 2m + 2 max{ln(3/delta), m eps^2}) / (m - 1)."""
     if kl < 0:
         raise ValueError("kl must be nonnegative")
-    branch = max(math.log(3.0 / params.delta), params.m * params.eps_dp ** 2)
+    branch = max(math.log(3.0 / params.delta), privacy_term(params.m, params.eps_dp))
     return (kl + math.log(2.0 * params.m) + 2.0 * branch) / (params.m - 1.0)
 
 

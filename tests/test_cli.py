@@ -192,8 +192,6 @@ class TestTrainCommand:
         meta = json.loads(next((tmp_path / "all").rglob("run.json")).read_text())
         assert meta["stack_size"] == 6
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_writes_partial_trajectory_and_failure(self, tmp_path, capsys):
         doc = moons_train_config(epochs=40, schemes=[{"kind": "single", "index": 0}],
                                  seeds=[3])
@@ -210,7 +208,6 @@ class TestTrainCommand:
         rows = (failure_path.parent / "trajectory.csv").read_text().splitlines()[1:]
         assert failure["epoch"] > 0 and len(rows) == failure["epoch"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("field", ["noise_eps", "l2_reg"])
     def test_optimizer_state_overflow_is_a_divergence(self, tmp_path, capsys, field):
         # Adam's sum of squared steps overflows to inf, after which every
@@ -223,6 +220,23 @@ class TestTrainCommand:
         failure = json.loads(failure_path.read_text())
         assert failure == {"run": "multi-seed1", "epoch": 0, "message":
                            "non-finite optimizer state at epoch 0 in run multi seed 1"}
+
+    def test_divergence_prints_one_line_and_no_numpy_warning(self, tmp_path):
+        # in a fresh interpreter with Python's default warning filters, as a
+        # user runs it: numpy's overflow warning would come first, naming a
+        # line of lossmix's source
+        doc = moons_train_config(epochs=4)
+        doc["train"]["noise_eps"] = 1e300
+        cfg = write_config(tmp_path, doc)
+        src = str(Path(lossmix.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "lossmix.cli", "train", "--config", cfg,
+             "--out", str(tmp_path / "o")], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+        assert out.returncode == 2
+        (line,) = out.stderr.splitlines()
+        assert line.startswith("runtime error: non-finite optimizer state at epoch 0 "
+                               "in run multi seed 1; partial trajectory in ")
 
     def test_divergence_of_a_later_run_writes_its_own_directory(self, tmp_path,
                                                                  monkeypatch, capsys):
@@ -444,6 +458,24 @@ class TestBoundsCommand:
         code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "1/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, field, value, message", [
+        ("posterior", "sigma", 1e300, "config field posterior/sigma: sigma 1e+300 "
+         "against lambda_p 1 in 32 dimensions gives the KL no finite value"),
+        ("prior", "lambda_p", 1e-300, "config field prior/lambda_p: 2 lambda_p^2 is 0 "
+         "for lambda_p 1e-300; it must be positive and finite"),
+        ("bound", "eps_dp", 1e200, "config field bound/eps_dp: m eps_dp^2 overflows "
+         "for m 45 and eps_dp 1e+200"),
+    ], ids=["sigma", "lambda_p", "eps_dp"])
+    def test_certificate_term_without_finite_value_rejected_before_training(
+            self, tmp_path, no_training, capsys, block, field, value, message):
+        # these raised OverflowError or ZeroDivisionError after training: exit 2
+        doc = self.bounds_config()
+        doc[block][field] = value
+        cfg = write_config(tmp_path, doc)
+        assert run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_width_mismatch_is_config_error(self, tmp_path, capsys):
         doc = self.bounds_config()

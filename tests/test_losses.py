@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lossmix.losses import LossKind, loss_output_grad, loss_value
+from lossmix import netcore
+from lossmix.losses import (LossKind, _argmax_classes, loss_output_grad, loss_value,
+                            row_max, row_sum)
 from lossmix.netcore import finite_diff_grad
 
 
@@ -104,3 +109,64 @@ class TestGrads:
         scale = max(np.abs(numeric).max(), 1e-300)
         assert np.abs(analytic - numeric).max() / scale <= 1e-7
 
+
+# arrays of entries that tell reduce orders apart (signed zeros, subnormals,
+# infinities, NaNs and floats of every magnitude) or of floats of one
+# magnitude, whose sums round differently in another order
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     math.inf, -math.inf, math.nan, -math.nan]),
+    st.floats(width=64))
+entry_kinds = st.sampled_from([edge_floats, st.floats(-10.0, 10.0)])
+
+
+def short_axis_arrays(widths=st.integers(1, 9), vectors=True):
+    """(K,) (unless not vectors), (n, K) or (R, n, K) float64 arrays with K
+    drawn from widths, each entry drawn on its own (no fill value)."""
+    samples = st.integers(1, 40)
+    leads = st.one_of(st.tuples(samples), st.tuples(st.integers(1, 4), samples),
+                      *([st.just(())] if vectors else []))
+    shapes = st.tuples(leads, widths).map(lambda t: (*t[0], t[1]))
+    return st.tuples(shapes, entry_kinds).flatmap(
+        lambda t: arrays(np.float64, t[0], elements=t[1], fill=st.nothing()))
+
+
+def assert_same_bits(got, want, nan_payload=True):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if not nan_payload:
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        got, want = got[~nan], want[~nan]
+    assert got.tobytes() == want.tobytes()
+
+
+class TestReductions:
+    """The column-by-column reductions give numpy's bits. The reduce order
+    is a numpy internal, so this guards against an upgrade changing it."""
+
+    @given(short_axis_arrays(), st.booleans())
+    @example(np.array([[-0.0, -0.0], [-0.0, 0.0]]), False)
+    @example(np.full((2, 3, 1), -0.0), True)
+    def test_row_sum_is_numpys_sum(self, x, keepdims):
+        with np.errstate(all="ignore"):
+            assert_same_bits(row_sum(x, keepdims), x.sum(axis=-1, keepdims=keepdims))
+
+    @given(short_axis_arrays(), st.booleans())
+    def test_row_max_is_numpys_max(self, x, keepdims):
+        # numpy's reduce writes its default NaN; the columns keep their own
+        with np.errstate(all="ignore"):
+            assert_same_bits(row_max(x, keepdims), x.max(axis=-1, keepdims=keepdims),
+                             nan_payload=False)
+
+    @given(short_axis_arrays(vectors=False))
+    def test_bias_grad_is_numpys_sum_over_samples(self, delta):
+        # K = 1 keeps numpy's pairwise sum; K > 1 is einsum's in-order sum,
+        # which takes the other operand's NaN where two NaNs meet
+        with np.errstate(all="ignore"):
+            assert_same_bits(netcore._bias_grad(delta), delta.sum(axis=-2),
+                             nan_payload=False)
+
+    @given(short_axis_arrays(st.just(2)))
+    def test_two_column_argmax_is_numpys_argmax(self, x):
+        # the first maximum wins a tie and the first NaN counts as the maximum
+        assert_same_bits(_argmax_classes(x), x.argmax(axis=-1))

@@ -229,7 +229,6 @@ class TestTrain:
             assert row.betas == (0.0, 1.0)
             assert row.composite == row.losses[1]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_carries_partial_trajectory(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(-1, 1, (40, 2))
@@ -621,8 +620,6 @@ def test_rows_false_hands_the_callback_the_same_bits(lone, setup, monkeypatch):
         assert np.array_equal(record.final_params, want.final_params)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_names_the_first_diverged_run(monkeypatch):
     spec, ds, configs = diverging_recipe()
     with pytest.raises(TrainingDiverged) as err:
@@ -644,8 +641,6 @@ def test_divergence_names_the_first_diverged_run(monkeypatch):
     assert done.to_csv_text() == train(spec, ds, ds, configs[0]).to_csv_text()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_without_rows_names_the_same_run():
     spec, ds, configs = diverging_recipe()
     with pytest.raises(TrainingDiverged) as err:
@@ -726,8 +721,6 @@ def test_rows_false_names_a_reused_capture_at_its_own_epoch(monkeypatch):
         assert np.array_equal(preds, want)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_full_batch_divergence_without_rows_is_named_by_the_step():
     # the captures stay finite, so the step's loss check names the epoch, as
     # it did when each epoch ran its own capture forward; a row would catch
