@@ -469,7 +469,8 @@ class TestBoundsCommand:
     ], ids=["sigma", "lambda_p", "eps_dp"])
     def test_certificate_term_without_finite_value_rejected_before_training(
             self, tmp_path, no_training, capsys, block, field, value, message):
-        # these raised OverflowError or ZeroDivisionError after training: exit 2
+        # Python floats cannot evaluate the term (an overflow, or a division
+        # by a square that underflowed), and the config alone says so
         doc = self.bounds_config()
         doc[block][field] = value
         cfg = write_config(tmp_path, doc)
