@@ -21,7 +21,7 @@ import numpy as np
 
 from . import netcore
 from .composite import BetaWeights, power_mean, weight_vector
-from .losses import LossKind, loss_value
+from .losses import LossKind, loss_means
 from .netcore import Batch, MLPSpec
 
 MAX_GRID_POINTS = int(1e7)
@@ -228,8 +228,12 @@ def scheme_kl_report(L1: GridField, L2: GridField, P_opt: GridField,
 
 
 def testbed_loss(x: np.ndarray, center: float) -> np.ndarray:
-    """The KL testbed's loss at x: a quadratic about center, clipped to [0.01, 0.99]."""
-    return np.clip(0.05 + 0.15 * (x - center) ** 2, 0.01, 0.99)
+    """The KL testbed's loss at x: a quadratic about center, clipped to [0.01, 0.99].
+
+    The offset is clipped to +-3 before it is squared, so a far x cannot
+    overflow; past |2.51| the quadratic is above 0.99 either way.
+    """
+    return np.clip(0.05 + 0.15 * np.clip(x - center, -3.0, 3.0) ** 2, 0.01, 0.99)
 
 
 def default_kl_testbed(lo: float = -3.0, hi: float = 3.0, points: int = 601):
@@ -296,15 +300,19 @@ def generalized_entropy_mc(loss_fns: Sequence[Callable], betas: BetaWeights, p: 
     return MCEntropyEstimate(value=float(np.log(z_hat)), std_error=se)
 
 
-def box_sharpness(risk_fn: Callable[[np.ndarray], float],
-                  grad_fn: Callable[[np.ndarray], np.ndarray],
-                  params: np.ndarray, alpha: float, seed: int,
-                  warm_start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def _ascent(risks: Callable[[np.ndarray], np.ndarray],
+            grads: Callable[[np.ndarray], np.ndarray], params: np.ndarray,
+            alpha: float, seed: int,
+            warm_start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """max over |nu_i| <= alpha (|w_i| + 1) of risk(w + nu) - risk(w).
 
     Signed-gradient ascent with projection, ASCENT_STEPS steps from each of
     RESTARTS starts (plus warm_start when given); the first starts at
-    nu = 0 so the result is never negative. Returns (sharpness, best nu).
+    nu = 0 so the result is never negative. The starts move together as
+    one (S, P) stack: risks maps it to S risks and grads to S gradients.
+    The best nu is the first largest risk in restart order, then step
+    order, that beats risk(w) strictly: the one an ascent that ran the
+    starts one after another would keep. Returns (sharpness, best nu).
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -313,45 +321,53 @@ def box_sharpness(risk_fn: Callable[[np.ndarray], float],
         return 0.0, np.zeros_like(params)
     box = alpha * (np.abs(params) + 1.0)
     step = box / 10.0
-    base = risk_fn(params)
+    base = float(risks(params[None])[0])
     rng = np.random.default_rng(seed)
     starts = [np.zeros_like(params)]
     if warm_start is not None:
         starts.append(np.clip(warm_start, -box, box))
-    while len(starts) < RESTARTS + (warm_start is not None):
-        starts.append(rng.uniform(-box, box))
-    best_val, best_nu = base, np.zeros_like(params)
-    for nu in starts:
-        value = risk_fn(params + nu)
-        if value > best_val:
-            best_val, best_nu = value, nu.copy()
-        for _ in range(ASCENT_STEPS):
-            g = grad_fn(params + nu)
-            nu = np.clip(nu + step * np.sign(g), -box, box)
-            value = risk_fn(params + nu)
-            if value > best_val:
-                best_val, best_nu = value, nu.copy()
-    return max(best_val - base, 0.0), best_nu
+    nu = np.concatenate([starts, rng.uniform(-box, box, (RESTARTS - 1, params.size))])
+    best, best_nu = np.full(len(nu), -np.inf), np.zeros_like(nu)
+    for k in range(ASCENT_STEPS + 1):  # k = 0 scores the starts themselves
+        if k:
+            nu = np.clip(nu + step * np.sign(grads(params + nu)), -box, box)
+        value = risks(params + nu)
+        better = value > best
+        best[better], best_nu[better] = value[better], nu[better]
+    i = int(np.argmax(best))  # argmax keeps the first of equal maxima
+    if best[i] > base:
+        return float(best[i] - base), best_nu[i]
+    return 0.0, np.zeros_like(params)
 
 
-def _ce_risk_and_grad(spec: MLPSpec, batch: Batch):
-    def risk(p: np.ndarray) -> float:
-        preds = netcore.forward(spec, p, batch)
-        return loss_value(LossKind.CE, preds, batch.targets).value
+def box_sharpness(risk_fn: Callable[[np.ndarray], float],
+                  grad_fn: Callable[[np.ndarray], np.ndarray],
+                  params: np.ndarray, alpha: float,
+                  seed: int) -> tuple[float, np.ndarray]:
+    """``_ascent`` for a risk and a gradient of one parameter vector, each
+    applied to the stack row by row. Returns (sharpness, best nu)."""
+    return _ascent(lambda stack: np.array([risk_fn(w) for w in stack]),
+                   lambda stack: np.array([grad_fn(w) for w in stack]),
+                   params, alpha, seed)
 
-    def grad(p: np.ndarray) -> np.ndarray:
-        _, _, (g,) = netcore.term_values_and_grads(spec, p, batch.inputs, batch.targets,
+
+def _ce_risks_and_grads(spec: MLPSpec, batch: Batch):
+    """The cross-entropy risk and its gradient of each row of an (S, P) stack."""
+    def risks(stack: np.ndarray) -> np.ndarray:
+        return loss_means(LossKind.CE, netcore.forward(spec, stack, batch), batch.targets)
+
+    def grads(stack: np.ndarray) -> np.ndarray:
+        _, _, (g,) = netcore.term_values_and_grads(spec, stack, batch.inputs, batch.targets,
                                                      (), (LossKind.CE,))
         return g
 
-    return risk, grad
+    return risks, grads
 
 
 def sharpness(spec: MLPSpec, params: np.ndarray, batch: Batch, alpha: float,
               seed: int = 0) -> float:
     """Box sharpness of an MLP's cross-entropy risk at the given params."""
-    risk, grad = _ce_risk_and_grad(spec, batch)
-    value, _ = box_sharpness(risk, grad, params, alpha, seed=seed)
+    value, _ = _ascent(*_ce_risks_and_grads(spec, batch), params, alpha, seed)
     return value
 
 
@@ -364,11 +380,9 @@ def sharpness_sweep(spec: MLPSpec, params: np.ndarray, batch: Batch,
     """
     if list(alphas) != sorted(alphas):
         raise ValueError("alphas must be increasing")
-    risk, grad = _ce_risk_and_grad(spec, batch)
+    risks, grads = _ce_risks_and_grads(spec, batch)
     out, warm = [], None
     for alpha in alphas:
-        value, warm = box_sharpness(risk, grad, params, alpha, seed=seed,
-                                    warm_start=warm)
+        value, warm = _ascent(risks, grads, params, alpha, seed, warm_start=warm)
         out.append(value)
     return out
-

@@ -451,6 +451,8 @@ def cmd_klsweep(config: dict, digest: str, out: Path) -> int:
     grid = config.get("grid", {})
     if grid and grid["lo"] >= grid["hi"]:
         raise ValueError("config field grid: lo must be below hi")
+    if grid and not math.isfinite(grid["hi"] - grid["lo"]):
+        raise ValueError("config field grid: hi - lo overflows a float")
     p_list = config.get("p_list", [1.0, 2.0, 3.0, 4.0])
     for p in p_list:
         if p + analysis.P_STEP == p:  # the report's dD_dp would divide by 0

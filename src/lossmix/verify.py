@@ -500,7 +500,8 @@ def check_spectral_ft_oracle():
     dsig = sig * (1.0 - sig)
     worst = 0.0
     for omega in np.linspace(0.5, 5.0, 10):
-        target = np.trapezoid(dsig * np.exp(-1j * omega * xs), xs)
+        # dsig is even, so its transform is real: the cosine integral
+        target = np.trapezoid(dsig * np.cos(omega * xs), xs)
         got = 1j * omega * spectral.sigmoid_ft(unit, float(omega))
         worst = max(worst, abs(got - target) / abs(target))
     return worst <= 1e-4, f"max relative error {worst:.2e}"

@@ -6,12 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lossmix import analysis, netcore, verify
+from lossmix import analysis, data, netcore, optim, verify
 from lossmix.analysis import (Grid, GridField, boltzmann, box_sharpness, default_kl_testbed,
                               generalized_entropy, gibbs_divergence, kl_divergence,
                               scheme_kl_report, sharpness, sharpness_sweep)
-from lossmix.composite import VALUE_FLOOR, BetaWeights
-from lossmix.losses import CLAMP
+from lossmix.composite import VALUE_FLOOR, BetaWeights, Scheme
+from lossmix.losses import CLAMP, LossKind, loss_value
 from lossmix.netcore import Batch, MLPSpec
 
 
@@ -116,6 +116,14 @@ class TestSchemeReport:
         for v in report.modes["unweighted"].dD_dp.values():
             assert v < 0.0
 
+    def test_testbed_offset_clip_keeps_every_bit(self):
+        # the quadratic is above 0.99 past |2.51|, so clipping the offset at
+        # 3 moves no value where the unclipped square is finite
+        x = np.linspace(-40.0, 40.0, 80_001)
+        for center in (1.0, -1.0):
+            assert np.array_equal(analysis.testbed_loss(x, center),
+                                  np.clip(0.05 + 0.15 * (x - center) ** 2, 0.01, 0.99))
+
     def test_practical_range_flagged(self):
         grid = self.L1.grid
         hot = GridField(grid, self.L1.values + 2.0)  # outside (0, 1)
@@ -176,6 +184,9 @@ class TestGeneralizedEntropy:
         assert verify.entropy_grid_matches_mc(601, 50_000, 4, 1e-3)[0]
 
 
+ALPHAS = [0.05, 0.1, 0.25, 0.5]
+
+
 class TestSharpness:
     def test_alpha_zero_exact(self):
         spec = MLPSpec((2, 4, 2), output_kind="softmax")
@@ -206,6 +217,68 @@ class TestSharpness:
                                  seed=10)
         assert all(v >= 0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    # the sweep floats an ascent that ran its restarts one after another
+    # gave: verify's problem, and acceptance criterion 11's trained net
+    def test_verify_sweep_bits_are_pinned(self):
+        spec, params, batch = verify._small_problem(27)
+        values = sharpness_sweep(spec, params, batch, ALPHAS, seed=28)
+        assert [v.hex() for v in values] == [
+            "0x1.83552703fd160p-4", "0x1.597ef78a493b4p-2",
+            "0x1.a33467033781ap+0", "0x1.fa951139eafd9p+1"]
+
+    def test_trained_net_sweep_bits_are_pinned(self):
+        full = data.two_moons(160, 0.1, seed=109)
+        train_set, val_set = data.train_val_split(full, 0.75, seed=110)
+        spec = MLPSpec((2, 10, 2), hidden_activation="tanh", output_kind="softmax")
+        cfg = optim.TrainConfig(scheme=Scheme.single(0), optimizer="adam",
+                                learning_rate=0.02, epochs=8, batch_size=32, seed=3)
+        rec = optim.train(spec, train_set, val_set, cfg)
+        values = sharpness_sweep(spec, rec.final_params, train_set.as_batch(), ALPHAS,
+                                 seed=111)
+        assert [v.hex() for v in values] == [
+            "0x1.51cdba958c930p-4", "0x1.4f402dec32db1p-2",
+            "0x1.4d5e9a6962111p+1", "0x1.07491cb9a68d2p+3"]
+
+    def test_a_tie_keeps_the_earlier_restart(self):
+        # risk min(w, 1/4) from w = 0 in the box [-5/8, 5/8], steps of 1/16:
+        # the nu = 0 start reaches the cap at step 4; a later start that
+        # begins above the cap reaches it at step 0, and the ascent's restart
+        # order, then step order, keeps the first start's nu
+        seed = 3
+        later = np.random.default_rng(seed).uniform(-0.625, 0.625, analysis.RESTARTS - 1)
+        assert later.max() > 0.25
+        value, nu = box_sharpness(lambda w: float(min(w[0], 0.25)),
+                                  lambda w: np.array([1.0 if w[0] < 0.25 else 0.0]),
+                                  np.array([0.0]), 0.625, seed=seed)
+        assert value == 0.25
+        assert nu[0] == 0.25
+
+    def test_stacked_risks_and_grads_have_each_rows_bits(self):
+        spec, params, batch = verify._small_problem(27)
+        stack = params + np.random.default_rng(4).uniform(-0.3, 0.3, (5, params.size))
+        risks, grads = analysis._ce_risks_and_grads(spec, batch)
+        stacked_risks, stacked_grads = risks(stack), grads(stack)
+        for row, risk, grad in zip(stack, stacked_risks, stacked_grads, strict=True):
+            lone = loss_value(LossKind.CE, netcore.forward(spec, row, batch), batch.targets)
+            assert risk == lone.value
+            _, _, (lone_grad,) = netcore.term_values_and_grads(
+                spec, row, batch.inputs, batch.targets, (), (LossKind.CE,))
+            assert np.array_equal(grad, lone_grad)
+
+    def test_a_sweep_forwards_each_step_once_for_every_restart(self, monkeypatch):
+        # per alpha: the base risk, the starts' risks, then a gradient and a
+        # risk per step, each one forward of the whole stack of restarts
+        calls = []
+
+        def counting(*args, _fn=netcore._forward_cache, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(netcore, "_forward_cache", counting)
+        spec, params, batch = verify._small_problem(27)
+        sharpness_sweep(spec, params, batch, ALPHAS, seed=28)
+        assert len(calls) == len(ALPHAS) * (1 + 1 + 2 * analysis.ASCENT_STEPS) == 168
 
 
 def test_gibbs_divergence_drops_with_pointwise_drop():

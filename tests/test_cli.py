@@ -307,6 +307,28 @@ class TestKlsweepCommand:
         assert "config field p_list: 1e+300 is too large" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_grid_wider_than_a_float_rejected(self, tmp_path, monkeypatch, capsys):
+        # hi - lo is the grid's width, and linspace would overflow taking it
+        def no_report(*args, **kwargs):
+            raise AssertionError("built a testbed on a grid of infinite width")
+
+        monkeypatch.setattr(analysis, "default_kl_testbed", no_report)
+        cfg = write_config(tmp_path,
+                           {"grid": {"lo": -1.7e308, "hi": 1.7e308, "points": 61}})
+        code = run_cli(["klsweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config field grid: hi - lo overflows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_far_grid_runs_without_overflow(self, tmp_path, capsys):
+        # the testbed clips its offset before squaring; under the suite's
+        # warnings-as-errors filter an overflow would fail this run
+        cfg = write_config(tmp_path,
+                           {"grid": {"lo": -1e200, "hi": 1e200, "points": 61}})
+        assert run_cli(["klsweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads(next((tmp_path / "o").rglob("kl_report.json")).read_text())
+        assert math.isfinite(report["weighted"]["kl_multi"])
+
     def test_shipped_config_bytes_are_pinned(self, tmp_path, capsys):
         # the report the benchmark's klsweep digest reads; like
         # test_spectral's capture pin, its digest may move with the BLAS build
@@ -664,7 +686,8 @@ def test_declared_dependencies_are_the_imported_ones():
 
 
 # the frozen acceptance test's API, and argparse's hook for a bad command line
-NAMED_OUTSIDE_THE_PACKAGE = {"Dataset.as_batch", "Scheme.single", "_Parser.error"}
+NAMED_OUTSIDE_THE_PACKAGE = {"Dataset.as_batch", "Scheme.single", "box_sharpness",
+                             "_Parser.error"}
 
 
 def test_every_definition_is_named_by_other_package_code():

@@ -31,4 +31,4 @@ def test_summary_bytes_are_pinned(verify_run):
     # test_spectral's capture pin, its digest may move with the BLAS build
     assert verify_run[0] == 0
     assert hashlib.sha256(verify_run[1]).hexdigest() == (
-        "4b15e60c39ebb00108bf3652d084dbb0f58e5f8ffb59f86e42af3ebc97c68804")
+        "dd730c45b9c8b9576bc445cdfe07d23b1c70e43e75e2603003dfb367b9d29713")
