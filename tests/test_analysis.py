@@ -241,15 +241,16 @@ class TestSharpness:
             "0x1.4d5e9a6962111p+1", "0x1.07491cb9a68d2p+3"]
 
     def test_a_tie_keeps_the_earlier_restart(self):
-        # risk min(w, 1/4) from w = 0 in the box [-5/8, 5/8], steps of 1/16:
-        # the nu = 0 start reaches the cap at step 4; a later start that
-        # begins above the cap reaches it at step 0, and the ascent's restart
-        # order, then step order, keeps the first start's nu
+        # risk min(w, 1/4) from w = 0 in the box [-5/8, 5/8], steps of 1/16
+        # to the right: the nu = 0 start reaches the cap at step 4 and moves
+        # on along it; a later start that begins above the cap is at it from
+        # step 0. Restart order, then step order, and a strict > keep the
+        # first start's nu at step 4
         seed = 3
         later = np.random.default_rng(seed).uniform(-0.625, 0.625, analysis.RESTARTS - 1)
         assert later.max() > 0.25
         value, nu = box_sharpness(lambda w: float(min(w[0], 0.25)),
-                                  lambda w: np.array([1.0 if w[0] < 0.25 else 0.0]),
+                                  lambda w: np.array([1.0]),
                                   np.array([0.0]), 0.625, seed=seed)
         assert value == 0.25
         assert nu[0] == 0.25
