@@ -179,8 +179,6 @@ def scheme_kl_report(L1: GridField, L2: GridField, P_opt: GridField,
     """
     if not p_list:
         raise ValueError("p_list must be nonempty")
-    if any(p < 1.0 for p in p_list):
-        raise ValueError("powers below 1 are outside the analyzed regime")
     if not P_opt.is_density():
         raise ValueError("P_opt must be a normalized density")
     in_range = bool(np.all((L1.values > 0) & (L1.values < 1)
@@ -257,8 +255,6 @@ def generalized_entropy(fields: Sequence[GridField], betas: BetaWeights, p: floa
     """log integral exp(-(sum_m beta_m L_m^p)^(1/p)) by log-sum-exp quadrature."""
     if len(fields) < 1:
         raise ValueError("need at least one loss field")
-    if p < 1.0:
-        raise ValueError("power must be >= 1")
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("fields must share a grid")
@@ -284,8 +280,6 @@ def generalized_entropy_mc(loss_fns: Sequence[Callable], betas: BetaWeights, p: 
     """
     if n_draws < 2:
         raise ValueError("need at least two draws")
-    if p < 1.0:
-        raise ValueError("power must be >= 1")
     lows, highs = np.array(bounds, dtype=np.float64).T
     if np.any(lows >= highs):
         raise ValueError("bad box bounds")

@@ -340,8 +340,8 @@ def _dataset_from(doc: dict) -> tuple[data.Dataset, data.Dataset]:
     level = doc.get("randomize_level", 0.0)
     if level > 0:
         full = data.randomize_labels(full, level, doc.get("randomize_seed", seed))
-    return data.train_val_split(full, doc.get("val_fraction", 0.75),
-                                doc.get("split_seed", seed))
+    return _reading("dataset/val_fraction", data.train_val_split, full,
+                    doc.get("val_fraction", 0.75), doc.get("split_seed", seed))
 
 
 def _model_from(doc: dict) -> MLPSpec:
@@ -458,9 +458,8 @@ def cmd_klsweep(config: dict, digest: str, out: Path) -> int:
         if p + analysis.P_STEP == p:  # the report's dD_dp would divide by 0
             raise ValueError(f"config field p_list: {p} is too large for the "
                              f"p step {analysis.P_STEP}")
+    betas = _reading("betas", BetaWeights, tuple(config.get("betas", [0.5, 0.5])))
     L1, L2, p_opt = analysis.default_kl_testbed(**grid)
-    betas_doc = config.get("betas", [0.5, 0.5])
-    betas = BetaWeights(tuple(betas_doc))
     report = analysis.scheme_kl_report(L1, L2, p_opt, betas, p_list)
     path = _write_json(out / "kl_report.json", report.to_json_dict(), digest)
     print(f"report written to {path}")
@@ -506,10 +505,15 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
                      lambda_p=config["prior"]["lambda_p"])
     _reading("posterior/sigma", pacbayes.kl_spread_term, spec.n_params,
              post_doc["sigma"], prior)
+    # m is the training set's size; with m checked here, the schema's bounds
+    # on l_max, delta and eps_dp leave lambda the one field BoundParams rejects
+    if train_set.n < 2:
+        raise ValueError(f"config field dataset: a certificate needs at least 2 "
+                         f"training points, got {train_set.n}")
     bound = config["bound"]
-    params = pacbayes.BoundParams(lam=bound["lambda"], l_max=bound["l_max"],
-                                  delta=bound["delta"], m=train_set.n,
-                                  eps_dp=bound.get("eps_dp", 0.0))
+    params = _reading("bound/lambda", pacbayes.BoundParams, lam=bound["lambda"],
+                      l_max=bound["l_max"], delta=bound["delta"], m=train_set.n,
+                      eps_dp=bound.get("eps_dp", 0.0))
     _reading("bound/eps_dp", pacbayes.privacy_term, params.m, params.eps_dp)
     if "params_file" in post_doc:
         path = Path(post_doc["params_file"])
@@ -518,10 +522,13 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
                              f"missing model file {path}")
         try:
             with np.load(path) as archive:  # a .npy gives an array: a TypeError
-                mean = archive["params"]
+                mean = np.asarray(archive["params"], dtype=np.float64)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"config field posterior/params_file: no params "
                              f"array in {path}: {exc}") from exc
+        if not np.isfinite(mean).all():  # no draw about it would be finite
+            raise ValueError(f"config field posterior/params_file: the params in "
+                             f"{path} are not all finite")
     else:
         scheme = _scheme_from(config.get("scheme", {"kind": "multi"}))
         configs = _train_configs(config, [scheme], [seed])

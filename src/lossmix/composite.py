@@ -94,12 +94,10 @@ class Scheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if not math.isfinite(self.p):
-            raise ValueError(f"power must be finite, got {self.p!r}")
-        if self.kind == "nonlinear" and self.p < 1.0:
-            raise ValueError("power must be >= 1")
+        if self.kind == "nonlinear":
+            _power(self.p)
         # a field the kind ignores would train the same run under another name
-        if self.kind != "nonlinear" and self.p != 1.0:
+        elif self.p != 1.0:
             raise ValueError(f"a {self.kind} scheme takes no p, got {self.p!r}")
         if self.kind != "single" and self.index != 0:
             raise ValueError(f"a {self.kind} scheme takes no index, got {self.index!r}")
@@ -148,8 +146,10 @@ def power_sum(stack, b: np.ndarray, p: float):
     (terms, points) array of fields (M is then one value per point), and b
     is one weight vector or one per point. Each point's M is the BLAS dot
     of its own contiguous row of powers: the bits a lone vector of its
-    values gets, which a matrix-vector product misses.
+    values gets, which a matrix-vector product misses. p is checked here,
+    by _power, so no composite quantity is built on a p outside the regime.
     """
+    p = _power(p)
     v = np.maximum(np.asarray(stack, dtype=np.float64), VALUE_FLOOR)
     return v, np.vecdot(np.ascontiguousarray((v ** p).T), b)
 
@@ -175,9 +175,9 @@ def _prep(values, betas, p, mode: str):
     and each run's M = sum_m b_m v_m^p. A lone (K,) vector is one group."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
-        groups = [(..., _power(p))]
+        groups = [(..., float(p))]
     else:
-        powers = [_power(q) for q in p]
+        powers = [float(q) for q in p]
         if len(powers) != len(values):
             raise ValueError(f"{len(powers)} powers for {len(values)} runs")
         groups = ([(slice(None), powers[0])] if len(set(powers)) == 1 else
@@ -282,9 +282,14 @@ def dvalue_dp(values: Sequence[float], betas: BetaWeights, p: float,
     return float(m ** (1.0 / p) * (-np.log(m) / p ** 2 + term / (p * m)))
 
 
-def constraint9_check(L: float, g: float, h: float, p: float) -> bool:
-    """True iff (p - 1) g^2 + L h > 0, the strengthening condition."""
-    if L <= 0:
+def constraint9_check(L, g, h, p):
+    """True where (p - 1) g^2 + L h > 0, the strengthening condition.
+
+    Takes floats, or arrays that broadcast, such as (R, K) stacks of each
+    run's terms with an (R, 1) column of powers; each entry is computed with
+    the arithmetic of Python floats.
+    """
+    if np.any(np.less_equal(L, 0)):
         raise ValueError("loss value must be positive")
     return (p - 1.0) * g * g + L * h > 0.0
 

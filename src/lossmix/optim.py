@@ -246,20 +246,40 @@ def _followed(config: TrainConfig, epoch: int) -> int | None:
     return None
 
 
-def _epoch_row(spec, params, data, val, configs, betas, epoch, check):
+def _descent(configs, followed, vals, grads, kinds, betas):
+    """What each run steps along before L2 and noise, one (P,) row per run.
+
+    followed holds each run's _followed term index, grads the (len(kinds),
+    R, P) stack of the gradients of kinds, vals the (R, K) term values and
+    betas one weight row per run. A run that follows one term steps along
+    that term's gradient; the runs that follow the composite are composed
+    in one composite_grad call.
+    """
+    descent = np.empty_like(grads[0])
+    composed = [r for r, i in enumerate(followed) if i is None]
+    for r, i in enumerate(followed):
+        if i is not None:
+            descent[r] = grads[kinds.index(configs[r].terms[i]), r]
+    if composed:
+        descent[composed] = composite_grad(
+            vals[composed], grads[:, composed], betas[composed],
+            [configs[r].scheme.p for r in composed], configs[0].mode)
+    return descent
+
+
+def _epoch_row(spec, params, data, val, configs, followed, betas, epoch, check):
     """Full-dataset telemetry at the epoch's final parameters, one row per run.
 
-    betas holds one weight row per run, read for the runs that follow the
-    composite; their values and gradients are composed in one stacked call.
-    Constraint 9 is checked for every term from one shared pair of
-    forward passes at params +/- h along each run's descent direction: the
-    negative normalized gradient of what the run steps on, the followed
-    term's own or the composite's.
+    followed holds each run's _followed term index at this epoch, and betas
+    one weight row per run, read for the runs that follow the composite;
+    their values are composed in one stacked call. Constraint 9 is checked
+    for every term from one shared pair of forward passes at params +/- h
+    along each run's descent direction: the negative normalized _descent,
+    the direction the epoch's steps took.
     check(stack, what, runs) raises TrainingDiverged for the first run
     whose entries are not all finite.
     """
-    config = configs[0]
-    terms = config.terms
+    terms = configs[0].terms
     acts, vals, grads = netcore.term_values_and_grads(
         spec, params, data.inputs, data.targets, terms)
     preds = acts[-1]
@@ -269,25 +289,21 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, check):
     for g in grads:
         check(g, "gradient")
     grads = np.stack(grads)
-    composite, descent, row_betas = np.empty(len(configs)), np.empty_like(params), betas.copy()
-    composed = []
-    for r, cfg in enumerate(configs):
-        followed = _followed(cfg, epoch)
-        if followed is None:
-            composed.append(r)
-        else:
-            composite[r], descent[r] = vals[r, followed], grads[followed, r]
-            row_betas[r] = BetaWeights.one_hot(len(terms), followed).betas
+    composite, row_betas = np.empty(len(configs)), betas.copy()
+    composed = [r for r, i in enumerate(followed) if i is None]
+    for r, i in enumerate(followed):
+        if i is not None:
+            composite[r] = vals[r, i]
+            row_betas[r] = BetaWeights.one_hot(len(terms), i).betas
     if composed:
-        powers = [configs[r].scheme.p for r in composed]
-        composite[composed] = composite_value(vals[composed], betas[composed], powers,
-                                              config.mode)
-        descent[composed] = composite_grad(vals[composed], grads[:, composed],
-                                           betas[composed], powers, config.mode)
+        composite[composed] = composite_value(
+            vals[composed], betas[composed], [configs[r].scheme.p for r in composed],
+            configs[0].mode)
+    descent = _descent(configs, followed, vals, grads, terms, betas)
     norms = np.sqrt(np.vecdot(descent, descent))
     check(norms, "gradient norm")
     live = [r for r in range(len(configs)) if norms[r] > 0]
-    satisfied = [False] * len(configs)
+    satisfied = np.zeros(len(configs), dtype=bool)
     if live:
         def along(w):
             out = np.stack(netcore.term_values_and_grads(
@@ -298,10 +314,9 @@ def _epoch_row(spec, params, data, val, configs, betas, epoch, check):
         g_dir, h_dir = directional_curvature(along, params[live],
                                              -descent[live] / norms[live, None],
                                              CURVATURE_H, f0=vals[live])
-        for j, r in enumerate(live):
-            p = configs[r].scheme.p
-            satisfied[r] = all(constraint9_check(max(v, VALUE_FLOOR), g, h, p)
-                               for v, g, h in zip(vals[r], g_dir[j], h_dir[j]))
+        p = np.array([[configs[r].scheme.p] for r in live])
+        satisfied[live] = constraint9_check(np.maximum(vals[live], VALUE_FLOOR),
+                                            g_dir, h_dir, p).all(axis=1)
     train_acc = _accuracy(spec, params, data, preds)
     val_acc = _accuracy(spec, params, val)
     grad_norms = np.sqrt(np.vecdot(grads, grads)).T
@@ -408,11 +423,10 @@ def _train_stack(spec, data, val, configs, rows):
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        direct = [None if i is None else terms[i]
-                  for i in (_followed(c, epoch) for c in configs)]
-        grad_kinds = terms if None in direct else tuple(t for t in terms if t in direct)
-        composed = [r for r, kind in enumerate(direct) if kind is None]
-        powers = [configs[r].scheme.p for r in composed]
+        followed = [_followed(c, epoch) for c in configs]
+        grad_kinds = terms if None in followed else tuple(
+            t for i, t in enumerate(terms) if i in followed)
+        composed = [r for r, i in enumerate(followed) if i is None]
         orders = np.stack([rng.permutation(data.n) for rng in rngs])
         for start in range(0, data.n, config.batch_size):
             idx = orders[:, start:start + config.batch_size]
@@ -432,19 +446,14 @@ def _train_stack(spec, data, val, configs, rows):
             check(preds, "predictions")
             vals = np.stack(vals, axis=-1)
             check(vals, "loss")
-            step = np.empty_like(params)
-            for r, kind in enumerate(direct):
-                if kind is not None:
-                    step[r] = grads[grad_kinds.index(kind)][r]
-            if composed:
-                g = np.stack([gk[composed] for gk in grads])
-                if adaptive:
-                    # the norms are checked before any run is composed
-                    norms = np.sqrt(np.vecdot(g, g)).T
-                    check(norms, "gradient norm", composed)
-                    betas[composed] = adaptive_betas(norms, rule=config.beta_rule)
-                step[composed] = composite_grad(vals[composed], g, betas[composed], powers,
-                                                config.mode)
+            grads = np.stack(grads)
+            if composed and adaptive:
+                # the norms are checked before any run is composed; each is a
+                # dot of its own row, so the stack's other runs move no bit
+                norms = np.sqrt(np.vecdot(grads, grads)).T[composed]
+                check(norms, "gradient norm", composed)
+                betas[composed] = adaptive_betas(norms, rule=config.beta_rule)
+            step = _descent(configs, followed, vals, grads, grad_kinds, betas)
             if config.l2_reg > 0:
                 step = step + config.l2_reg * params
             if config.noise_eps > 0:
@@ -460,7 +469,7 @@ def _train_stack(spec, data, val, configs, rows):
 
         seconds = time.perf_counter() - t0
         if rows:
-            epoch_rows = _epoch_row(spec, params, data, val, configs,
+            epoch_rows = _epoch_row(spec, params, data, val, configs, followed,
                                     betas, epoch, check)
             for record, row in zip(records, epoch_rows):
                 record.rows.append(row)

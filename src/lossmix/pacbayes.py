@@ -124,6 +124,8 @@ def empirical_risk(Q: GaussianPosterior, spec: MLPSpec, data: Dataset,
     so a wide net still takes one draw per forward; each draw's risk is
     the bits a forward of its own gives. The 0-1 loss is bounded in
     [0, 1], which the Bernoulli-kl inversion of risk_certificate needs.
+    A draw whose predictions are not finite raises FloatingPointError:
+    only the draws can tell, so it is a runtime failure, not a bad input.
     """
     if n_samples < 1:
         raise ValueError("need at least one posterior draw")
@@ -134,9 +136,14 @@ def empirical_risk(Q: GaussianPosterior, spec: MLPSpec, data: Dataset,
     draws = np.empty(n_samples)
     for start in range(0, n_samples, chunk):
         stack = np.stack([Q.sample(rng) for _ in range(min(chunk, n_samples - start))])
-        preds = netcore.forward(spec, stack, data)
-        if not np.all(np.isfinite(preds)):
-            raise ValueError("non-finite predictions for a posterior draw")
+        # a draw whose forward overflows is reported below, naming the draw,
+        # so numpy's overflow and invalid-value warnings would only print first
+        with np.errstate(over="ignore", invalid="ignore"):
+            preds = netcore.forward(spec, stack, data)
+        if not np.isfinite(preds).all():
+            finite = np.isfinite(preds).reshape(len(stack), -1).all(axis=1)
+            raise FloatingPointError(f"non-finite predictions for posterior draw "
+                                     f"{start + int(np.argmin(finite))} of {n_samples}")
         draws[start:start + len(stack)] = loss_means(LossKind.ZERO_ONE, preds,
                                                      data.targets)
     se = float(draws.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0

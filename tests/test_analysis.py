@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lossmix import analysis, data, netcore, optim, verify
+from lossmix import analysis, composite, data, netcore, optim, verify
 from lossmix.analysis import (Grid, GridField, boltzmann, box_sharpness, default_kl_testbed,
                               generalized_entropy, gibbs_divergence, kl_divergence,
                               scheme_kl_report, sharpness, sharpness_sweep)
@@ -182,6 +182,27 @@ class TestGeneralizedEntropy:
     def test_grid_vs_mc_within_three_se(self):
         # the default 601-point grid's quadrature bias is larger than verify's
         assert verify.entropy_grid_matches_mc(601, 50_000, 4, 1e-3)[0]
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("entry", [
+    lambda L1, L2, p_opt, betas, p: composite.power_mean(
+        np.stack([L1.values, L2.values]), betas.as_array(), p),
+    lambda L1, L2, p_opt, betas, p: generalized_entropy([L1, L2], betas, p, "weighted"),
+    lambda L1, L2, p_opt, betas, p: generalized_entropy([L1, L2], betas, p, "unweighted"),
+    lambda L1, L2, p_opt, betas, p: analysis.generalized_entropy_mc(
+        [lambda x: analysis.testbed_loss(x[:, 0], 1.0),
+         lambda x: analysis.testbed_loss(x[:, 0], -1.0)],
+        betas, p, [(-3.0, 3.0)], 100, 0, "weighted"),
+    lambda L1, L2, p_opt, betas, p: scheme_kl_report(L1, L2, p_opt, betas, [p]),
+], ids=["power_mean", "entropy-weighted", "entropy-unweighted", "entropy-mc",
+        "kl_report"])
+def test_entry_points_reject_a_power_that_is_not_finite(entry, p):
+    # p is checked where the power sum is taken: at p = inf the objective
+    # would read 1 everywhere, and at NaN every estimate would be NaN
+    L1, L2, p_opt = default_kl_testbed()
+    with pytest.raises(ValueError, match="not finite"):
+        entry(L1, L2, p_opt, BetaWeights.uniform(2), p)
 
 
 ALPHAS = [0.05, 0.1, 0.25, 0.5]

@@ -536,6 +536,31 @@ class TestBoundsCommand:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_model_file_with_non_finite_params_is_config_error(self, tmp_path, capsys):
+        np.savez(tmp_path / "model.npz", params=np.full(32, np.nan))
+        cfg = write_config(tmp_path, self.bounds_config(
+            {"params_file": str(tmp_path / "model.npz")}))
+        code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config field posterior/params_file: the params in" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_posterior_draw_is_runtime_error(self, tmp_path, capsys):
+        # sigma^2 = 1e300 is finite, so only the draws can tell: a relu net's
+        # forward overflows on them. Under the suite's warnings-as-errors
+        # filter, a numpy warning would end the run before the report
+        doc = self.bounds_config()
+        doc["model"] = {"layer_widths": [2, 12, 12, 2], "hidden_activation": "relu"}
+        doc["posterior"]["sigma"] = 1e150
+        doc["train"]["epochs"] = 5
+        cfg = write_config(tmp_path, doc)
+        code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == ("runtime error: FloatingPointError: non-finite "
+                                           "predictions for posterior draw 0 of 10\n")
+        assert not list(tmp_path.rglob("certificate.json"))
+
     def test_missing_model_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.bounds_config(
             {"params_file": str(tmp_path / "nope.npz")}))
@@ -819,6 +844,32 @@ def test_field_no_result_reads_rejected_before_training(tmp_path, no_training, c
     code = run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 1
     assert f"config field {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, command, path, value, message", [
+    ("klsweep", "klsweep", "betas", [0.7, 0.7],
+     "betas: weights must sum to 1, got sum 1.4"),
+    ("two_moons", "train", "dataset/val_fraction", 0.001,
+     "dataset/val_fraction: split of 400 samples at 0.001 leaves a side empty"),
+    ("bounds", "bounds", "bound/lambda", 0.3,
+     "bound/lambda: lambda must be greater than 1/2"),
+    # the certificate's m is the training set's size, not the bound's lambda
+    ("bounds", "bounds", "dataset", {"kind": "two_moons", "n": 2, "val_fraction": 0.5},
+     "dataset: a certificate needs at least 2 training points, got 1"),
+], ids=["klsweep-betas", "two_moons-val_fraction", "bounds-lambda", "bounds-m"])
+def test_load_time_error_names_its_field(tmp_path, no_training, monkeypatch, capsys,
+                                         config, command, path, value, message):
+    def no_testbed(*args, **kwargs):
+        raise AssertionError("built the KL testbed for a config that fails at load time")
+
+    monkeypatch.setattr(analysis, "default_kl_testbed", no_testbed)
+    shipped = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+    doc = with_value(json.loads(shipped.read_text()), path, value)
+    code = run_cli([command, "--config", write_config(tmp_path, doc),
+                    "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"validation error: config field {message}")
     assert not (tmp_path / "o").exists()
 
 

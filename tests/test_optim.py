@@ -242,7 +242,7 @@ class TestTrain:
             train(spec, ds, ds, cfg)
         assert isinstance(err.value.record, optim.TrajectoryRecord)
 
-    def test_epoch_callback_sees_every_epoch(self, monkeypatch):
+    def test_record_without_rows_keeps_every_epochs_predictions(self, monkeypatch):
         # a record without rows holds every epoch's training-set predictions
         # at that epoch's final parameters
         spec, train_set, val_set = moons_setup()
@@ -527,7 +527,8 @@ def test_two_moons_shape_composes_each_stack_in_one_call(monkeypatch):
     full = data.two_moons(400, 0.1, seed=7)
     train_set, val_set = data.train_val_split(full, 0.75, seed=7)
     spec = MLPSpec((2, 16, 2), hidden_activation="tanh", output_kind="softmax")
-    calls = dict.fromkeys(["composite_grad", "adaptive_betas", "composite_value"], 0)
+    calls = dict.fromkeys(["composite_grad", "adaptive_betas", "composite_value",
+                           "_descent", "_followed"], 0)
     for name in calls:
         def counting(*args, _fn=getattr(optim, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -539,12 +540,15 @@ def test_two_moons_shape_composes_each_stack_in_one_call(monkeypatch):
     schemes = (Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0))
     train(spec, train_set, val_set,
           [replace(base, scheme=s, seed=seed) for s in schemes for seed in (1, 2, 3)])
-    # one call per stack-minibatch, plus one grad and one value per epoch row
+    # one call per stack-minibatch, plus one grad and one value per epoch row;
+    # the row steps along the step's own _descent, and each run's followed
+    # term is read once an epoch
     assert calls == {"composite_grad": 25 * 10 + 25, "adaptive_betas": 25 * 10,
-                     "composite_value": 25}
+                     "composite_value": 25, "_descent": 30 * 10 + 30,
+                     "_followed": 9 * 30}
 
 
-def test_epoch_callback_sees_every_run_and_epoch(monkeypatch):
+def test_records_without_rows_keep_every_run_and_epoch(monkeypatch):
     spec, train_set, val_set = moons_setup()
     # room for two runs per stack, so the three runs train as stacks of 2 and 1
     monkeypatch.setattr(optim, "STACK_ELEMENTS", 2 * train_set.n * 12)
