@@ -472,8 +472,8 @@ def cmd_spectral(config: dict, digest: str, out: Path) -> int:
     amps = tuple(config.get("amplitudes", [1.0] * len(freqs)))
     if len(amps) != len(freqs):
         raise ValueError("config field amplitudes: must match frequencies")
-    target = spectral.SpectralTarget(frequencies=freqs, amplitudes=amps,
-                                     n_points=config.get("n_points", 256))
+    target = _reading("frequencies", spectral.SpectralTarget, frequencies=freqs,
+                      amplitudes=amps, n_points=config.get("n_points", 256))
     schemes = [_scheme_from(s) for s in config["schemes"]]
     seed = config.get("seed", 1)
     # spectral_scheme_compare sets each run's scheme, seed, epochs and batch

@@ -53,7 +53,13 @@ class LossValue:
 
 
 def _clip_probs(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, CLAMP, 1.0 - CLAMP)
+    # np.clip's bits, without its wrapper's per-call cost
+    return np.minimum(np.maximum(p, CLAMP), 1.0 - CLAMP)
+
+
+def _sample_mean(x: np.ndarray):
+    """x.mean(axis=-1), bit for bit: numpy's mean is this reduce and divide."""
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
 def _check_shapes(predictions: np.ndarray, targets: np.ndarray) -> None:
@@ -113,26 +119,24 @@ def loss_means(kind: LossKind, predictions: np.ndarray, targets: np.ndarray):
     non-finite means rather than an error."""
     _check_shapes(predictions, targets)
     if kind == LossKind.MSE:
-        v = row_sum((targets - predictions) ** 2).mean(axis=-1)
-    elif kind == LossKind.CE:
+        return _sample_mean(row_sum((targets - predictions) ** 2))
+    if kind == LossKind.CE:
         f = _clip_probs(predictions)
         if predictions.shape[-1] == 1:
             per = -(targets * np.log(f) + (1.0 - targets) * np.log(1.0 - f))
         else:
             per = -(targets * np.log(f))
-        v = row_sum(per).mean(axis=-1)
-    elif kind == LossKind.JSD:
+        return _sample_mean(row_sum(per))
+    if kind == LossKind.JSD:
         p = _clip_probs(_as_rows(predictions))
         q = _clip_probs(_as_rows(targets))
         m = 0.5 * (p + q)
-        per = 0.5 * row_sum(p * np.log(p / m) + q * np.log(q / m))
-        v = per.mean(axis=-1)
-    elif kind == LossKind.ZERO_ONE:
-        v = np.mean(_argmax_classes(predictions) != _argmax_classes(targets), axis=-1)
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    # JSD rounding may undershoot zero by an ulp or two
-    return np.where((v > -1e-15) & (v < 0.0), 0.0, v)[()]
+        v = _sample_mean(0.5 * row_sum(p * np.log(p / m) + q * np.log(q / m)))
+        # rounding may undershoot zero by an ulp or two
+        return np.where((v > -1e-15) & (v < 0.0), 0.0, v)[()]
+    if kind == LossKind.ZERO_ONE:
+        return np.mean(_argmax_classes(predictions) != _argmax_classes(targets), axis=-1)
+    raise ValueError(f"unknown loss kind {kind!r}")
 
 
 def loss_value(kind: LossKind, predictions: np.ndarray, targets: np.ndarray) -> LossValue:

@@ -24,6 +24,16 @@ of a wider product by its place. ``_forward_cache`` can start at that
 first layer from activations a previous pass computed on the same rows in
 another order.
 
+Each layer's temporaries are built in place, with the bits of the
+out-of-place expressions: a layer's product is a new array, so its bias
+is added to it and its activation written over it, and the activation
+derivatives and each backward delta are multiplied into arrays the pass
+made itself (``(1 - a) * a`` has the bits of ``a * (1 - a)``: IEEE
+multiplication commutes). No pass writes into an array its caller holds:
+inputs, params, the output gradient and the cached activations stay as
+they were. ``term_values_and_grads`` returns every term's values as one
+array and writes each term's gradient into its own row of one stack.
+
 Reductions keep numpy's bits at the shapes the nets have. A last axis of
 fewer than 8 entries (the softmax's max and sum, its backward's inner
 product, the loss row sums) is reduced column by column with
@@ -196,11 +206,12 @@ def unpack_params(spec: MLPSpec, params: np.ndarray) -> list[tuple[np.ndarray, n
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """exp(z) / sum exp(z) over the last axis; the max shift keeps exp from
-    overflowing and cancels in the ratio."""
-    shifted = z - row_max(z, keepdims=True)
-    e = np.exp(shifted)
-    return e / row_sum(e, keepdims=True)
+    """exp(z) / sum exp(z) over the last axis, written over z; the max
+    shift keeps exp from overflowing and cancels in the ratio."""
+    z -= row_max(z, keepdims=True)
+    np.exp(z, out=z)
+    z /= row_sum(z, keepdims=True)
+    return z
 
 
 _EXPIT_MODULE = "scipy.special._special_ufuncs"
@@ -231,27 +242,35 @@ def _load_expit():
     return expit
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z, out=None):
     global _expit
     if _expit is None:
         _expit = _load_expit()
-    return _expit(z)
+    return _expit(z, out=out)
 
 
-def _hidden(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str) -> None:
+    """A hidden activation or an output head, written over z."""
     if kind == "sigmoid":
-        return _sigmoid(z)
-    if kind == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        _sigmoid(z, out=z)
+    elif kind == "tanh":
+        np.tanh(z, out=z)
+    elif kind == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif kind == "softmax":
+        softmax(z)
 
 
 def _hidden_deriv(a: np.ndarray, kind: str) -> np.ndarray:
-    """The activation's derivative, from its output a = _hidden(z, kind)."""
+    """The activation's derivative, from its output a = _activate(z, kind).
+    (1 - a) * a has the bits of a * (1 - a): IEEE multiplication commutes."""
     if kind == "sigmoid":
-        return a * (1.0 - a)
+        d = 1.0 - a
+        d *= a
+        return d
     if kind == "tanh":
-        return 1.0 - a * a
+        d = a * a
+        return np.subtract(1.0, d, out=d)
     return (a > 0.0).astype(np.float64)  # max(z, 0) > 0 exactly where z > 0
 
 
@@ -295,15 +314,10 @@ def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
     n_layers = len(layers)
     for i in range(start, n_layers):
         w, b = layers[i]
-        z = (a * w if w.shape[-2] == 1 else a @ w) + b[..., None, :]
-        if i < n_layers - 1:
-            a = _hidden(z, spec.hidden_activation)
-        elif spec.output_kind == "softmax":
-            a = softmax(z)
-        elif spec.output_kind == "sigmoid":
-            a = _sigmoid(z)
-        else:
-            a = z
+        # the product is a new array: its bias and activation go in place
+        a = a * w if w.shape[-2] == 1 else a @ w
+        a += b[..., None, :]
+        _activate(a, spec.hidden_activation if i < n_layers - 1 else spec.output_kind)
         acts.append(a)
     return a, (layers, acts)
 
@@ -333,9 +347,13 @@ def _bias_grad(delta: np.ndarray) -> np.ndarray:
 
 
 def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
-                         derivs: list[np.ndarray]) -> np.ndarray:
-    """Backward pass through a forward cache. derivs is _hidden_derivs of
-    that cache, computed by the caller so several backward passes share it."""
+                         derivs: list[np.ndarray], grad: np.ndarray | None = None
+                         ) -> np.ndarray:
+    """Backward pass through a forward cache, written into grad (a new
+    array if None) and returned. derivs is _hidden_derivs of that cache,
+    computed by the caller so several backward passes share it. Only
+    arrays this pass makes are written in place: a linear head takes
+    output_grad itself as its top delta."""
     layers, acts = cache
     preds = acts[-1]
     output_grad = np.asarray(output_grad, dtype=np.float64)
@@ -348,14 +366,17 @@ def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
     if spec.output_kind == "softmax":
         # softmax jacobian-vector product, row by row
         inner = row_sum(output_grad * preds, keepdims=True)
-        delta = preds * (output_grad - inner)
+        delta = output_grad - inner
+        delta *= preds
     elif spec.output_kind == "sigmoid":
-        delta = output_grad * preds * (1.0 - preds)
+        delta = output_grad * preds
+        delta *= 1.0 - preds
     else:
         delta = output_grad
 
     lead = layers[0][1].shape[:-1]
-    grad = np.empty(lead + (spec.n_params,))
+    if grad is None:
+        grad = np.empty(lead + (spec.n_params,))
     pos = spec.n_params
     for i in range(n_layers - 1, -1, -1):
         w, _ = layers[i]
@@ -367,8 +388,8 @@ def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
         grad[..., pos:pos + n_in * n_out] = gw.reshape(lead + (-1,))
         if i > 0:
             wt = w.swapaxes(-1, -2)
-            da = delta * wt if n_out == 1 else delta @ wt
-            delta = da * derivs[i - 1]
+            delta = delta * wt if n_out == 1 else delta @ wt
+            delta *= derivs[i - 1]
     return grad
 
 
@@ -388,18 +409,25 @@ def term_values_and_grads(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
     Returns (activations, values, gradients). activations are the
     forward's, one array entering each layer and then the predictions:
     activations[0] is the inputs and activations[-1] the predictions.
-    Each term's numbers are the bits ``forward`` and ``backward`` give for
-    that term alone. With stacked (R, P) params each value holds one mean
-    per run and each gradient is (R, P). Nothing is checked for
-    finiteness: the caller decides what a non-finite run means.
+    values is one (..., len(kinds)) array, a row of term means per run,
+    and gradients one (len(grad_kinds), ..., P) array, each term's
+    backward writing its own row. Each term's numbers are the bits
+    ``forward`` and ``backward`` give for that term alone, with lone (P,)
+    params or stacked (R, P). Nothing is checked for finiteness: the
+    caller decides what a non-finite run means.
     """
     preds, cache = _forward_cache(spec, params, inputs)
-    vals = [loss_means(k, preds, targets) for k in kinds]
+    lead = preds.shape[:-2]  # () for lone params, (R,) for a stack
+    vals = np.empty(lead + (len(kinds),))
+    for j, kind in enumerate(kinds):
+        vals[..., j] = loss_means(kind, preds, targets)
     grad_kinds = kinds if grad_kinds is None else grad_kinds
-    derivs = _hidden_derivs(spec, cache) if grad_kinds else None
-    grads = [_backward_from_cache(spec, cache, loss_output_grad(k, preds, targets),
-                                  derivs)
-             for k in grad_kinds]
+    grads = np.empty((len(grad_kinds),) + lead + (spec.n_params,))
+    if len(grad_kinds):
+        derivs = _hidden_derivs(spec, cache)
+        for kind, grad in zip(grad_kinds, grads):
+            _backward_from_cache(spec, cache, loss_output_grad(kind, preds, targets),
+                                 derivs, grad)
     return cache[1], vals, grads
 
 

@@ -283,12 +283,10 @@ def _epoch_row(spec, params, data, val, configs, followed, betas, epoch, check):
     acts, vals, grads = netcore.term_values_and_grads(
         spec, params, data.inputs, data.targets, terms)
     preds = acts[-1]
-    vals = np.stack(vals, axis=-1)
     check(preds, "predictions")
     check(vals, "loss")
     for g in grads:
         check(g, "gradient")
-    grads = np.stack(grads)
     composite, row_betas = np.empty(len(configs)), betas.copy()
     composed = [r for r, i in enumerate(followed) if i is None]
     for r, i in enumerate(followed):
@@ -306,8 +304,8 @@ def _epoch_row(spec, params, data, val, configs, followed, betas, epoch, check):
     satisfied = np.zeros(len(configs), dtype=bool)
     if live:
         def along(w):
-            out = np.stack(netcore.term_values_and_grads(
-                spec, w, data.inputs, data.targets, terms, ())[1], axis=-1)
+            out = netcore.term_values_and_grads(
+                spec, w, data.inputs, data.targets, terms, ())[1]
             check(out, "loss along the descent direction", live)
             return out
 
@@ -444,9 +442,7 @@ def _train_stack(spec, data, val, configs, rows):
             preds = acts[-1]
             # a non-finite term gradient shows up in the norms or in the step
             check(preds, "predictions")
-            vals = np.stack(vals, axis=-1)
             check(vals, "loss")
-            grads = np.stack(grads)
             if composed and adaptive:
                 # the norms are checked before any run is composed; each is a
                 # dot of its own row, so the stack's other runs move no bit

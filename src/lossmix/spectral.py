@@ -137,11 +137,16 @@ def default_bands(frequencies: Sequence[float]) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class SpectralTarget:
-    """The multi-tone regression target of the capture experiment."""
+    """The multi-tone regression target of the capture experiment. The
+    tones' default_bands must be valid bands of n_points samples, checked
+    when the target is made."""
 
     frequencies: tuple[float, ...]
     amplitudes: tuple[float, ...]
     n_points: int
+
+    def __post_init__(self):
+        check_bands(default_bands(self.frequencies), self.n_points)
 
     def build(self) -> Dataset:
         """Dataset scaled into [0.1, 0.9], inside the sigmoid head's range.
@@ -188,17 +193,17 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
                             target: SpectralTarget, epochs: int, seed: int,
                             width: int, threshold: float) -> SpectralComparison:
     """Train one sigmoid net per scheme on the tone target and compare
-    per-band capture epochs side by side. A repeated scheme, and bands that
-    overlap or pass the Nyquist frequency, are rejected before any
-    training: the reports are keyed by scheme label."""
+    per-band capture epochs side by side. A repeated scheme is rejected
+    before any training: the reports are keyed by scheme label. The
+    target has already rejected bands that overlap or pass the Nyquist
+    frequency."""
     spec = MLPSpec(layer_widths=(1, width, 1), hidden_activation="sigmoid",
                    output_kind="sigmoid")
     labels = [scheme.label() for scheme in schemes]
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValueError(f"scheme {label} is repeated")
-    bands = default_bands(target.frequencies)
-    check_bands(bands, target.n_points)
+    bands = default_bands(target.frequencies)  # checked by the target
     data = target.build()
     configs = [replace(base_config, scheme=scheme, seed=seed, epochs=epochs,
                        batch_size=target.n_points) for scheme in schemes]

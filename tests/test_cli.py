@@ -381,9 +381,13 @@ class TestSpectralCommand:
         assert doc["capture_epochs"]["multi"]["2-4"] is None
 
     @pytest.mark.parametrize("frequencies, message", [
-        ([1.0, 2.0], "overlap"), ([1.0, 40.0], "Nyquist"),
+        ([1.0, 2.0], "config field frequencies: bands (0.0,2.0) and (1.0,3.0) overlap"),
+        ([1.0, 40.0], "config field frequencies: band (39.0, 41.0) exceeds the "
+                      "Nyquist frequency"),
+        # 1e300 - 1 and 1e300 + 1 round to 1e300: an empty band
+        ([1e300, 3, 5], "config field frequencies: bad band (1e+300, 1e+300)"),
         ([2.5], "frequencies/0: 2.5 is not of type 'integer'")],
-        ids=["overlapping-bands", "above-nyquist", "off-bin-tone"])
+        ids=["overlapping-bands", "above-nyquist", "huge-tone", "off-bin-tone"])
     def test_bad_bands_rejected_before_training(self, tmp_path, monkeypatch,
                                                 capsys, frequencies, message):
         def no_training(*args, **kwargs):

@@ -188,6 +188,7 @@ def test_term_values_and_grads_match_forward_and_backward(output_kind):
     # the forward's activations: the inputs, the hidden layer, the predictions
     assert len(acts) == 3 and np.array_equal(acts[0], batch.inputs)
     assert np.array_equal(acts[-1], want_preds)
+    assert vals.shape == (3,) and grads.shape == (3, spec.n_params)
     for kind, value, grad in zip(kinds, vals, grads, strict=True):
         assert value == loss_value(kind, want_preds, batch.targets).value
         want = netcore.backward(spec, params, batch,
@@ -196,7 +197,7 @@ def test_term_values_and_grads_match_forward_and_backward(output_kind):
     # values of every term, a gradient for the listed ones only
     _, vals_one, grads_one = netcore.term_values_and_grads(
         spec, params, batch.inputs, batch.targets, kinds, (LossKind.JSD,))
-    assert vals_one == vals
+    assert np.array_equal(vals_one, vals)
     assert len(grads_one) == 1 and np.array_equal(grads_one[0], grads[2])
 
 
@@ -212,12 +213,13 @@ def test_stacked_pass_matches_each_run_alone(output_kind, shared_inputs):
     kinds = (LossKind.CE, LossKind.MSE, LossKind.JSD)
     acts, vals, grads = netcore.term_values_and_grads(spec, params, inputs, targets, kinds)
     preds = acts[-1]
-    assert preds.shape[0] == 3 and all(g.shape == params.shape for g in grads)
+    assert preds.shape[0] == 3 and vals.shape == (3, 3)
+    assert grads.shape == (3,) + params.shape
     for r, batch in enumerate(batches):
         a_r, v_r, g_r = netcore.term_values_and_grads(
             spec, params[r], batch.inputs, batch.targets, kinds)
         assert np.array_equal(preds[r], a_r[-1])
-        assert [v[r] for v in vals] == v_r
+        assert np.array_equal(vals[r], v_r)
         assert all(np.array_equal(g[r], g1) for g, g1 in zip(grads, g_r, strict=True))
         assert (loss_means(LossKind.ZERO_ONE, preds, targets)[r]
                 == loss_value(LossKind.ZERO_ONE, a_r[-1], batch.targets).value)
@@ -240,6 +242,34 @@ def test_shared_hidden_derivatives_give_backwards_bits(hidden, stacked):
         want = netcore.backward(spec, params, batch,
                                 loss_output_grad(kind, acts[-1], batch.targets))
         assert np.array_equal(grad, want)
+
+
+@pytest.mark.parametrize("output_kind", netcore.OUTPUT_KINDS)
+@pytest.mark.parametrize("hidden", netcore.HIDDEN_ACTIVATIONS)
+def test_passes_write_into_no_array_of_the_caller(hidden, output_kind):
+    # the passes build their temporaries in place; a linear head takes the
+    # output gradient itself as its top delta, so a write there is the
+    # caller's array. Bytes are compared, so even a sign of zero counts.
+    k = 1 if output_kind == "sigmoid" else 2
+    spec = MLPSpec((3, 6, 5, k), hidden_activation=hidden, output_kind=output_kind)
+    batch = make_batch(n=9, k=k, seed=41)
+    kinds = (LossKind.CE, LossKind.MSE, LossKind.JSD)
+    for params in (netcore.init_params(spec, 1, 0.8),
+                   np.stack([netcore.init_params(spec, s, 0.8) for s in (1, 2)])):
+        out_grad = np.random.default_rng(42).standard_normal(params.shape[:-1] + (9, k))
+        given = (params, batch.inputs, batch.targets, out_grad)
+        kept = [a.tobytes() for a in given]
+        acts, _, _ = netcore.term_values_and_grads(spec, params, batch.inputs,
+                                                   batch.targets, kinds)
+        _, (_, fresh) = netcore._forward_cache(spec, params, batch.inputs)
+        assert [a.tobytes() for a in acts] == [a.tobytes() for a in fresh]
+        _, cache = netcore._forward_cache(spec, params, batch.inputs)
+        derivs = netcore._hidden_derivs(spec, cache)
+        before = [a.tobytes() for a in cache[1] + derivs]
+        netcore._backward_from_cache(spec, cache, out_grad, derivs)
+        assert [a.tobytes() for a in cache[1] + derivs] == before
+        netcore.backward(spec, params, batch, out_grad)
+        assert [a.tobytes() for a in given] == kept
 
 
 def test_fan_in_and_fan_out_one_products_give_matmul_bits():

@@ -31,4 +31,4 @@ def test_summary_bytes_are_pinned(verify_run):
     # test_spectral's capture pin, its digest may move with the BLAS build
     assert verify_run[0] == 0
     assert hashlib.sha256(verify_run[1]).hexdigest() == (
-        "dd730c45b9c8b9576bc445cdfe07d23b1c70e43e75e2603003dfb367b9d29713")
+        "f2c9e2d17894e14997ed9f4721aff6f715afbd585f77b2f5a196ab2c42e96ecb")
