@@ -393,6 +393,14 @@ def _write_json(path: Path, doc: dict, digest: str | None = None) -> Path:
     return path
 
 
+def _diverged(exc: optim.TrainingDiverged, out: Path, run: str, where: str) -> int:
+    """Record a diverged run: out/failure.json names the run, the epoch and
+    the message, and one stderr line ends with where."""
+    _write_json(out / "failure.json", {"run": run, "epoch": exc.epoch, "message": str(exc)})
+    print(f"runtime error: {exc}; {where}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
 def _slug(scheme: Scheme) -> str:
     if scheme.kind == "single":
         return f"single{scheme.index}"
@@ -437,10 +445,7 @@ def cmd_train(config: dict, digest: str, out: Path) -> int:
         for run_dir, record in zip(run_dirs, exc.finished):
             optim.save_run(run_dir, record, digest)
         run_dir = optim.save_run(run_dirs[exc.run], exc.record, digest)
-        _write_json(run_dir / "failure.json",
-                    {"run": run_dir.name, "epoch": exc.epoch, "message": str(exc)})
-        print(f"runtime error: {exc}; partial trajectory in {run_dir}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _diverged(exc, run_dir, run_dir.name, f"partial trajectory in {run_dir}")
     for run_dir, record in zip(run_dirs, records, strict=True):
         optim.save_run(run_dir, record, digest)
     print(f"{len(records)} runs written under {out}")
@@ -480,9 +485,12 @@ def cmd_spectral(config: dict, digest: str, out: Path) -> int:
     base = optim.TrainConfig(scheme=Scheme.multi(),
                              learning_rate=config.get("learning_rate", 0.02),
                              init_scale=config.get("init_scale", 3.0))
-    comparison = spectral.spectral_scheme_compare(
-        base, schemes, target, epochs=config.get("epochs", 1200), seed=seed,
-        width=config.get("width", 200), threshold=config.get("threshold", 0.2))
+    try:
+        comparison = spectral.spectral_scheme_compare(
+            base, schemes, target, epochs=config.get("epochs", 1200), seed=seed,
+            width=config.get("width", 200), threshold=config.get("threshold", 0.2))
+    except optim.TrainingDiverged as exc:
+        return _diverged(exc, out, schemes[exc.run].label(), f"failure record in {out}")
     _write_json(out / "capture.json", comparison.to_json_dict(), digest)
     (out / "capture.csv").write_text(comparison.to_csv_text())
     print(f"capture reports written under {out}")

@@ -177,9 +177,25 @@ class TrajectoryRecord:
         return "\n".join(lines) + "\n"
 
 
-def sample_gradient_noise(rng: np.random.Generator, eps: float, size: int) -> np.ndarray:
+def sample_gradient_noise(rng: np.random.Generator, eps: float,
+                          size: int | tuple[int, ...]) -> np.ndarray:
     """Per-coordinate N(0, eps^2) draws added to the composed gradient."""
     return rng.normal(0.0, eps, size)
+
+
+def _epoch_noise(rngs, eps: float, steps: int, size: int):
+    """Yield each of an epoch's steps' (R, size) gradient noise, one row per run.
+
+    Each run's draws come in blocks of whole steps, one call per block, of
+    at most STACK_ELEMENTS draws unless one step needs more. A Generator
+    fills a block with the values of successive draws, in order, and leaves
+    the state they leave, so each step gets the bits of a call of its own.
+    """
+    rows = max(1, STACK_ELEMENTS // size)
+    for first in range(0, steps, rows):
+        count = min(rows, steps - first)
+        yield from np.stack([sample_gradient_noise(rng, eps, (count, size))
+                             for rng in rngs], axis=1)
 
 
 def optimizer_step(state: dict | None, params: np.ndarray, grad: np.ndarray,
@@ -385,6 +401,15 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs, rows: bool = True
     return records
 
 
+def _in_data_order(shuffled: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Each run's rows put back in data order: row i of run r goes to
+    orders[r, i]."""
+    ordered = np.empty_like(shuffled)
+    for r, order in enumerate(orders):
+        ordered[r, order] = shuffled[r]
+    return ordered
+
+
 # a value that stops being finite is a divergence, which check names and
 # reports, so numpy's overflow and invalid-value warnings would only print
 # ahead of that report, naming a line of this module
@@ -409,6 +434,7 @@ def _train_stack(spec, data, val, configs, rows):
     # epoch's predictions (see train)
     reuse = not rows and config.batch_size >= data.n
     rerun_from = netcore.elementwise_layers(spec)
+    steps = -(-data.n // config.batch_size)  # minibatches per epoch
 
     def check(stack, what, runs=range(len(configs)), at=None):
         if np.isfinite(stack).all():
@@ -426,20 +452,21 @@ def _train_stack(spec, data, val, configs, rows):
             t for i, t in enumerate(terms) if i in followed)
         composed = [r for r, i in enumerate(followed) if i is None]
         orders = np.stack([rng.permutation(data.n) for rng in rngs])
+        if config.noise_eps > 0:
+            noise = _epoch_noise(rngs, config.noise_eps, steps, spec.n_params)
         for start in range(0, data.n, config.batch_size):
             idx = orders[:, start:start + config.batch_size]
             acts, vals, grads = netcore.term_values_and_grads(
                 spec, params, data.inputs[idx], data.targets[idx], terms, grad_kinds)
             if reuse and epoch > 0:
-                shuffled = acts[rerun_from]
-                ordered = np.empty_like(shuffled)
-                for r, order in enumerate(idx):
-                    ordered[r, order] = shuffled[r]
-                capture, _ = netcore._forward_cache(spec, params, ordered, rerun_from)
+                capture = netcore._forward_cache(
+                    spec, params, _in_data_order(acts[rerun_from], idx), rerun_from)[0]
                 check(capture, "predictions", at=epoch - 1)
                 for record, block in zip(records, capture):
                     record.predictions.append(block)
             preds = acts[-1]
+            # no wide (n, h) array of this step is held through the next one
+            del acts
             # a non-finite term gradient shows up in the norms or in the step
             check(preds, "predictions")
             check(vals, "loss")
@@ -453,9 +480,7 @@ def _train_stack(spec, data, val, configs, rows):
             if config.l2_reg > 0:
                 step = step + config.l2_reg * params
             if config.noise_eps > 0:
-                step = step + np.stack([
-                    sample_gradient_noise(rng, config.noise_eps, spec.n_params)
-                    for rng in rngs])
+                step = step + next(noise)
             check(step, "gradient")
             params, opt_state = optimizer_step(opt_state, params, step, config)
             if "v" in opt_state:

@@ -98,6 +98,26 @@ class TestTrainCommand:
         second = next((tmp_path / "o").rglob("trajectory.csv")).read_bytes()
         assert first == second
 
+    def test_shipped_config_bytes_are_pinned(self, tmp_path, capsys):
+        # the trajectories the benchmark's train digest reads; the config's
+        # noise_eps puts the gradient noise draws in them too. Like the
+        # klsweep pin, these digests may move with the BLAS build
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "two_moons.json"
+        assert run_cli(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        digests = {path.parent.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.rglob("trajectory.csv")}
+        assert digests == {
+            "multi-seed1": "c648603af67db3e1c9a4e3219ac3ba4d17d3deb074769a993da70188333f7d4e",
+            "multi-seed2": "09f825e9a5fb79d3737c800d68809b6d93098b12b533a0f6841d3492aa676915",
+            "multi-seed3": "d63d38bb5a2326f2c30746f2f61822cf74329c89da11cba82262dcaab01c4d29",
+            "nonlinear2-seed1": "473b5771b9af1fd68b89ae2fa020b8095836a6483b70fc62991f9c7be0eb17de",
+            "nonlinear2-seed2": "321bb1679ace7d920fcbd7457d585db6cb253bf19acdb0fa41de5ca23133ad19",
+            "nonlinear2-seed3": "f5728cd07e31cbb1d48eb47a6796f928cb64e3ae0cd7e176d742040cebe0615d",
+            "single0-seed1": "8be50f6627ad8b5519ae9652adb333a31bb44fa9d33488f9e1874600dcb02050",
+            "single0-seed2": "b06f042444dedf954caa795e282374d344a8128a8cb419607bfda85e09f13abb",
+            "single0-seed3": "40c2ec9a789aafc81b0d25b909a5421a9c0c4b0513d27672bd2340bf7aaaad7d",
+        }
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         doc = moons_train_config()
         doc["train"]["learning_rte"] = 0.1  # typo must not be ignored
@@ -364,6 +384,23 @@ class TestSpectralCommand:
         comparison = spectral.spectral_scheme_compare(
             base, schemes, target, epochs=5, seed=2, width=8, threshold=0.2)
         assert csv == comparison.to_csv_text()
+
+    def test_divergence_writes_a_failure_record(self, tmp_path, capsys):
+        # p = 1e150 overflows the composite at the first step. Under the
+        # suite's warnings-as-errors filter, a numpy warning would fail here.
+        cfg = write_config(tmp_path, {
+            "n_points": 32, "width": 8, "epochs": 3,
+            "schemes": [{"kind": "multi"}, {"kind": "nonlinear", "p": 1e150}]})
+        code = run_cli(["spectral", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        (out_dir,) = (tmp_path / "o").iterdir()
+        assert re.fullmatch("spectral-[0-9a-f]{12}", out_dir.name)
+        message = "non-finite gradient at epoch 0 in run nonlinear(p=1e+150) seed 1"
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"runtime error: {message}; failure record in {out_dir}"
+        assert [p.name for p in out_dir.iterdir()] == ["failure.json"]
+        assert json.loads((out_dir / "failure.json").read_text()) == {
+            "run": "nonlinear(p=1e+150)", "epoch": 0, "message": message}
 
     def test_band_without_target_energy_reads_nan(self, tmp_path, capsys):
         # a zero-amplitude tone leaves its band no relative error to write

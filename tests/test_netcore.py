@@ -2,6 +2,7 @@ import importlib.machinery
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -272,21 +273,66 @@ def test_passes_write_into_no_array_of_the_caller(hidden, output_kind):
         assert [a.tobytes() for a in given] == kept
 
 
-def test_fan_in_and_fan_out_one_products_give_matmul_bits():
-    # a fan-in-1 layer forwards a * w and the backward into a one-unit
-    # output layer takes delta * w.T: one multiply per entry, as in @
+def test_fan_in_and_fan_out_one_products_give_matmul_bits(monkeypatch):
+    # a fan-in-1 layer forwards one GEMM [a, 1] @ [w; b] and the backward
+    # into a one-unit output layer is one GEMM [delta, 0] @ [w.T; 0]: the
+    # bits of x @ w, then + b, and of delta @ w.T, byte for byte, for lone
+    # params and for each run of a stack
     spec, x, params = spectral_net()
-    (w0, b0), (w1, b1) = netcore.unpack_params(spec, params)
-    a1 = netcore._sigmoid(x @ w0 + b0)
-    preds = netcore._sigmoid(a1 @ w1 + b1)
-    assert np.array_equal(netcore.forward(spec, params, Batch(x, preds)), preds)
-    out_grad = np.random.default_rng(3).standard_normal(preds.shape)
-    delta2 = out_grad * preds * (1.0 - preds)
-    delta1 = (delta2 @ w1.T) * (a1 * (1.0 - a1))
-    want = np.concatenate([(x.T @ delta1).ravel(), delta1.sum(axis=0),
-                           (a1.T @ delta2).ravel(), delta2.sum(axis=0)])
-    got = netcore.backward(spec, params, Batch(x, preds), out_grad)
-    assert np.array_equal(got, want)
+    stack = np.stack([params] + [netcore.init_params(spec, s, 3.0) for s in (2, 3)])
+    out_grad = np.random.default_rng(3).standard_normal((3, 256, 1))
+    out_grad[:, :8] = 0.0  # zero deltas against every output weight, negative ones too
+    deltas = []  # the delta whose bias gradient each layer takes, top layer first
+    bias_grad = netcore._bias_grad
+    monkeypatch.setattr(netcore, "_bias_grad", lambda d: deltas.append(d) or bias_grad(d))
+
+    def reference(p, g):
+        (w0, b0), (w1, b1) = netcore.unpack_params(spec, p)
+        a1 = netcore._sigmoid(x @ w0 + b0)
+        preds = netcore._sigmoid(a1 @ w1 + b1)
+        delta2 = g * preds * (1.0 - preds)
+        delta1 = (delta2 @ w1.T) * (a1 * (1.0 - a1))
+        grad = np.concatenate([(x.T @ delta1).ravel(), delta1.sum(axis=0),
+                               (a1.T @ delta2).ravel(), delta2.sum(axis=0)])
+        return preds, grad, delta1
+
+    want = [reference(p, g) for p, g in zip(stack, out_grad)]
+    # @ makes +0 of a zero delta times a negative weight; a broadcast, -0
+    assert not np.signbit(want[0][2][:8]).any()
+    batch = Batch(x, np.zeros((256, 1)))
+    lone = [(p, g, [w]) for p, g, w in zip(stack, out_grad, want)]
+    for p, g, runs in lone + [(stack, out_grad, want)]:
+        deltas.clear()
+        preds = netcore.forward(spec, p, batch)
+        grad = netcore.backward(spec, p, batch, g)
+        assert preds.tobytes() == np.stack([w[0] for w in runs]).reshape(preds.shape).tobytes()
+        assert grad.tobytes() == np.stack([w[1] for w in runs]).reshape(grad.shape).tobytes()
+        assert deltas[1].tobytes() == np.stack([w[2] for w in runs]).reshape(
+            deltas[1].shape).tobytes()
+
+    # a non-finite delta row is exactly as finite, value for value, as under @
+    bad = out_grad[0].copy()
+    bad[8], bad[9] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):  # the gradient sums inf - inf
+        _, _, delta1 = reference(params, bad)
+        deltas.clear()
+        netcore.backward(spec, params, batch, bad)
+    assert not np.isfinite(delta1[8:10]).any() and np.isfinite(delta1[10:]).all()
+    assert np.array_equal(deltas[1], delta1, equal_nan=True)
+
+    # the bias is added after the product is rounded: where one rounding,
+    # round(a * w + b), differs from two, a fused kernel would miss. A relu
+    # layer keeps its positive pre-activations, bit for bit.
+    relu = MLPSpec((1, 200, 2), hidden_activation="relu", output_kind="linear")
+    p = np.random.default_rng(7).standard_normal(relu.n_params)
+    (w0, b0), _ = netcore.unpack_params(relu, p)
+    z = x @ w0 + b0
+    _, (_, acts) = netcore._forward_cache(relu, p, x)
+    assert acts[1].tobytes() == np.maximum(z, 0.0).tobytes()
+    rows, cols = np.nonzero(z > 0)
+    once = [float(Fraction(x[i, 0]) * Fraction(w0[0, j]) + Fraction(b0[j]))
+            for i, j in zip(rows[:500], cols[:500])]
+    assert (np.array(once) != z[rows[:500], cols[:500]]).sum() > 50
 
 
 def test_forward_from_a_later_layer_gives_the_full_pass_bits():

@@ -260,6 +260,29 @@ class TestTrain:
         draws = optim.sample_gradient_noise(rng, eps, 150_000)
         assert abs(draws.var() / eps ** 2 - 1.0) <= 0.05
 
+    def test_noise_blocks_hold_each_steps_own_draws(self, monkeypatch):
+        # train draws a run's noise for many steps in one call. numpy's
+        # Generator fills a block with the values of successive draws, in
+        # order, and leaves the same state: an upgrade that broke this would
+        # move every noisy trajectory, and fails here by name
+        one, block = np.random.default_rng([5, 1]), np.random.default_rng([5, 1])
+        steps = [optim.sample_gradient_noise(one, 1e-4, 82) for _ in range(7)]
+        assert optim.sample_gradient_noise(block, 1e-4, (7, 82)).tobytes() == (
+            np.stack(steps).tobytes())
+        assert one.bit_generator.state == block.bit_generator.state
+        # and so the epoch's noise, in blocks of whole steps or one step at a
+        # time, is each step's own call, run by run
+        for limit in (3 * 82, 8, optim.STACK_ELEMENTS):
+            monkeypatch.setattr(optim, "STACK_ELEMENTS", limit)
+            rngs = [np.random.default_rng([s, 1]) for s in (1, 2)]
+            each = [np.random.default_rng([s, 1]) for s in (1, 2)]
+            got = list(optim._epoch_noise(rngs, 1e-4, 7, 82))
+            want = [np.stack([optim.sample_gradient_noise(r, 1e-4, 82) for r in each])
+                    for _ in range(7)]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert [r.bit_generator.state for r in rngs] == [
+                r.bit_generator.state for r in each]
+
 
 def per_term_row(spec, params, data, val, config, betas, epoch, warmup):
     """_epoch_row as written with one three-forward curvature probe per term."""
