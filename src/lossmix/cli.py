@@ -459,6 +459,8 @@ def cmd_klsweep(config: dict, digest: str, out: Path) -> int:
     if grid and not math.isfinite(grid["hi"] - grid["lo"]):
         raise ValueError("config field grid: hi - lo overflows a float")
     p_list = config.get("p_list", [1.0, 2.0, 3.0, 4.0])
+    # the report keys each p's results by its %g text
+    _check_distinct("p_list", [f"{p:g}" for p in p_list])
     for p in p_list:
         if p + analysis.P_STEP == p:  # the report's dD_dp would divide by 0
             raise ValueError(f"config field p_list: {p} is too large for the "
@@ -540,8 +542,11 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
     else:
         scheme = _scheme_from(config.get("scheme", {"kind": "multi"}))
         configs = _train_configs(config, [scheme], [seed])
-        # only the final weights are read, so no telemetry rows
-        mean = optim.train(spec, train_set, val_set, configs, rows=False)[0].final_params
+        try:
+            # only the final weights are read, so no telemetry rows
+            mean = optim.train(spec, train_set, val_set, configs, rows=False)[0].final_params
+        except optim.TrainingDiverged as exc:
+            return _diverged(exc, out, scheme.label(), f"failure record in {out}")
     q = pacbayes.GaussianPosterior(mean=mean, sigma=post_doc["sigma"])
     cert = pacbayes.risk_certificate(q, prior, spec, val_set, params,
                                      n_samples=config.get("n_samples", 100),

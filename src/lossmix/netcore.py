@@ -11,32 +11,35 @@ check them. All arithmetic is float64; the verification suite asserts
 
 Parameters are one flat vector (P,) or a stack (R, P) of R runs of the
 same architecture; inputs are (n, d), shared by every run, or (R, n, d).
+The flat layout is each layer's weights, row by row, then its biases, so
+``unpack_params`` views each layer as one block ``[w; b]``.
 A stacked pass runs each run's slice through the same numpy kernels as an
 unstacked pass, and the tests pin that each run gets the same bits.
 
 A product with inner dimension 1 is a GEMM with inner dimension 2. A
-layer with fan-in 1 computes its pre-activation as ``[a, 1] @ [w; b]``,
-where ``[w; b]`` is a view, since b follows w in the flat params. A GEMM
-micro-kernel adds its k terms into one accumulator in k order (Goto & van
-de Geijn 2008), so each entry is round(round(a w) + b): the bits of
-``a @ w`` then ``+= b``, never the one rounding of a fused a w + b. The
-backward into a layer with fan-out 1 is ``[delta, 0] @ [w.T; 0]``, each
-entry round(delta w) + 0 * 0: the bits of ``delta @ w.T``. The zero
-padding adds no NaN, so a non-finite delta spreads as under ``@``. As in
-``@``, an exact -0 product enters its sum as +0, where a broadcast
-``a * w`` would keep -0. Each GEMM is one BLAS call, a few times faster at
-the spectral net's (256, 200) than that broadcast or numpy's own product
-with inner dimension 1. At one row or one output unit numpy calls
-a matrix-vector kernel instead, which may round ``a w + b`` once, so
-there the forward keeps ``a @ w`` then ``+= b``. A BLAS kernel may raise
-numpy's invalid-value flag on a non-finite input, as it may in any layer.
+layer with fan-in 1 computes its pre-activation on its block as
+``[a, 1] @ [w; b]``. A GEMM micro-kernel adds its k terms into one
+accumulator in k order (Goto & van de Geijn 2008), so each entry is
+round(round(a w) + b): the bits of ``a @ w`` then ``+= b``, never the one
+rounding of a fused a w + b. The backward into a layer with fan-out 1 is
+``[delta, 0] @ [w.T; 0]``, each entry round(delta w) + 0 * 0: the bits of
+``delta @ w.T``. The zero padding adds no NaN, so a non-finite delta
+spreads as under ``@``. As in ``@``, an exact -0 product enters its sum
+as +0, where a broadcast ``a * w`` would keep -0. Each GEMM is one BLAS
+call, a few times faster at the spectral net's (256, 200) than that
+broadcast or numpy's own product with inner dimension 1. At one row or
+one output unit numpy calls a matrix-vector kernel instead, which may
+round ``a w + b`` once, so there the forward keeps ``a @ w`` then
+``+= b``. A BLAS kernel may raise numpy's invalid-value flag on a
+non-finite input, as it may in any layer.
 
 Every layer before the first with fan-in > 1 therefore works row by row:
 each entry is the same two-step sum wherever its row sits in the batch
 (``elementwise_layers``), while BLAS may round a row of a product with a
-wider inner dimension by its place. ``_forward_cache`` can start at that
-first layer from activations a previous pass computed on the same rows in
-another order.
+wider inner dimension by its place. The layers from that first one on,
+run as a net of their own on the last entries of the params, give the
+full pass's bits from activations a previous pass computed on the same
+rows in another order.
 
 Each layer's temporaries are built in place, with the bits of the
 out-of-place expressions: a layer's product is a new array, so its bias
@@ -196,27 +199,21 @@ def init_params(spec: MLPSpec, seed: int, scale: float) -> np.ndarray:
     return rng.uniform(-scale, scale, spec.n_params)
 
 
-def unpack_params(spec: MLPSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split flat parameters into per-layer (weight, bias) views; a stack
-    (R, P) gives (R, n_in, n_out) weights and (R, n_out) biases."""
+def unpack_params(spec: MLPSpec, params: np.ndarray) -> list[np.ndarray]:
+    """Each layer's weights and biases as one (..., n_in + 1, n_out) view
+    ``[w; b]`` of the params: (n_in + 1, n_out) for lone params, (R, n_in +
+    1, n_out) for a stack (R, P)."""
     params = np.asarray(params, dtype=np.float64)
     if params.ndim not in (1, 2) or params.shape[-1] != spec.n_params:
-        raise ValueError(
-            f"parameters of shape {params.shape}; spec needs vectors of length "
-            f"{spec.n_params}, alone or stacked as (runs, {spec.n_params})"
-        )
-    lead = params.shape[:-1]
+        raise ValueError(f"parameters of shape {params.shape}; spec needs vectors of length "
+                         f"{spec.n_params}, alone or stacked as (runs, {spec.n_params})")
     ws = spec.layer_widths
-    layers = []
-    pos = 0
-    for i in range(len(ws) - 1):
-        n_in, n_out = ws[i], ws[i + 1]
-        w = params[..., pos:pos + n_in * n_out].reshape(lead + (n_in, n_out))
-        pos += n_in * n_out
-        b = params[..., pos:pos + n_out]
-        pos += n_out
-        layers.append((w, b))
-    return layers
+    blocks, pos = [], 0
+    for n_in, n_out in zip(ws, ws[1:]):
+        end = pos + (n_in + 1) * n_out
+        blocks.append(params[..., pos:end].reshape(params.shape[:-1] + (n_in + 1, n_out)))
+        pos = end
+    return blocks
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -297,7 +294,9 @@ def elementwise_layers(spec: MLPSpec) -> int:
     ``a @ w`` then ``+= b`` (see the module docstring). With its activation
     it works row by row: the bits of a row do not depend on where the row
     sits in the batch. What enters the first layer after them is therefore
-    the same, row for row, in any order of the batch.
+    the same, row for row, in any order of the batch, and the net of the
+    layers from there on, ``replace(spec, layer_widths=ws[k:])`` on the
+    last ``n_params`` entries of the params, gives the full pass's bits.
     """
     n_layers = len(spec.layer_widths) - 1
     k = 0
@@ -306,58 +305,39 @@ def elementwise_layers(spec: MLPSpec) -> int:
     return k
 
 
-def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
-                   start: int = 0):
-    """Forward pass keeping each layer's activations for a later backward pass.
-
-    With start > 0, inputs are the activations entering layer start and the
-    pass runs the layers from there on; its cache then covers only those
-    layers and feeds no backward pass.
-    """
-    layers = unpack_params(spec, params)
+def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray):
+    """Forward pass keeping each layer's activations for a later backward pass."""
+    blocks = unpack_params(spec, params)
     inputs = np.asarray(inputs, dtype=np.float64)
-    width = spec.layer_widths[start]
-    if inputs.ndim not in (2, 3) or inputs.shape[-1] != width:
-        raise ValueError(
-            f"layer {start} expects input dim {width}, got shape {inputs.shape}"
-        )
-    lead = layers[0][1].shape[:-1]
+    if inputs.ndim not in (2, 3) or inputs.shape[-1] != spec.input_dim:
+        raise ValueError(f"layer 0 expects input dim {spec.input_dim}, "
+                         f"got shape {inputs.shape}")
+    lead = blocks[0].shape[:-2]
     if inputs.ndim == 3 and inputs.shape[:1] != lead:
         raise ValueError(f"{inputs.shape[0]} input blocks for parameters "
                          f"of shape {lead + (spec.n_params,)}")
     acts = [inputs]
     a = inputs
-    n_layers = len(layers)
     ws = spec.layer_widths
-    for i in range(start, n_layers):
-        w, b = layers[i]
+    for i, wb in enumerate(blocks):
         # the product is a new array: its bias and activation go in place
         if ws[i] == 1 and ws[i + 1] > 1 and a.shape[-2] > 1:
-            # one GEMM [a, 1] @ [w; b] (see the module docstring); b follows w
-            # in the flat params, so [w; b] is a view
-            pos = sum((ws[j] + 1) * ws[j + 1] for j in range(i))
-            wb = np.asarray(params, dtype=np.float64)[..., pos:pos + 2 * ws[i + 1]]
+            # one GEMM [a, 1] @ [w; b] (see the module docstring)
             a1 = np.ones(a.shape[:-1] + (2,))
             a1[..., :1] = a
-            a = a1 @ wb.reshape(lead + (2, ws[i + 1]))
+            a = a1 @ wb
         else:
-            a = a @ w
-            a += b[..., None, :]
-        _activate(a, spec.hidden_activation if i < n_layers - 1 else spec.output_kind)
+            a = a @ wb[..., :-1, :]
+            a += wb[..., -1:, :]
+        _activate(a, spec.hidden_activation if i < len(blocks) - 1 else spec.output_kind)
         acts.append(a)
-    return a, (layers, acts)
+    return a, (blocks, acts)
 
 
 def forward(spec: MLPSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Predictions, one row per sample. Pure: same inputs, same bits out."""
     preds, _ = _forward_cache(spec, params, batch.inputs)
     return preds
-
-
-def _hidden_derivs(spec: MLPSpec, cache) -> list[np.ndarray]:
-    """Activation derivative of each hidden layer, first hidden layer first."""
-    layers, acts = cache
-    return [_hidden_deriv(a, spec.hidden_activation) for a in acts[1:len(layers)]]
 
 
 def _bias_grad(delta: np.ndarray) -> np.ndarray:
@@ -372,65 +352,58 @@ def _bias_grad(delta: np.ndarray) -> np.ndarray:
     return np.einsum("...ij->...j", delta)
 
 
-def _backward_from_cache(spec: MLPSpec, cache, output_grad: np.ndarray,
-                         derivs: list[np.ndarray], grad: np.ndarray | None = None
-                         ) -> np.ndarray:
-    """Backward pass through a forward cache, written into grad (a new
-    array if None) and returned. derivs is _hidden_derivs of that cache,
-    computed by the caller so several backward passes share it. Only
-    arrays this pass makes are written in place: a linear head takes
-    output_grad itself as its top delta."""
-    layers, acts = cache
+def _backward_from_cache(spec: MLPSpec, cache, output_grads) -> np.ndarray:
+    """Every term's backward pass through one forward cache: the (K, ..., P)
+    stack of the parameter gradients of the K output gradients in
+    output_grads, term k's in row k. The hidden-layer derivatives are
+    computed once for all K, and not at all for K = 0; each term then runs
+    its own pass. Only arrays this pass makes are written in place: a
+    linear head takes a term's output gradient itself as its top delta."""
+    blocks, acts = cache
     preds = acts[-1]
-    output_grad = np.asarray(output_grad, dtype=np.float64)
-    if output_grad.shape != preds.shape:
-        raise ValueError(
-            f"output gradient shape {output_grad.shape} does not match "
-            f"predictions {preds.shape}"
-        )
-    n_layers = len(layers)
-    if spec.output_kind == "softmax":
-        # softmax jacobian-vector product, row by row
-        inner = row_sum(output_grad * preds, keepdims=True)
-        delta = output_grad - inner
-        delta *= preds
-    elif spec.output_kind == "sigmoid":
-        delta = output_grad * preds
-        delta *= 1.0 - preds
-    else:
-        delta = output_grad
-
-    lead = layers[0][1].shape[:-1]
-    if grad is None:
-        grad = np.empty(lead + (spec.n_params,))
-    pos = spec.n_params
-    for i in range(n_layers - 1, -1, -1):
-        w, _ = layers[i]
-        n_in, n_out = w.shape[-2:]
-        pos -= n_out
-        grad[..., pos:pos + n_out] = _bias_grad(delta)
-        pos -= n_in * n_out
-        gw = acts[i].swapaxes(-1, -2) @ delta
-        grad[..., pos:pos + n_in * n_out] = gw.reshape(lead + (-1,))
-        if i > 0:
-            if n_out == 1:
-                # one GEMM [delta, 0] @ [w.T; 0] (see the module docstring)
-                d0 = np.zeros(delta.shape[:-1] + (2,))
-                d0[..., :1] = delta
-                wt = np.zeros(lead + (2, n_in))
-                wt[..., 0, :] = w[..., 0]
-                delta = d0 @ wt
-            else:
-                delta = delta @ w.swapaxes(-1, -2)
-            delta *= derivs[i - 1]
-    return grad
+    grads = np.empty((len(output_grads),) + blocks[0].shape[:-2] + (spec.n_params,))
+    if not len(grads):
+        return grads
+    derivs = [_hidden_deriv(a, spec.hidden_activation) for a in acts[1:-1]]
+    for output_grad, grad in zip(output_grads, grads):
+        output_grad = np.asarray(output_grad, dtype=np.float64)
+        if output_grad.shape != preds.shape:
+            raise ValueError(f"output gradient shape {output_grad.shape} does not "
+                             f"match predictions {preds.shape}")
+        if spec.output_kind == "softmax":
+            # softmax jacobian-vector product, row by row
+            inner = row_sum(output_grad * preds, keepdims=True)
+            delta = output_grad - inner
+            delta *= preds
+        elif spec.output_kind == "sigmoid":
+            delta = output_grad * preds
+            delta *= 1.0 - preds
+        else:
+            delta = output_grad
+        grad_blocks = unpack_params(spec, grad)
+        for i in range(len(blocks) - 1, -1, -1):
+            grad_blocks[i][..., -1, :] = _bias_grad(delta)
+            grad_blocks[i][..., :-1, :] = acts[i].swapaxes(-1, -2) @ delta
+            if i > 0:
+                w = blocks[i][..., :-1, :]
+                if w.shape[-1] == 1:
+                    # one GEMM [delta, 0] @ [w.T; 0] (see the module docstring)
+                    d0 = np.zeros(delta.shape[:-1] + (2,))
+                    d0[..., :1] = delta
+                    wt = np.zeros(w.shape[:-2] + (2, w.shape[-2]))
+                    wt[..., 0, :] = w[..., 0]
+                    delta = d0 @ wt
+                else:
+                    delta = delta @ w.swapaxes(-1, -2)
+                delta *= derivs[i - 1]
+    return grads
 
 
 def backward(spec: MLPSpec, params: np.ndarray, batch: Batch,
              output_grad: np.ndarray) -> np.ndarray:
     """Gradient of sum_ij output_grad_ij * predictions_ij w.r.t. the flat params."""
     _, cache = _forward_cache(spec, params, batch.inputs)
-    return _backward_from_cache(spec, cache, output_grad, _hidden_derivs(spec, cache))
+    return _backward_from_cache(spec, cache, [output_grad])[0]
 
 
 def term_values_and_grads(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
@@ -443,24 +416,19 @@ def term_values_and_grads(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray,
     forward's, one array entering each layer and then the predictions:
     activations[0] is the inputs and activations[-1] the predictions.
     values is one (..., len(kinds)) array, a row of term means per run,
-    and gradients one (len(grad_kinds), ..., P) array, each term's
-    backward writing its own row. Each term's numbers are the bits
-    ``forward`` and ``backward`` give for that term alone, with lone (P,)
-    params or stacked (R, P). Nothing is checked for finiteness: the
-    caller decides what a non-finite run means.
+    and gradients the (len(grad_kinds), ..., P) stack of one backward
+    call. Each term's numbers are the bits ``forward`` and ``backward``
+    give for that term alone, with lone (P,) params or stacked (R, P).
+    Nothing is checked for finiteness: the caller decides what a
+    non-finite run means.
     """
     preds, cache = _forward_cache(spec, params, inputs)
-    lead = preds.shape[:-2]  # () for lone params, (R,) for a stack
-    vals = np.empty(lead + (len(kinds),))
+    vals = np.empty(preds.shape[:-2] + (len(kinds),))
     for j, kind in enumerate(kinds):
         vals[..., j] = loss_means(kind, preds, targets)
     grad_kinds = kinds if grad_kinds is None else grad_kinds
-    grads = np.empty((len(grad_kinds),) + lead + (spec.n_params,))
-    if len(grad_kinds):
-        derivs = _hidden_derivs(spec, cache)
-        for kind, grad in zip(grad_kinds, grads):
-            _backward_from_cache(spec, cache, loss_output_grad(kind, preds, targets),
-                                 derivs, grad)
+    grads = _backward_from_cache(
+        spec, cache, [loss_output_grad(kind, preds, targets) for kind in grad_kinds])
     return cache[1], vals, grads
 
 

@@ -8,10 +8,10 @@ predictions at those parameters, checked and kept on the record, for
 callers that read nothing else; records then hold ``predictions``,
 ``final_params`` and no rows. When one minibatch covers the training set,
 the next epoch's step forward runs at the same parameters on the same
-rows, shuffled, so the capture reuses it and runs again only from the
-first layer with fan-in > 1 (the hidden-to-output product of a 1-h-1 net);
-the last epoch runs its own forward. The bits are the same as a forward of
-its own.
+rows, shuffled, so the capture reuses it and runs again only the layers
+from the first with fan-in > 1 on, as a net of their own (the
+hidden-to-output product of a 1-h-1 net); the last epoch runs its own
+forward. The bits are the same as a forward of its own.
 
 A run is deterministic given its config (seed included): the same config
 produces bit-identical trajectories. A stack-epoch's wall-clock time is
@@ -371,9 +371,9 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs, rows: bool = True
     empty rows list. A full-batch epoch's predictions come from the next
     epoch's step forward, which runs at the same parameters: its
     activations entering the first layer with fan-in > 1 go back to data
-    order and only the layers from there on run again. They are checked,
-    named at their own epoch and kept before that step's own checks; the
-    last epoch runs a forward of its own.
+    order, and the net of the layers from there on runs on them. They are
+    checked, named at their own epoch and kept before that step's own
+    checks; the last epoch runs a forward of its own.
 
     Raises TrainingDiverged for the first run whose predictions, losses or
     gradients stop being finite; its record keeps the predictions of its
@@ -434,6 +434,7 @@ def _train_stack(spec, data, val, configs, rows):
     # epoch's predictions (see train)
     reuse = not rows and config.batch_size >= data.n
     rerun_from = netcore.elementwise_layers(spec)
+    tail = replace(spec, layer_widths=spec.layer_widths[rerun_from:])
     steps = -(-data.n // config.batch_size)  # minibatches per epoch
 
     def check(stack, what, runs=range(len(configs)), at=None):
@@ -460,7 +461,8 @@ def _train_stack(spec, data, val, configs, rows):
                 spec, params, data.inputs[idx], data.targets[idx], terms, grad_kinds)
             if reuse and epoch > 0:
                 capture = netcore._forward_cache(
-                    spec, params, _in_data_order(acts[rerun_from], idx), rerun_from)[0]
+                    tail, params[:, -tail.n_params:],
+                    _in_data_order(acts[rerun_from], idx))[0]
                 check(capture, "predictions", at=epoch - 1)
                 for record, block in zip(records, capture):
                     record.predictions.append(block)

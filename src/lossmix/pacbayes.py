@@ -104,9 +104,15 @@ def kl_spread_term(d: int, sigma: float, P: GaussianPrior) -> float:
 
 def kl_gaussians(Q: GaussianPosterior, P: GaussianPrior) -> float:
     """Closed-form KL from an isotropic Gaussian posterior to the zero-mean
-    prior. The mean's term overflows to inf rather than raising."""
-    shift = float(np.dot(Q.mean, Q.mean))
-    return kl_spread_term(Q.dim, Q.sigma, P) + shift / (2.0 * P.lambda_p ** 2)
+    prior. FloatingPointError, naming the posterior mean, where it is not
+    finite: only the trained mean can tell, so it is a runtime failure."""
+    with np.errstate(over="ignore"):  # reported below, naming the mean
+        shift = float(np.dot(Q.mean, Q.mean))
+    kl = kl_spread_term(Q.dim, Q.sigma, P) + shift / (2.0 * P.lambda_p ** 2)
+    if not math.isfinite(kl):
+        raise FloatingPointError(f"the posterior mean's squared norm {shift:g} "
+                                 f"gives the KL no finite value")
+    return kl
 
 
 @dataclass(frozen=True)

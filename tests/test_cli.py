@@ -327,6 +327,20 @@ class TestKlsweepCommand:
         assert "config field p_list: 1e+300 is too large" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("p_list", [[2.0, 2.0000001], [2.0, 2, 3.0]])
+    def test_p_values_with_one_label_rejected(self, tmp_path, monkeypatch, capsys,
+                                              p_list):
+        # the report keys each p's results by its %g text, so one would be lost
+        def no_report(*args, **kwargs):
+            raise AssertionError("built a report that keys two p values alike")
+
+        monkeypatch.setattr(analysis, "default_kl_testbed", no_report)
+        cfg = write_config(tmp_path, {"p_list": p_list})
+        code = run_cli(["klsweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config field p_list: 2 is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_grid_wider_than_a_float_rejected(self, tmp_path, monkeypatch, capsys):
         # hi - lo is the grid's width, and linspace would overflow taking it
         def no_report(*args, **kwargs):
@@ -473,6 +487,17 @@ class TestSpectralCommand:
 
 
 class TestBoundsCommand:
+    @pytest.fixture(autouse=True)
+    def json_is_finite(self, tmp_path):
+        # JSON has no NaN or Infinity literal, so no file a test writes holds one
+        yield
+
+        def non_finite(literal):
+            raise AssertionError(f"{literal} in a JSON file")
+
+        for path in tmp_path.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=non_finite)
+
     def bounds_config(self, extra_posterior=None):
         post = {"sigma": 0.1}
         if extra_posterior:
@@ -600,6 +625,35 @@ class TestBoundsCommand:
         assert code == 2
         assert capsys.readouterr().err == ("runtime error: FloatingPointError: non-finite "
                                            "predictions for posterior draw 0 of 10\n")
+        assert not list(tmp_path.rglob("certificate.json"))
+
+    def test_divergence_writes_a_failure_record(self, tmp_path, capsys):
+        # Adam's sum of squared steps overflows at the first step. Under the
+        # suite's warnings-as-errors filter, a numpy warning would fail here.
+        doc = self.bounds_config()
+        doc["scheme"] = {"kind": "nonlinear", "p": 2.0}
+        doc["train"]["noise_eps"] = 1e300
+        cfg = write_config(tmp_path, doc)
+        assert run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        (out_dir,) = (tmp_path / "o").iterdir()
+        assert re.fullmatch("bounds-[0-9a-f]{12}", out_dir.name)
+        message = "non-finite optimizer state at epoch 0 in run nonlinear(p=2) seed 3"
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"runtime error: {message}; failure record in {out_dir}"
+        assert [p.name for p in out_dir.iterdir()] == ["failure.json"]
+        assert json.loads((out_dir / "failure.json").read_text()) == {
+            "run": "nonlinear(p=2)", "epoch": 0, "message": message}
+
+    def test_posterior_mean_without_finite_kl_is_runtime_error(self, tmp_path, capsys):
+        # the run stays finite, but its mean's squared norm overflows, so the
+        # certificate would read Infinity
+        doc = self.bounds_config()
+        doc["train"]["learning_rate"] = 1e300
+        cfg = write_config(tmp_path, doc)
+        assert run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: FloatingPointError: the posterior mean's squared norm inf "
+            "gives the KL no finite value\n")
         assert not list(tmp_path.rglob("certificate.json"))
 
     def test_missing_model_file(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import importlib.machinery
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,11 @@ def make_batch(n=6, d=3, k=2, seed=0):
     targets = np.zeros((n, k))
     targets[np.arange(n), rng.integers(0, k, n)] = 1.0
     return Batch(inputs=inputs, targets=targets)
+
+
+def weights_and_biases(spec, params):
+    """Each layer's (w, b), the rows of its unpack_params block [w; b]."""
+    return [(wb[..., :-1, :], wb[..., -1, :]) for wb in netcore.unpack_params(spec, params)]
 
 
 def spectral_net():
@@ -83,14 +89,14 @@ class TestForward:
         spec = MLPSpec((3, 7, 2), hidden_activation="sigmoid", output_kind="sigmoid")
         params = netcore.init_params(spec, 6, 1.5)
         batch = make_batch(n=9)
-        (w0, b0), (w1, b1) = netcore.unpack_params(spec, params)
+        (w0, b0), (w1, b1) = weights_and_biases(spec, params)
         want = expit(expit(batch.inputs @ w0 + b0) @ w1 + b1)
         assert np.array_equal(netcore.forward(spec, params, batch), want)
         # the spectral shape, a 256 x 200 pre-activation: there the plain
         # formula 1/(1+exp(-z)) misses expit's bits in about 2% of entries,
         # and the spectral reference digests depend on those bits
         wide, x, params = spectral_net()
-        (w0, b0), _ = netcore.unpack_params(wide, params)
+        (w0, b0), _ = weights_and_biases(wide, params)
         z = x @ w0 + b0
         _, (_, acts) = netcore._forward_cache(wide, params, x)
         assert np.array_equal(acts[1], expit(z))
@@ -265,10 +271,9 @@ def test_passes_write_into_no_array_of_the_caller(hidden, output_kind):
         _, (_, fresh) = netcore._forward_cache(spec, params, batch.inputs)
         assert [a.tobytes() for a in acts] == [a.tobytes() for a in fresh]
         _, cache = netcore._forward_cache(spec, params, batch.inputs)
-        derivs = netcore._hidden_derivs(spec, cache)
-        before = [a.tobytes() for a in cache[1] + derivs]
-        netcore._backward_from_cache(spec, cache, out_grad, derivs)
-        assert [a.tobytes() for a in cache[1] + derivs] == before
+        before = [a.tobytes() for a in cache[1]]
+        netcore._backward_from_cache(spec, cache, [out_grad, out_grad])
+        assert [a.tobytes() for a in cache[1]] == before
         netcore.backward(spec, params, batch, out_grad)
         assert [a.tobytes() for a in given] == kept
 
@@ -287,7 +292,7 @@ def test_fan_in_and_fan_out_one_products_give_matmul_bits(monkeypatch):
     monkeypatch.setattr(netcore, "_bias_grad", lambda d: deltas.append(d) or bias_grad(d))
 
     def reference(p, g):
-        (w0, b0), (w1, b1) = netcore.unpack_params(spec, p)
+        (w0, b0), (w1, b1) = weights_and_biases(spec, p)
         a1 = netcore._sigmoid(x @ w0 + b0)
         preds = netcore._sigmoid(a1 @ w1 + b1)
         delta2 = g * preds * (1.0 - preds)
@@ -325,7 +330,7 @@ def test_fan_in_and_fan_out_one_products_give_matmul_bits(monkeypatch):
     # layer keeps its positive pre-activations, bit for bit.
     relu = MLPSpec((1, 200, 2), hidden_activation="relu", output_kind="linear")
     p = np.random.default_rng(7).standard_normal(relu.n_params)
-    (w0, b0), _ = netcore.unpack_params(relu, p)
+    (w0, b0), _ = weights_and_biases(relu, p)
     z = x @ w0 + b0
     _, (_, acts) = netcore._forward_cache(relu, p, x)
     assert acts[1].tobytes() == np.maximum(z, 0.0).tobytes()
@@ -335,16 +340,87 @@ def test_fan_in_and_fan_out_one_products_give_matmul_bits(monkeypatch):
     assert (np.array(once) != z[rows[:500], cols[:500]]).sum() > 50
 
 
+def tail_net(spec, params, start):
+    """The layers from start on as a net of their own, and their params."""
+    tail = replace(spec, layer_widths=spec.layer_widths[start:])
+    return tail, params[..., -tail.n_params:]
+
+
 def test_forward_from_a_later_layer_gives_the_full_pass_bits():
     spec = MLPSpec((1, 1, 8, 2), hidden_activation="tanh", output_kind="softmax")
     params = np.stack([netcore.init_params(spec, s, 1.5) for s in (1, 2)])
     x = np.linspace(-2.0, 2.0, 13)[:, None]
     preds, (_, acts) = netcore._forward_cache(spec, params, x)
     for start in (1, 2):
-        tail, (_, tail_acts) = netcore._forward_cache(spec, params, acts[start], start)
+        tail, (_, tail_acts) = netcore._forward_cache(*tail_net(spec, params, start),
+                                                      acts[start])
         assert np.array_equal(tail, preds) and len(tail_acts) == 4 - start
-    with pytest.raises(ValueError, match="layer 2 expects input dim 8"):
-        netcore._forward_cache(spec, params, acts[1], 2)
+    with pytest.raises(ValueError, match="layer 0 expects input dim 8"):
+        netcore._forward_cache(*tail_net(spec, params, 2), acts[1])
+
+
+@pytest.mark.parametrize("widths", [(2, 12, 2), (1, 9, 2), (1, 1, 8, 2)])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_tail_net_on_shuffled_rows_gives_the_full_pass_bits(widths, stacked):
+    # nets with 0, 1 and 2 elementwise layers: the net of the layers from
+    # the first with fan-in > 1 on, fed what enters that layer in another
+    # row order, gives the full pass's rows in that order, byte for byte
+    spec = MLPSpec(widths, hidden_activation="sigmoid", output_kind="softmax")
+    params = np.stack([netcore.init_params(spec, s, 1.5) for s in (1, 2, 3)])
+    if not stacked:
+        params = params[0]
+    x = np.random.default_rng(5).standard_normal((37, widths[0]))
+    preds, (_, acts) = netcore._forward_cache(spec, params, x)
+    start = netcore.elementwise_layers(spec)
+    assert start == widths.count(1)
+    order = np.random.default_rng(6).permutation(37)
+    _, (_, shuffled) = netcore._forward_cache(spec, params, x[order])
+    got, _ = netcore._forward_cache(*tail_net(spec, params, start), shuffled[start])
+    assert got.tobytes() == preds[..., order, :].tobytes()
+
+
+def test_unpack_params_blocks_are_views_of_the_flat_layout():
+    # each layer's weights, row by row, then its biases: the blocks
+    # concatenate back to the params, and a write through one lands there
+    spec = MLPSpec((3, 5, 2))
+    for params in (netcore.init_params(spec, 1, 1.0),
+                   np.stack([netcore.init_params(spec, s, 1.0) for s in (1, 2)])):
+        blocks = netcore.unpack_params(spec, params)
+        lead = params.shape[:-1]
+        assert [b.shape for b in blocks] == [lead + (4, 5), lead + (6, 2)]
+        flat = np.concatenate([b.reshape(lead + (-1,)) for b in blocks], axis=-1)
+        assert flat.tobytes() == params.tobytes()
+        blocks[1][..., -1, :] = 7.0  # the output biases, the last entries
+        assert (params[..., -2:] == 7.0).all() and (params[..., :-2] != 7.0).all()
+
+
+@pytest.mark.parametrize("output_kind", netcore.OUTPUT_KINDS)
+@pytest.mark.parametrize("stacked", [False, True])
+def test_one_k_term_backward_gives_k_one_term_bits(output_kind, stacked):
+    k = 1 if output_kind == "sigmoid" else 2
+    spec = MLPSpec((3, 6, 5, k), hidden_activation="tanh", output_kind=output_kind)
+    params = np.stack([netcore.init_params(spec, s, 0.8) for s in (1, 2)])
+    if not stacked:
+        params = params[0]
+    batch = make_batch(n=9, k=k, seed=51)
+    out_grads = np.random.default_rng(52).standard_normal(
+        (3,) + params.shape[:-1] + (9, k))
+    _, cache = netcore._forward_cache(spec, params, batch.inputs)
+    grads = netcore._backward_from_cache(spec, cache, out_grads)
+    assert grads.shape == (3,) + params.shape
+    for g, grad in zip(out_grads, grads, strict=True):
+        (one,) = netcore._backward_from_cache(spec, cache, [g])
+        assert grad.tobytes() == one.tobytes()
+
+
+def test_no_term_takes_no_derivative(monkeypatch):
+    spec = MLPSpec((3, 6, 5, 2), hidden_activation="tanh")
+    params = np.stack([netcore.init_params(spec, s, 0.8) for s in (1, 2)])
+    _, cache = netcore._forward_cache(spec, params, make_batch().inputs)
+    derivs = []
+    monkeypatch.setattr(netcore, "_hidden_deriv", lambda *a: derivs.append(a))
+    assert netcore._backward_from_cache(spec, cache, []).shape == (0, 2, spec.n_params)
+    assert derivs == []
 
 
 def test_elementwise_layers_end_before_the_first_fan_in_above_one():

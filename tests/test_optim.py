@@ -702,18 +702,18 @@ def test_full_batch_capture_of_a_fan_in_two_net_is_a_full_forward(monkeypatch):
     # forward is reused: each epoch keeps one full capture forward, which
     # starts from the step's inputs put back in data order
     spec, train_set, val_set = moons_setup()
-    starts = []
+    nets = []
     cached = netcore._forward_cache
 
-    def recording(spec, params, inputs, start=0):
-        starts.append(start)
-        return cached(spec, params, inputs, start)
+    def recording(net, params, inputs):
+        nets.append(net)
+        return cached(net, params, inputs)
 
     monkeypatch.setattr(netcore, "_forward_cache", recording)
     cfg = TrainConfig(scheme=Scheme.multi(), epochs=4, batch_size=train_set.n)
     train(spec, train_set, val_set, cfg, rows=False)
     assert netcore.elementwise_layers(spec) == 0
-    assert starts == [0] * (2 * 4)
+    assert nets == [spec] * (2 * 4)
 
 
 def test_rows_false_names_a_reused_capture_at_its_own_epoch(monkeypatch):
@@ -724,10 +724,10 @@ def test_rows_false_names_a_reused_capture_at_its_own_epoch(monkeypatch):
     cached = netcore._forward_cache
     captures = []
 
-    def poisoned(spec, params, inputs, start=0):
-        preds, cache = cached(spec, params, inputs, start)
-        if start > 0:
-            captures.append(start)
+    def poisoned(net, params, inputs):
+        preds, cache = cached(net, params, inputs)
+        if net != spec:  # the net of the layers from the first with fan-in > 1 on
+            captures.append(net)
             if len(captures) == 3:
                 preds = preds.copy()
                 preds[1, 5] = np.nan

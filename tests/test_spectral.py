@@ -163,20 +163,21 @@ class TestSchemeCompare:
 
     def test_one_forward_per_full_batch_epoch(self, monkeypatch):
         # each full-batch step's forward also serves the previous epoch's
-        # capture, which runs again only from the first layer with fan-in > 1
-        # (layer 1, the hidden-to-output product); the last epoch ends with
-        # one full capture forward. No telemetry row is built, so the only
-        # backwards are the step's, one per term, and at width 8 the three
-        # schemes train as one stack
-        starts, backwards = [], []
+        # capture, which runs again only the layers from the first with
+        # fan-in > 1 on (layer 1, the hidden-to-output product), as a net of
+        # their own; the last epoch ends with one full capture forward. No
+        # telemetry row is built, so the only backward is the step's, one
+        # call for every term, and at width 8 the three schemes train as
+        # one stack
+        nets, backwards = [], []
         cached, backward = netcore._forward_cache, netcore._backward_from_cache
 
-        def forward(spec, params, inputs, start=0):
-            starts.append(start)
-            return cached(spec, params, inputs, start)
+        def forward(spec, params, inputs):
+            nets.append(spec.layer_widths)
+            return cached(spec, params, inputs)
 
         def counted_backward(*args):
-            backwards.append(np.shape(args[2])[0])
+            backwards.append((len(args[2]), np.shape(args[2][0])[0]))
             return backward(*args)
 
         monkeypatch.setattr(netcore, "_forward_cache", forward)
@@ -187,8 +188,9 @@ class TestSchemeCompare:
         config = self.base_config(5)
         spectral.spectral_scheme_compare(config, schemes, target,
                                          epochs=5, seed=4, width=8, threshold=0.2)
-        assert starts == [0] + [0, 1] * 4 + [0]
-        assert backwards == [3] * (len(config.terms) * 5)
+        net = (1, 8, 1)
+        assert nets == [net] + [net, net[1:]] * 4 + [net]
+        assert backwards == [(len(config.terms), 3)] * 5
 
     def test_capture_bytes_are_pinned(self):
         # the digest of the capture CSV that full telemetry rows gave; the
