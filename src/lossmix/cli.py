@@ -13,7 +13,8 @@ reruns land in the same place with the same bytes: every seed is a config
 key, and no flag (--config, --out, train's --jobs) changes a result.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure,
-3 invariant failure.
+3 invariant failure. main records a run that stops being finite in
+failure.json, in the command's output directory.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def _train_configs(config: dict, schemes, seeds) -> list[optim.TrainConfig]:
 
 
 def _check_distinct(field: str, values) -> None:
-    """Reject a repeat in a list that names output directories."""
+    """Reject a repeat in a list whose entries name separate outputs."""
     seen = set()
     for value in values:
         if value in seen:
@@ -391,14 +392,6 @@ def _write_json(path: Path, doc: dict, digest: str | None = None) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     return path
-
-
-def _diverged(exc: optim.TrainingDiverged, out: Path, run: str, where: str) -> int:
-    """Record a diverged run: out/failure.json names the run, the epoch and
-    the message, and one stderr line ends with where."""
-    _write_json(out / "failure.json", {"run": run, "epoch": exc.epoch, "message": str(exc)})
-    print(f"runtime error: {exc}; {where}", file=sys.stderr)
-    return EXIT_RUNTIME
 
 
 def _slug(scheme: Scheme) -> str:
@@ -434,20 +427,22 @@ def cmd_train(config: dict, digest: str, out: Path) -> int:
     _check_distinct("seeds", seeds)
 
     configs = _train_configs(config, schemes, seeds)
-    run_dirs = [out / f"{_slug(c.scheme)}-seed{c.seed}" for c in configs]
-    for run_dir in run_dirs:
-        if len(run_dir.name) > 255:  # an ASCII name, one byte a character
-            raise ValueError(f"config field seeds: run name {run_dir.name[:32]}... "
+
+    def run_dir(cfg: optim.TrainConfig) -> Path:
+        return out / f"{_slug(cfg.scheme)}-seed{cfg.seed}"
+
+    for cfg in configs:
+        if len(run_dir(cfg).name) > 255:  # an ASCII name, one byte a character
+            raise ValueError(f"config field seeds: run name {run_dir(cfg).name[:32]}... "
                              f"is longer than a file name's 255 bytes")
     try:
         records = optim.train(spec, train_set, val_set, configs)
-    except optim.TrainingDiverged as exc:
-        for run_dir, record in zip(run_dirs, exc.finished):
-            optim.save_run(run_dir, record, digest)
-        run_dir = optim.save_run(run_dirs[exc.run], exc.record, digest)
-        return _diverged(exc, run_dir, run_dir.name, f"partial trajectory in {run_dir}")
-    for run_dir, record in zip(run_dirs, records, strict=True):
-        optim.save_run(run_dir, record, digest)
+    except optim.TrainingDiverged as exc:  # main reports it
+        for record in exc.finished + [exc.record]:
+            optim.save_run(run_dir(record.config), record, digest)
+        raise
+    for record in records:
+        optim.save_run(run_dir(record.config), record, digest)
     print(f"{len(records)} runs written under {out}")
     return EXIT_OK
 
@@ -482,17 +477,16 @@ def cmd_spectral(config: dict, digest: str, out: Path) -> int:
     target = _reading("frequencies", spectral.SpectralTarget, frequencies=freqs,
                       amplitudes=amps, n_points=config.get("n_points", 256))
     schemes = [_scheme_from(s) for s in config["schemes"]]
+    # the capture reports are keyed by scheme label
+    _check_distinct("schemes", [s.label() for s in schemes])
     seed = config.get("seed", 1)
     # spectral_scheme_compare sets each run's scheme, seed, epochs and batch
     base = optim.TrainConfig(scheme=Scheme.multi(),
                              learning_rate=config.get("learning_rate", 0.02),
                              init_scale=config.get("init_scale", 3.0))
-    try:
-        comparison = spectral.spectral_scheme_compare(
-            base, schemes, target, epochs=config.get("epochs", 1200), seed=seed,
-            width=config.get("width", 200), threshold=config.get("threshold", 0.2))
-    except optim.TrainingDiverged as exc:
-        return _diverged(exc, out, schemes[exc.run].label(), f"failure record in {out}")
+    comparison = spectral.spectral_scheme_compare(
+        base, schemes, target, epochs=config.get("epochs", 1200), seed=seed,
+        width=config.get("width", 200), threshold=config.get("threshold", 0.2))
     _write_json(out / "capture.json", comparison.to_json_dict(), digest)
     (out / "capture.csv").write_text(comparison.to_csv_text())
     print(f"capture reports written under {out}")
@@ -542,11 +536,8 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
     else:
         scheme = _scheme_from(config.get("scheme", {"kind": "multi"}))
         configs = _train_configs(config, [scheme], [seed])
-        try:
-            # only the final weights are read, so no telemetry rows
-            mean = optim.train(spec, train_set, val_set, configs, rows=False)[0].final_params
-        except optim.TrainingDiverged as exc:
-            return _diverged(exc, out, scheme.label(), f"failure record in {out}")
+        # only the final weights are read, so no telemetry rows
+        mean = optim.train(spec, train_set, val_set, configs, rows=False)[0].final_params
     q = pacbayes.GaussianPosterior(mean=mean, sigma=post_doc["sigma"])
     cert = pacbayes.risk_certificate(q, prior, spec, val_set, params,
                                      n_samples=config.get("n_samples", 100),
@@ -601,14 +592,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     schema, handler = COMMANDS[args.command]
+    out = Path(args.out)
     try:
         if schema is None:
-            return handler(Path(args.out))
+            return handler(out)
         config, digest = _load_config(args.config, schema)
-        return handler(config, digest, Path(args.out) / f"{args.command}-{digest[:12]}")
+        out = out / f"{args.command}-{digest[:12]}"
+        return handler(config, digest, out)
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (optim.TrainingDiverged, FloatingPointError) as exc:
+        # a run that stopped being finite: the command's directory says where
+        record = {"message": str(exc)}
+        if isinstance(exc, optim.TrainingDiverged):
+            cfg = exc.record.config
+            record.update(run=cfg.scheme.label(), seed=cfg.seed, epoch=exc.epoch)
+        _write_json(out / "failure.json", record)
+        print(f"runtime error: {exc}; failure record in {out}", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -49,15 +49,14 @@ STACK_ELEMENTS = 2 ** 16
 class TrainingDiverged(RuntimeError):
     """A run's predictions, losses or gradients stopped being finite.
 
-    Carries that run's index among the configs passed to train, the epoch,
-    its trajectory up to the last complete epoch, and the finished records
-    of the stacks trained before it.
+    Carries the epoch, that run's record (its config, and its trajectory
+    up to the last complete epoch), and the finished records of the stacks
+    trained before it.
     """
 
-    def __init__(self, message: str, record: "TrajectoryRecord", run: int, epoch: int):
+    def __init__(self, message: str, record: "TrajectoryRecord", epoch: int):
         super().__init__(message)
         self.record = record
-        self.run = run
         self.epoch = epoch
         self.finished: list[TrajectoryRecord] = []
 
@@ -376,8 +375,8 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs, rows: bool = True
     checks; the last epoch runs a forward of its own.
 
     Raises TrainingDiverged for the first run whose predictions, losses or
-    gradients stop being finite; its record keeps the predictions of its
-    complete epochs.
+    gradients stop being finite, carrying its record (which keeps the
+    predictions of its complete epochs) and the earlier stacks' records.
     """
     if isinstance(configs, TrainConfig):
         return train(spec, data, val, [configs], rows)[0]
@@ -395,7 +394,6 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs, rows: bool = True
         try:
             records += _train_stack(spec, data, val, configs[first:first + size], rows)
         except TrainingDiverged as exc:
-            exc.run += first
             exc.finished = records
             raise
     return records
@@ -444,7 +442,7 @@ def _train_stack(spec, data, val, configs, rows):
         r, at = runs[int(np.argmin(finite))], epoch if at is None else at
         raise TrainingDiverged(
             f"non-finite {what} at epoch {at} in run {configs[r].scheme.label()} "
-            f"seed {configs[r].seed}", records[r], r, at)
+            f"seed {configs[r].seed}", records[r], at)
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

@@ -193,16 +193,10 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
                             target: SpectralTarget, epochs: int, seed: int,
                             width: int, threshold: float) -> SpectralComparison:
     """Train one sigmoid net per scheme on the tone target and compare
-    per-band capture epochs side by side. A repeated scheme is rejected
-    before any training: the reports are keyed by scheme label. The
-    target has already rejected bands that overlap or pass the Nyquist
-    frequency."""
+    per-band capture epochs side by side. The target has already rejected
+    bands that overlap or pass the Nyquist frequency."""
     spec = MLPSpec(layer_widths=(1, width, 1), hidden_activation="sigmoid",
                    output_kind="sigmoid")
-    labels = [scheme.label() for scheme in schemes]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ValueError(f"scheme {label} is repeated")
     bands = default_bands(target.frequencies)  # checked by the target
     data = target.build()
     configs = [replace(base_config, scheme=scheme, seed=seed, epochs=epochs,

@@ -46,6 +46,44 @@ def moons_train_config(epochs=2, schemes=None, seeds=None, extra=None):
     return doc
 
 
+def strict_json(text):
+    """The JSON document in text; NaN and Infinity, which JSON lacks, fail."""
+    def non_finite(literal):
+        raise AssertionError(f"{literal} in a JSON file")
+
+    return json.loads(text, parse_constant=non_finite)
+
+
+@pytest.fixture(autouse=True)
+def json_is_finite(tmp_path):
+    # every JSON file the CLI writes, below --out, is strict JSON; a test's
+    # configs sit in tmp_path itself, and some hold NaN on purpose
+    yield
+    for path in tmp_path.glob("*/**/*.json"):
+        strict_json(path.read_text())
+
+
+def bounds_config(extra_posterior=None):
+    post = {"sigma": 0.1}
+    if extra_posterior:
+        post.update(extra_posterior)
+    doc = {
+        "dataset": {"kind": "two_moons", "n": 60, "noise": 0.1, "seed": 2},
+        "model": {"layer_widths": [2, 6, 2], "output_kind": "softmax"},
+        "train": {"epochs": 2, "batch_size": 32},
+        "scheme": {"kind": "multi"},
+        "posterior": post,
+        "prior": {"lambda_p": 1.0},
+        "bound": {"lambda": 1.0, "l_max": 1.0, "delta": 0.05,
+                  "eps_dp": 0.01},
+        "n_samples": 10,
+        "seed": 3,
+    }
+    if "params_file" in post:  # a mean read from a file is not trained
+        del doc["train"], doc["scheme"]
+    return doc
+
+
 @pytest.fixture
 def no_training(monkeypatch):
     """For a config that must fail at load time, before any training."""
@@ -65,14 +103,14 @@ class TestVerifyCommand:
 
     def test_mutation_flips_to_exit_three(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(composite.MUTATE_ENV, "composite-grad-sign")
-        code = run_cli(["verify", "--out", str(tmp_path)])
+        code = run_cli(["verify", "--out", str(tmp_path / "o")])
         assert code == 3
-        summary = json.loads((tmp_path / "verify_summary.json").read_text())
+        summary = json.loads((tmp_path / "o" / "verify_summary.json").read_text())
         failing = [i["name"] for i in summary["invariants"] if not i["passed"]]
         assert "composite.gradient_matches_finite_differences" in failing
 
     def test_summary_schema(self, verify_run):
-        summary = json.loads(verify_run[1])
+        summary = strict_json(verify_run[1])
         assert set(summary) == {"all_passed", "n_invariants", "invariants"}
         for item in summary["invariants"]:
             assert set(item) == {"name", "passed", "detail"}
@@ -212,22 +250,6 @@ class TestTrainCommand:
         meta = json.loads(next((tmp_path / "all").rglob("run.json")).read_text())
         assert meta["stack_size"] == 6
 
-    def test_divergence_writes_partial_trajectory_and_failure(self, tmp_path, capsys):
-        doc = moons_train_config(epochs=40, schemes=[{"kind": "single", "index": 0}],
-                                 seeds=[3])
-        # a linear model on MSE with a far too large step blows up after a while
-        doc["model"] = {"layer_widths": [2, 2], "output_kind": "linear"}
-        doc["train"].update(terms=["mse"], optimizer="sgd", learning_rate=100.0)
-        cfg = write_config(tmp_path, doc)
-        assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "non-finite" in capsys.readouterr().err
-        (failure_path,) = (tmp_path / "o").rglob("failure.json")
-        failure = json.loads(failure_path.read_text())
-        assert failure["run"] == failure_path.parent.name == "single0-seed3"
-        assert "seed 3" in failure["message"]
-        rows = (failure_path.parent / "trajectory.csv").read_text().splitlines()[1:]
-        assert failure["epoch"] > 0 and len(rows) == failure["epoch"]
-
     @pytest.mark.parametrize("field", ["noise_eps", "l2_reg"])
     def test_optimizer_state_overflow_is_a_divergence(self, tmp_path, capsys, field):
         # Adam's sum of squared steps overflows to inf, after which every
@@ -237,9 +259,10 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, doc)
         assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         (failure_path,) = (tmp_path / "o").rglob("failure.json")
-        failure = json.loads(failure_path.read_text())
-        assert failure == {"run": "multi-seed1", "epoch": 0, "message":
-                           "non-finite optimizer state at epoch 0 in run multi seed 1"}
+        assert failure_path.parent.parent == tmp_path / "o"
+        assert json.loads(failure_path.read_text()) == {
+            "run": "multi", "seed": 1, "epoch": 0,
+            "message": "non-finite optimizer state at epoch 0 in run multi seed 1"}
 
     def test_divergence_prints_one_line_and_no_numpy_warning(self, tmp_path):
         # in a fresh interpreter with Python's default warning filters, as a
@@ -256,17 +279,17 @@ class TestTrainCommand:
         assert out.returncode == 2
         (line,) = out.stderr.splitlines()
         assert line.startswith("runtime error: non-finite optimizer state at epoch 0 "
-                               "in run multi seed 1; partial trajectory in ")
+                               "in run multi seed 1; failure record in ")
 
     def test_divergence_of_a_later_run_writes_its_own_directory(self, tmp_path,
                                                                  monkeypatch, capsys):
-        # the run named by the exception's index gets failure.json; the runs
-        # of the stacks before it are written in full under their own names
+        # the diverged run's partial record is written under its config's
+        # name; the runs of the stacks before it are written in full
         train = optim.train
 
         def second_diverges(spec, data, val, configs, rows=True):
             exc = optim.TrainingDiverged("non-finite loss at epoch 1",
-                                         optim.TrajectoryRecord(configs[1], 1), 1, 1)
+                                         optim.TrajectoryRecord(configs[1], 1), 1)
             exc.finished = train(spec, data, val, configs[:1], rows)
             raise exc
 
@@ -274,7 +297,10 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, moons_train_config(seeds=[5, 6]))
         assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         (failure,) = (tmp_path / "o").rglob("failure.json")
-        assert json.loads(failure.read_text())["run"] == failure.parent.name == "multi-seed6"
+        assert json.loads(failure.read_text())["seed"] == 6
+        assert sorted(p.name for p in failure.parent.iterdir()) == [
+            "failure.json", "multi-seed5", "multi-seed6"]
+        assert (failure.parent / "multi-seed6" / "trajectory.csv").exists()
         (params,) = (tmp_path / "o").rglob("params.npz")
         assert params.parent.name == "multi-seed5"
 
@@ -399,23 +425,6 @@ class TestSpectralCommand:
             base, schemes, target, epochs=5, seed=2, width=8, threshold=0.2)
         assert csv == comparison.to_csv_text()
 
-    def test_divergence_writes_a_failure_record(self, tmp_path, capsys):
-        # p = 1e150 overflows the composite at the first step. Under the
-        # suite's warnings-as-errors filter, a numpy warning would fail here.
-        cfg = write_config(tmp_path, {
-            "n_points": 32, "width": 8, "epochs": 3,
-            "schemes": [{"kind": "multi"}, {"kind": "nonlinear", "p": 1e150}]})
-        code = run_cli(["spectral", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == 2
-        (out_dir,) = (tmp_path / "o").iterdir()
-        assert re.fullmatch("spectral-[0-9a-f]{12}", out_dir.name)
-        message = "non-finite gradient at epoch 0 in run nonlinear(p=1e+150) seed 1"
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"runtime error: {message}; failure record in {out_dir}"
-        assert [p.name for p in out_dir.iterdir()] == ["failure.json"]
-        assert json.loads((out_dir / "failure.json").read_text()) == {
-            "run": "nonlinear(p=1e+150)", "epoch": 0, "message": message}
-
     def test_band_without_target_energy_reads_nan(self, tmp_path, capsys):
         # a zero-amplitude tone leaves its band no relative error to write
         # and no capture epoch
@@ -482,48 +491,17 @@ class TestSpectralCommand:
                         {"kind": "nonlinear", "p": 1.0}]})
         code = run_cli(["spectral", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "scheme multi is repeated" in capsys.readouterr().err
+        assert "config field schemes: multi is repeated" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
 class TestBoundsCommand:
-    @pytest.fixture(autouse=True)
-    def json_is_finite(self, tmp_path):
-        # JSON has no NaN or Infinity literal, so no file a test writes holds one
-        yield
-
-        def non_finite(literal):
-            raise AssertionError(f"{literal} in a JSON file")
-
-        for path in tmp_path.rglob("*.json"):
-            json.loads(path.read_text(), parse_constant=non_finite)
-
-    def bounds_config(self, extra_posterior=None):
-        post = {"sigma": 0.1}
-        if extra_posterior:
-            post.update(extra_posterior)
-        doc = {
-            "dataset": {"kind": "two_moons", "n": 60, "noise": 0.1, "seed": 2},
-            "model": {"layer_widths": [2, 6, 2], "output_kind": "softmax"},
-            "train": {"epochs": 2, "batch_size": 32},
-            "scheme": {"kind": "multi"},
-            "posterior": post,
-            "prior": {"lambda_p": 1.0},
-            "bound": {"lambda": 1.0, "l_max": 1.0, "delta": 0.05,
-                      "eps_dp": 0.01},
-            "n_samples": 10,
-            "seed": 3,
-        }
-        if "params_file" in post:  # a mean read from a file is not trained
-            del doc["train"], doc["scheme"]
-        return doc
-
     def test_trained_model_certificate(self, tmp_path, monkeypatch, capsys):
         def no_rows(*args, **kwargs):
             raise AssertionError("bounds computed telemetry rows it never reads")
 
         monkeypatch.setattr(optim, "_epoch_row", no_rows)
-        cfg = write_config(tmp_path, self.bounds_config())
+        cfg = write_config(tmp_path, bounds_config())
         code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 0
         path = next((tmp_path / "o").rglob("certificate.json"))
@@ -540,7 +518,7 @@ class TestBoundsCommand:
             raise AssertionError("trained before the bound block was checked")
 
         monkeypatch.setattr(optim, "train", no_training)
-        doc = self.bounds_config()
+        doc = bounds_config()
         doc["bound"]["lambda"] = 0.3
         cfg = write_config(tmp_path, doc)
         code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -559,7 +537,7 @@ class TestBoundsCommand:
             self, tmp_path, no_training, capsys, block, field, value, message):
         # Python floats cannot evaluate the term (an overflow, or a division
         # by a square that underflowed), and the config alone says so
-        doc = self.bounds_config()
+        doc = bounds_config()
         doc[block][field] = value
         cfg = write_config(tmp_path, doc)
         assert run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -567,7 +545,7 @@ class TestBoundsCommand:
         assert not (tmp_path / "o").exists()
 
     def test_width_mismatch_is_config_error(self, tmp_path, capsys):
-        doc = self.bounds_config()
+        doc = bounds_config()
         doc["model"]["layer_widths"] = [3, 6, 2]
         cfg = write_config(tmp_path, doc)
         code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -577,7 +555,7 @@ class TestBoundsCommand:
 
     def test_bound_m_is_unknown_key(self, tmp_path, no_training, capsys):
         # m is the training set's size, never a config value
-        doc = self.bounds_config()
+        doc = bounds_config()
         doc["bound"]["m"] = 100000
         cfg = write_config(tmp_path, doc)
         code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -594,7 +572,7 @@ class TestBoundsCommand:
     def test_model_file_without_params_is_config_error(self, tmp_path, no_training,
                                                        capsys, name, save):
         save(tmp_path / name)
-        cfg = write_config(tmp_path, self.bounds_config(
+        cfg = write_config(tmp_path, bounds_config(
             {"params_file": str(tmp_path / name)}))
         code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
@@ -604,7 +582,7 @@ class TestBoundsCommand:
 
     def test_model_file_with_non_finite_params_is_config_error(self, tmp_path, capsys):
         np.savez(tmp_path / "model.npz", params=np.full(32, np.nan))
-        cfg = write_config(tmp_path, self.bounds_config(
+        cfg = write_config(tmp_path, bounds_config(
             {"params_file": str(tmp_path / "model.npz")}))
         code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
@@ -612,52 +590,8 @@ class TestBoundsCommand:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_overflowing_posterior_draw_is_runtime_error(self, tmp_path, capsys):
-        # sigma^2 = 1e300 is finite, so only the draws can tell: a relu net's
-        # forward overflows on them. Under the suite's warnings-as-errors
-        # filter, a numpy warning would end the run before the report
-        doc = self.bounds_config()
-        doc["model"] = {"layer_widths": [2, 12, 12, 2], "hidden_activation": "relu"}
-        doc["posterior"]["sigma"] = 1e150
-        doc["train"]["epochs"] = 5
-        cfg = write_config(tmp_path, doc)
-        code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert capsys.readouterr().err == ("runtime error: FloatingPointError: non-finite "
-                                           "predictions for posterior draw 0 of 10\n")
-        assert not list(tmp_path.rglob("certificate.json"))
-
-    def test_divergence_writes_a_failure_record(self, tmp_path, capsys):
-        # Adam's sum of squared steps overflows at the first step. Under the
-        # suite's warnings-as-errors filter, a numpy warning would fail here.
-        doc = self.bounds_config()
-        doc["scheme"] = {"kind": "nonlinear", "p": 2.0}
-        doc["train"]["noise_eps"] = 1e300
-        cfg = write_config(tmp_path, doc)
-        assert run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        (out_dir,) = (tmp_path / "o").iterdir()
-        assert re.fullmatch("bounds-[0-9a-f]{12}", out_dir.name)
-        message = "non-finite optimizer state at epoch 0 in run nonlinear(p=2) seed 3"
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"runtime error: {message}; failure record in {out_dir}"
-        assert [p.name for p in out_dir.iterdir()] == ["failure.json"]
-        assert json.loads((out_dir / "failure.json").read_text()) == {
-            "run": "nonlinear(p=2)", "epoch": 0, "message": message}
-
-    def test_posterior_mean_without_finite_kl_is_runtime_error(self, tmp_path, capsys):
-        # the run stays finite, but its mean's squared norm overflows, so the
-        # certificate would read Infinity
-        doc = self.bounds_config()
-        doc["train"]["learning_rate"] = 1e300
-        cfg = write_config(tmp_path, doc)
-        assert run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == (
-            "runtime error: FloatingPointError: the posterior mean's squared norm inf "
-            "gives the KL no finite value\n")
-        assert not list(tmp_path.rglob("certificate.json"))
-
     def test_missing_model_file(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.bounds_config(
+        cfg = write_config(tmp_path, bounds_config(
             {"params_file": str(tmp_path / "nope.npz")}))
         code = run_cli(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 1
@@ -671,7 +605,7 @@ class TestBoundsCommand:
         return {"params_file": str(tmp_path / "model.npz")}
 
     def test_params_file_used(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.bounds_config(self.save_params(tmp_path)))
+        cfg = write_config(tmp_path, bounds_config(self.save_params(tmp_path)))
         assert run_cli(["bounds", "--config", cfg,
                         "--out", str(tmp_path / "o")]) == 0
 
@@ -682,7 +616,7 @@ class TestBoundsCommand:
     def test_training_blocks_beside_params_file_rejected(self, tmp_path, no_training,
                                                          capsys, key, block):
         # nothing trains the mean a params_file holds, so nothing reads them
-        doc = dict(self.bounds_config(self.save_params(tmp_path)), **{key: block})
+        doc = dict(bounds_config(self.save_params(tmp_path)), **{key: block})
         code = run_cli(["bounds", "--config", write_config(tmp_path, doc),
                         "--out", str(tmp_path / "o")])
         assert code == 1
@@ -732,7 +666,7 @@ def test_only_spectral_loads_scipy_and_only_expits_extension(tmp_path):
     # load the one compiled extension that holds expit
     configs = {
         "klsweep": {"grid": {"lo": -3.0, "hi": 3.0, "points": 61}, "p_list": [1.0, 2.0]},
-        "bounds": TestBoundsCommand().bounds_config(),
+        "bounds": bounds_config(),
         "train": moons_train_config(),
         "spectral": {"frequencies": [1.0, 3.0], "n_points": 64, "width": 8,
                      "epochs": 3, "schemes": [{"kind": "multi"}]},
@@ -857,8 +791,71 @@ SMALL_CONFIGS = {
     "spectral": {"frequencies": [1.0, 3.0], "n_points": 64, "width": 8, "epochs": 5,
                  "schemes": [{"kind": "multi"}], "seed": 2},
     "klsweep": {"grid": {"lo": -3.0, "hi": 3.0, "points": 61}},
-    "bounds": TestBoundsCommand().bounds_config(),
+    "bounds": bounds_config(),
 }
+
+
+def with_values(doc, values: dict):
+    """A copy of doc with each value at its slash-separated path."""
+    for path, value in values.items():
+        doc = with_value(doc, path, value)
+    return doc
+
+
+# Under the suite's warnings-as-errors filter, a numpy warning ahead of the
+# failure would end the run before it is recorded
+@pytest.mark.parametrize("command, doc, record", [
+    # a linear model on MSE with a far too large step blows up after a while
+    pytest.param("train", with_values(
+        moons_train_config(epochs=40, schemes=[{"kind": "single", "index": 0}], seeds=[3]),
+        {"model": {"layer_widths": [2, 2], "output_kind": "linear"}, "train/terms": ["mse"],
+         "train/optimizer": "sgd", "train/learning_rate": 100.0}), {
+        "run": "single[0]", "seed": 3, "epoch": 31,
+        "message": "non-finite loss at epoch 31 in run single[0] seed 3"},
+        id="train-divergence"),
+    # p = 1e150 overflows the composite at the first step
+    pytest.param("spectral", {
+        "n_points": 32, "width": 8, "epochs": 3,
+        "schemes": [{"kind": "multi"}, {"kind": "nonlinear", "p": 1e150}]}, {
+        "run": "nonlinear(p=1e+150)", "seed": 1, "epoch": 0,
+        "message": "non-finite gradient at epoch 0 in run nonlinear(p=1e+150) seed 1"},
+        id="spectral-divergence"),
+    # Adam's sum of squared steps overflows at the first step
+    pytest.param("bounds", with_values(bounds_config(), {
+        "scheme": {"kind": "nonlinear", "p": 2.0}, "train/noise_eps": 1e300}), {
+        "run": "nonlinear(p=2)", "seed": 3, "epoch": 0,
+        "message": "non-finite optimizer state at epoch 0 in run nonlinear(p=2) seed 3"},
+        id="bounds-divergence"),
+    # sigma^2 = 1e300 is finite, so only the draws can tell: a relu net's
+    # forward overflows on them
+    pytest.param("bounds", with_values(bounds_config(), {
+        "model": {"layer_widths": [2, 12, 12, 2], "hidden_activation": "relu"},
+        "train/epochs": 5, "posterior/sigma": 1e150}), {
+        "message": "non-finite predictions for posterior draw 0 of 10"},
+        id="bounds-posterior-draw"),
+    # the run stays finite, but its mean's squared norm overflows, so the
+    # certificate would read Infinity
+    pytest.param("bounds", with_value(bounds_config(), "train/learning_rate", 1e300), {
+        "message": "the posterior mean's squared norm inf gives the KL no finite value"},
+        id="bounds-kl"),
+])
+def test_runtime_failure_writes_one_record(tmp_path, capsys, command, doc, record):
+    cfg = write_config(tmp_path, doc)
+    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    (out_dir,) = (tmp_path / "o").iterdir()
+    assert re.fullmatch(f"{command}-[0-9a-f]{{12}}", out_dir.name)
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"runtime error: {record['message']}; failure record in {out_dir}"
+    assert json.loads((out_dir / "failure.json").read_text()) == record
+    written = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*"))
+    if command != "train":
+        assert written == ["failure.json"]
+        return
+    # train still writes the diverged run's directory, with every complete epoch
+    assert written == ["failure.json", "single0-seed3", "single0-seed3/run.json",
+                       "single0-seed3/trajectory.csv"]
+    rows = (out_dir / "single0-seed3" / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + record["epoch"]
 
 
 @pytest.mark.parametrize("command, path, literal", [

@@ -652,18 +652,19 @@ def test_divergence_names_the_first_diverged_run(monkeypatch):
     with pytest.raises(TrainingDiverged) as err:
         train(spec, ds, ds, configs)
     exc = err.value
-    assert exc.run == 1 and exc.record.config == configs[1]
+    assert exc.record.config == configs[1]
     assert "single[1] seed 9" in str(exc) and f"epoch {exc.epoch}" in str(exc)
     assert 0 < exc.epoch == len(exc.record.rows)
     assert exc.finished == []
     with pytest.raises(TrainingDiverged) as alone:
         train(spec, ds, ds, [configs[1]])
     assert alone.value.record.to_csv_text() == exc.record.to_csv_text()
-    # one run per stack: the surviving run's stack finished first, and is kept
+    # one run per stack: the surviving run's stack finished first, and is
+    # kept, and the first MSE run is named, not the one after it
     monkeypatch.setattr(optim, "STACK_ELEMENTS", 1)
     with pytest.raises(TrainingDiverged) as err:
         train(spec, ds, ds, configs)
-    assert err.value.run == 1
+    assert err.value.record.config == configs[1]
     (done,) = err.value.finished
     assert done.to_csv_text() == train(spec, ds, ds, configs[0]).to_csv_text()
 
@@ -675,7 +676,7 @@ def test_divergence_without_rows_names_the_same_run():
     with pytest.raises(TrainingDiverged) as with_rows:
         train(spec, ds, ds, configs)
     exc = err.value
-    assert exc.run == 1 and exc.record.config == configs[1]
+    assert exc.record.config == configs[1]
     assert str(exc) == str(with_rows.value) and exc.epoch > 0
     assert exc.record.rows == [] and exc.finished == []
 
@@ -692,9 +693,10 @@ def test_rows_false_checks_the_capture_predictions(monkeypatch):
         return preds
 
     monkeypatch.setattr(netcore, "forward", poisoned)
+    configs = [base, replace(base, seed=1)]
     with pytest.raises(TrainingDiverged, match="non-finite predictions at epoch 0") as err:
-        train(spec, ds, ds, [base, replace(base, seed=1)], rows=False)
-    assert err.value.run == 1
+        train(spec, ds, ds, configs, rows=False)
+    assert err.value.record.config == configs[1]
 
 
 def test_full_batch_capture_of_a_fan_in_two_net_is_a_full_forward(monkeypatch):
@@ -738,7 +740,7 @@ def test_rows_false_names_a_reused_capture_at_its_own_epoch(monkeypatch):
     with pytest.raises(TrainingDiverged,
                        match="non-finite predictions at epoch 2 in run multi seed 1") as err:
         train(spec, ds, ds, configs, rows=False)
-    assert err.value.run == 1 and err.value.epoch == 2
+    assert err.value.record.config == configs[1] and err.value.epoch == 2
     # the partial record keeps the predictions of epochs 0 and 1
     monkeypatch.undo()
     clean = train(spec, ds, ds, configs, rows=False)[1]
@@ -757,7 +759,7 @@ def test_full_batch_divergence_without_rows_is_named_by_the_step():
     with pytest.raises(TrainingDiverged) as err:
         train(spec, ds, ds, configs, rows=False)
     assert str(err.value) == "non-finite loss at epoch 36 in run single[1] seed 9"
-    assert err.value.run == 1 and err.value.epoch == 36
+    assert err.value.record.config == configs[1] and err.value.epoch == 36
     with pytest.raises(TrainingDiverged, match="loss at epoch 35 in run single"):
         train(spec, ds, ds, configs)
 
