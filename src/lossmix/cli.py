@@ -25,7 +25,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +349,14 @@ def _model_from(doc: dict) -> MLPSpec:
     return MLPSpec(**doc)
 
 
+def _schemes(config: dict) -> dict[str, Scheme]:
+    """The config's schemes by config field, each label once: it names outputs."""
+    schemes = {f"schemes/{i}": _reading(f"schemes/{i}", _scheme_from, doc)
+               for i, doc in enumerate(config["schemes"])}
+    _check_distinct("schemes", [s.label() for s in schemes.values()])
+    return schemes
+
+
 def _check_widths(spec: MLPSpec, train_set: data.Dataset) -> None:
     """Reject a model whose input or output width the dataset cannot feed."""
     want = (train_set.inputs.shape[1], train_set.targets.shape[1])
@@ -359,13 +367,16 @@ def _check_widths(spec: MLPSpec, train_set: data.Dataset) -> None:
             f"do not match the dataset's {want[0]}/{want[1]}")
 
 
-def _train_configs(config: dict, schemes, seeds) -> list[optim.TrainConfig]:
-    """One TrainConfig per scheme and seed, from the config's train block."""
+def _train_configs(config: dict, schemes: dict, seeds) -> list[optim.TrainConfig]:
+    """One TrainConfig per scheme (by config field) and seed, from the config's
+    train block."""
     doc = config.get("train", {})
     if "momentum" in doc and doc.get("optimizer") != "momentum":  # adam by default
         raise ValueError("config field train/momentum: only the momentum optimizer reads it")
-    return [optim.TrainConfig(scheme=scheme, seed=seed, **doc)
-            for scheme in schemes for seed in seeds]
+    # multi reads no term index: what fails here is the train block
+    base = _reading("train", optim.TrainConfig, scheme=Scheme.multi(), **doc)
+    return [_reading(field, replace, base, scheme=scheme, seed=seed)
+            for field, scheme in schemes.items() for seed in seeds]
 
 
 def _check_distinct(field: str, values) -> None:
@@ -417,16 +428,13 @@ def cmd_verify(out: Path) -> int:
 
 
 def cmd_train(config: dict, digest: str, out: Path) -> int:
-    spec = _model_from(config["model"])
+    spec = _reading("model/layer_widths", _model_from, config["model"])
     train_set, val_set = _dataset_from(config["dataset"])
     _check_widths(spec, train_set)
-    schemes = [_scheme_from(s) for s in config["schemes"]]
     seeds = config["seeds"]
+    configs = _train_configs(config, _schemes(config), seeds)
     # each run writes <scheme>-seed<seed>, so a repeat would overwrite a run
-    _check_distinct("schemes", [s.label() for s in schemes])
     _check_distinct("seeds", seeds)
-
-    configs = _train_configs(config, schemes, seeds)
 
     def run_dir(cfg: optim.TrainConfig) -> Path:
         return out / f"{_slug(cfg.scheme)}-seed{cfg.seed}"
@@ -449,10 +457,10 @@ def cmd_train(config: dict, digest: str, out: Path) -> int:
 
 def cmd_klsweep(config: dict, digest: str, out: Path) -> int:
     grid = config.get("grid", {})
-    if grid and grid["lo"] >= grid["hi"]:
-        raise ValueError("config field grid: lo must be below hi")
-    if grid and not math.isfinite(grid["hi"] - grid["lo"]):
-        raise ValueError("config field grid: hi - lo overflows a float")
+    if grid:
+        _reading("grid", analysis.Grid, grid["lo"], grid["hi"], grid["points"])
+        if not math.isfinite(grid["hi"] - grid["lo"]):
+            raise ValueError("config field grid: hi - lo overflows a float")
     p_list = config.get("p_list", [1.0, 2.0, 3.0, 4.0])
     # the report keys each p's results by its %g text
     _check_distinct("p_list", [f"{p:g}" for p in p_list])
@@ -476,14 +484,15 @@ def cmd_spectral(config: dict, digest: str, out: Path) -> int:
         raise ValueError("config field amplitudes: must match frequencies")
     target = _reading("frequencies", spectral.SpectralTarget, frequencies=freqs,
                       amplitudes=amps, n_points=config.get("n_points", 256))
-    schemes = [_scheme_from(s) for s in config["schemes"]]
-    # the capture reports are keyed by scheme label
-    _check_distinct("schemes", [s.label() for s in schemes])
+    _reading("amplitudes", lambda: target.data)  # built once, and kept
     seed = config.get("seed", 1)
     # spectral_scheme_compare sets each run's scheme, seed, epochs and batch
     base = optim.TrainConfig(scheme=Scheme.multi(),
                              learning_rate=config.get("learning_rate", 0.02),
                              init_scale=config.get("init_scale", 3.0))
+    # a single index past the terms fails here
+    schemes = [_reading(field, replace, base, scheme=scheme).scheme
+               for field, scheme in _schemes(config).items()]
     comparison = spectral.spectral_scheme_compare(
         base, schemes, target, epochs=config.get("epochs", 1200), seed=seed,
         width=config.get("width", 200), threshold=config.get("threshold", 0.2))
@@ -499,7 +508,7 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
         if key in config and "params_file" in post_doc:
             raise ValueError(f"config field {key}: a posterior mean read from "
                              f"posterior/params_file is not trained")
-    spec = _model_from(config["model"])
+    spec = _reading("model/layer_widths", _model_from, config["model"])
     train_set, val_set = _dataset_from(config["dataset"])
     _check_widths(spec, train_set)
     seed = config.get("seed", 0)
@@ -534,8 +543,8 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
             raise ValueError(f"config field posterior/params_file: the params in "
                              f"{path} are not all finite")
     else:
-        scheme = _scheme_from(config.get("scheme", {"kind": "multi"}))
-        configs = _train_configs(config, [scheme], [seed])
+        scheme = _reading("scheme", _scheme_from, config.get("scheme", {"kind": "multi"}))
+        configs = _train_configs(config, {"scheme": scheme}, [seed])
         # only the final weights are read, so no telemetry rows
         mean = optim.train(spec, train_set, val_set, configs, rows=False)[0].final_params
     q = pacbayes.GaussianPosterior(mean=mean, sigma=post_doc["sigma"])

@@ -33,13 +33,8 @@ round ``a w + b`` once, so there the forward keeps ``a @ w`` then
 ``+= b``. A BLAS kernel may raise numpy's invalid-value flag on a
 non-finite input, as it may in any layer.
 
-Every layer before the first with fan-in > 1 therefore works row by row:
-each entry is the same two-step sum wherever its row sits in the batch
-(``elementwise_layers``), while BLAS may round a row of a product with a
-wider inner dimension by its place. The layers from that first one on,
-run as a net of their own on the last entries of the params, give the
-full pass's bits from activations a previous pass computed on the same
-rows in another order.
+Every layer before the first with fan-in > 1 therefore works row by row,
+which ``predictions_in_data_order`` relies on.
 
 Each layer's temporaries are built in place, with the bits of the
 out-of-place expressions: a layer's product is a new array, so its bias
@@ -83,7 +78,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -285,26 +280,6 @@ def _hidden_deriv(a: np.ndarray, kind: str) -> np.ndarray:
     return (a > 0.0).astype(np.float64)  # max(z, 0) > 0 exactly where z > 0
 
 
-def elementwise_layers(spec: MLPSpec) -> int:
-    """How many leading layers have fan-in 1, counting no further than the
-    output layer.
-
-    Such a layer's pre-activation is round(round(a w) + b) in every entry,
-    one GEMM ``[a, 1] @ [w; b]`` or, at one row or one output unit,
-    ``a @ w`` then ``+= b`` (see the module docstring). With its activation
-    it works row by row: the bits of a row do not depend on where the row
-    sits in the batch. What enters the first layer after them is therefore
-    the same, row for row, in any order of the batch, and the net of the
-    layers from there on, ``replace(spec, layer_widths=ws[k:])`` on the
-    last ``n_params`` entries of the params, gives the full pass's bits.
-    """
-    n_layers = len(spec.layer_widths) - 1
-    k = 0
-    while k < n_layers - 1 and spec.layer_widths[k] == 1:
-        k += 1
-    return k
-
-
 def _forward_cache(spec: MLPSpec, params: np.ndarray, inputs: np.ndarray):
     """Forward pass keeping each layer's activations for a later backward pass."""
     blocks = unpack_params(spec, params)
@@ -338,6 +313,29 @@ def forward(spec: MLPSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Predictions, one row per sample. Pure: same inputs, same bits out."""
     preds, _ = _forward_cache(spec, params, batch.inputs)
     return preds
+
+
+def predictions_in_data_order(spec: MLPSpec, params: np.ndarray, acts,
+                              orders: np.ndarray) -> np.ndarray:
+    """The bits of ``forward(spec, params, inputs)``, in data order, from the
+    activations ``acts`` of a pass over ``inputs[orders]``: orders is (n,)
+    for lone (P,) params and has one row per run, (R, n), for stacked.
+
+    The layers before the first with fan-in > 1 work row by row (see the
+    module docstring), so what enters that layer, or the output layer, is
+    put back in data order, and the layers from there on run again as a net
+    of their own on the last entries of the params. Reordering the pass's
+    predictions instead would move bits: OpenBLAS rounds a row of an
+    (n, h) @ (h, k) product by whether it falls in its kernel's 4-row tail,
+    which exists where n % 4 != 0.
+    """
+    # acts[-2] enters the output layer
+    k = next((i for i, w in enumerate(spec.layer_widths[:-2]) if w > 1), len(acts) - 2)
+    tail = replace(spec, layer_widths=spec.layer_widths[k:])
+    ordered = np.empty_like(acts[k])
+    # row i of run r's pass is data row orders[r, i]
+    ordered[(*np.indices(orders.shape)[:-1], orders)] = acts[k]
+    return _forward_cache(tail, params[..., -tail.n_params:], ordered)[0]
 
 
 def _bias_grad(delta: np.ndarray) -> np.ndarray:

@@ -7,11 +7,8 @@ Each epoch ends with a telemetry row at the epoch-final parameters.
 predictions at those parameters, checked and kept on the record, for
 callers that read nothing else; records then hold ``predictions``,
 ``final_params`` and no rows. When one minibatch covers the training set,
-the next epoch's step forward runs at the same parameters on the same
-rows, shuffled, so the capture reuses it and runs again only the layers
-from the first with fan-in > 1 on, as a net of their own (the
-hidden-to-output product of a 1-h-1 net); the last epoch runs its own
-forward. The bits are the same as a forward of its own.
+the next epoch's step forward gives them
+(``netcore.predictions_in_data_order``); the last epoch runs its own.
 
 A run is deterministic given its config (seed included): the same config
 produces bit-identical trajectories. A stack-epoch's wall-clock time is
@@ -368,11 +365,10 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs, rows: bool = True
     record.predictions, the same bits as netcore.forward at the epoch's
     final parameters. Records then carry predictions, final_params and an
     empty rows list. A full-batch epoch's predictions come from the next
-    epoch's step forward, which runs at the same parameters: its
-    activations entering the first layer with fan-in > 1 go back to data
-    order, and the net of the layers from there on runs on them. They are
-    checked, named at their own epoch and kept before that step's own
-    checks; the last epoch runs a forward of its own.
+    epoch's step forward, at the same parameters, through
+    netcore.predictions_in_data_order. They are checked, named at their
+    own epoch and kept before that step's own checks; the last epoch runs
+    a forward of its own.
 
     Raises TrainingDiverged for the first run whose predictions, losses or
     gradients stop being finite, carrying its record (which keeps the
@@ -399,15 +395,6 @@ def train(spec: MLPSpec, data: Dataset, val: Dataset, configs, rows: bool = True
     return records
 
 
-def _in_data_order(shuffled: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Each run's rows put back in data order: row i of run r goes to
-    orders[r, i]."""
-    ordered = np.empty_like(shuffled)
-    for r, order in enumerate(orders):
-        ordered[r, order] = shuffled[r]
-    return ordered
-
-
 # a value that stops being finite is a divergence, which check names and
 # reports, so numpy's overflow and invalid-value warnings would only print
 # ahead of that report, naming a line of this module
@@ -431,8 +418,6 @@ def _train_stack(spec, data, val, configs, rows):
     # without rows, a full-batch step's forward also gives the previous
     # epoch's predictions (see train)
     reuse = not rows and config.batch_size >= data.n
-    rerun_from = netcore.elementwise_layers(spec)
-    tail = replace(spec, layer_widths=spec.layer_widths[rerun_from:])
     steps = -(-data.n // config.batch_size)  # minibatches per epoch
 
     def check(stack, what, runs=range(len(configs)), at=None):
@@ -458,9 +443,7 @@ def _train_stack(spec, data, val, configs, rows):
             acts, vals, grads = netcore.term_values_and_grads(
                 spec, params, data.inputs[idx], data.targets[idx], terms, grad_kinds)
             if reuse and epoch > 0:
-                capture = netcore._forward_cache(
-                    tail, params[:, -tail.n_params:],
-                    _in_data_order(acts[rerun_from], idx))[0]
+                capture = netcore.predictions_in_data_order(spec, params, acts, idx)
                 check(capture, "predictions", at=epoch - 1)
                 for record, block in zip(records, capture):
                     record.predictions.append(block)

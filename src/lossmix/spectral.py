@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -148,7 +149,8 @@ class SpectralTarget:
     def __post_init__(self):
         check_bands(default_bands(self.frequencies), self.n_points)
 
-    def build(self) -> Dataset:
+    @cached_property
+    def data(self) -> Dataset:
         """Dataset scaled into [0.1, 0.9], inside the sigmoid head's range.
 
         The affine rescale shifts energy into the DC bin only; every tone
@@ -198,7 +200,7 @@ def spectral_scheme_compare(base_config: optim.TrainConfig, schemes: Sequence[Sc
     spec = MLPSpec(layer_widths=(1, width, 1), hidden_activation="sigmoid",
                    output_kind="sigmoid")
     bands = default_bands(target.frequencies)  # checked by the target
-    data = target.build()
+    data = target.data
     configs = [replace(base_config, scheme=scheme, seed=seed, epochs=epochs,
                        batch_size=target.n_points) for scheme in schemes]
     # the capture reads only each epoch's predictions, so no telemetry rows

@@ -775,6 +775,30 @@ def test_every_definition_is_named_by_other_package_code():
     assert unnamed == NAMED_OUTSIDE_THE_PACKAGE
 
 
+def test_no_module_names_another_modules_private_attribute():
+    # a module's _-prefixed names are its own: code in another module that
+    # needs one calls a public function of that module instead
+    package = Path(lossmix.__file__).resolve().parent
+    reached = []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        modules = {}  # local name -> package module, from `from . import x`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.partition(".")[0] == "lossmix"):
+                for alias in node.names:
+                    if node.module in (None, "lossmix"):
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        reached.append(f"{source.stem}: from {node.module} import {alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                reached.append(f"{source.stem}: {modules[node.value.id]}.{node.attr}")
+    assert reached == []
+
+
 def with_value(doc, path: str, value):
     """A copy of doc with value at the slash-separated path."""
     doc = copy.deepcopy(doc)
@@ -906,7 +930,7 @@ def test_scheme_field_its_kind_ignores_rejected_before_training(
     cfg = write_config(tmp_path, with_value(SMALL_CONFIGS[command], path, scheme))
     code = run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 1
-    assert message in capsys.readouterr().err
+    assert f"config field {path}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -949,7 +973,34 @@ def test_field_no_result_reads_rejected_before_training(tmp_path, no_training, c
     # the certificate's m is the training set's size, not the bound's lambda
     ("bounds", "bounds", "dataset", {"kind": "two_moons", "n": 2, "val_fraction": 0.5},
      "dataset: a certificate needs at least 2 training points, got 1"),
-], ids=["klsweep-betas", "two_moons-val_fraction", "bounds-lambda", "bounds-m"])
+    ("two_moons", "train", "schemes/1", {"kind": "multi", "p": 2},
+     "schemes/1: a multi scheme takes no p, got 2"),
+    ("spectral", "spectral", "schemes/2", {"kind": "multi", "p": 2},
+     "schemes/2: a multi scheme takes no p, got 2"),
+    ("bounds", "bounds", "scheme", {"kind": "multi", "p": 2},
+     "scheme: a multi scheme takes no p, got 2"),
+    ("two_moons", "train", "model/layer_widths", [2, 8, 1],
+     "model/layer_widths: softmax output needs width >= 2"),
+    ("two_moons", "train", "train/beta_rule", "fixed",
+     "train: beta_rule 'fixed' needs fixed_betas"),
+    ("two_moons", "train", "train/terms", ["mse"],
+     "train: warm-start needs a cross-entropy term"),
+    ("bounds", "bounds", "train", {"beta_rule": "paper-max", "terms": ["ce", "mse", "jsd"]},
+     "train: paper-max rule needs exactly two terms"),
+    ("two_moons", "train", "schemes/0", {"kind": "single", "index": 5},
+     "schemes/0: single-scheme index 5 out of range"),
+    ("spectral", "spectral", "schemes/0", {"kind": "single", "index": 5},
+     "schemes/0: single-scheme index 5 out of range"),
+    ("klsweep", "klsweep", "grid/points", 20_000_000, "grid: grid exceeds the point budget"),
+    ("klsweep", "klsweep", "grid/lo", 5.0, "grid: bad bounds (5.0, 3.0)"),
+    ("spectral", "spectral", "amplitudes", [0, 0, 0],
+     "amplitudes: amplitudes [0, 0, 0] at frequencies [1.0, 3.0, 5.0] give a constant "
+     "target"),
+], ids=["klsweep-betas", "two_moons-val_fraction", "bounds-lambda", "bounds-m",
+        "two_moons-multi-p", "spectral-multi-p", "bounds-multi-p", "two_moons-softmax-width",
+        "two_moons-fixed-without-betas", "two_moons-warmup-without-ce",
+        "bounds-paper-max-three-terms", "two_moons-single-index", "spectral-single-index",
+        "klsweep-points", "klsweep-bounds", "spectral-constant-target"])
 def test_load_time_error_names_its_field(tmp_path, no_training, monkeypatch, capsys,
                                          config, command, path, value, message):
     def no_testbed(*args, **kwargs):

@@ -359,24 +359,26 @@ def test_forward_from_a_later_layer_gives_the_full_pass_bits():
         netcore._forward_cache(*tail_net(spec, params, 2), acts[1])
 
 
-@pytest.mark.parametrize("widths", [(2, 12, 2), (1, 9, 2), (1, 1, 8, 2)])
+@pytest.mark.parametrize("widths", [(2, 12, 2), (1, 200, 1), (1, 1, 8, 1), (1, 1, 1)])
 @pytest.mark.parametrize("stacked", [False, True])
 def test_tail_net_on_shuffled_rows_gives_the_full_pass_bits(widths, stacked):
-    # nets with 0, 1 and 2 elementwise layers: the net of the layers from
-    # the first with fan-in > 1 on, fed what enters that layer in another
-    # row order, gives the full pass's rows in that order, byte for byte
-    spec = MLPSpec(widths, hidden_activation="sigmoid", output_kind="softmax")
+    # nets with 0, 1 and 2 leading fan-in-1 layers, and one whose output
+    # layer has fan-in 1 too: from a pass over the rows in another order,
+    # predictions_in_data_order gives a forward's bits in data order, at n
+    # with and without OpenBLAS's 4-row tail
+    spec = MLPSpec(widths, hidden_activation="sigmoid", output_kind="sigmoid")
     params = np.stack([netcore.init_params(spec, s, 1.5) for s in (1, 2, 3)])
     if not stacked:
         params = params[0]
-    x = np.random.default_rng(5).standard_normal((37, widths[0]))
-    preds, (_, acts) = netcore._forward_cache(spec, params, x)
-    start = netcore.elementwise_layers(spec)
-    assert start == widths.count(1)
-    order = np.random.default_rng(6).permutation(37)
-    _, (_, shuffled) = netcore._forward_cache(spec, params, x[order])
-    got, _ = netcore._forward_cache(*tail_net(spec, params, start), shuffled[start])
-    assert got.tobytes() == preds[..., order, :].tobytes()
+    rng = np.random.default_rng(5)
+    for n in (37, 255, 256):
+        x = rng.standard_normal((n, widths[0]))
+        orders = np.stack([rng.permutation(n) for _ in range(3)])
+        orders = orders if stacked else orders[0]
+        _, (_, acts) = netcore._forward_cache(spec, params, x[orders])
+        got = netcore.predictions_in_data_order(spec, params, acts, orders)
+        want = netcore.forward(spec, params, Batch(x, np.zeros((n, widths[-1]))))
+        assert np.array_equal(got, want)
 
 
 def test_unpack_params_blocks_are_views_of_the_flat_layout():
@@ -421,15 +423,6 @@ def test_no_term_takes_no_derivative(monkeypatch):
     monkeypatch.setattr(netcore, "_hidden_deriv", lambda *a: derivs.append(a))
     assert netcore._backward_from_cache(spec, cache, []).shape == (0, 2, spec.n_params)
     assert derivs == []
-
-
-def test_elementwise_layers_end_before_the_first_fan_in_above_one():
-    assert netcore.elementwise_layers(MLPSpec((1, 200, 1), output_kind="linear")) == 1
-    assert netcore.elementwise_layers(MLPSpec((1, 1, 8, 1), output_kind="linear")) == 2
-    assert netcore.elementwise_layers(MLPSpec((2, 12, 2))) == 0
-    # the output layer always runs again, even with fan-in 1
-    assert netcore.elementwise_layers(MLPSpec((1, 1), output_kind="linear")) == 0
-    assert netcore.elementwise_layers(MLPSpec((1, 1, 1), output_kind="linear")) == 1
 
 
 def test_stacked_inputs_need_one_block_per_run():
