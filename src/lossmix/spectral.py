@@ -57,18 +57,19 @@ def sigmoid_ft(unit: SigmoidUnit, omega: float) -> complex:
 
 
 def residual_spectrum(outputs: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """DFT of (outputs - target) in numpy's bin order.
+    """DFT of (outputs - target) along the last axis, in numpy's bin order.
 
-    When the n samples span one 2 pi period, bin k has the integer
-    frequency min(k, n - k). Parseval holds:
-    sum |r|^2 = (1/n) sum |DFT|^2.
+    outputs is one row of n samples or an (epochs, n) block of rows; each
+    row's transform has the bits of a transform of its own. When the n
+    samples span one 2 pi period, bin k has the integer frequency
+    min(k, n - k). Parseval holds: sum |r|^2 = (1/n) sum |DFT|^2.
     """
-    outputs = np.asarray(outputs, dtype=np.float64).ravel()
+    outputs = np.asarray(outputs, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64).ravel()
-    if outputs.size != target.size:
-        raise ValueError(
-            f"length mismatch: {outputs.size} outputs vs {target.size} targets")
-    return np.fft.fft(outputs - target)
+    if outputs.shape[-1:] != target.shape:
+        raise ValueError(f"length mismatch: outputs of shape {outputs.shape} "
+                         f"vs {target.size} targets")
+    return np.fft.fft(outputs - target, axis=-1)
 
 
 def check_bands(bands: Sequence[tuple[float, float]], n_points: int) -> None:
@@ -103,7 +104,8 @@ def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray
     The n target samples span one 2 pi period, so a tone k sits on DFT
     bin k; bin k has the integer frequency min(k, n - k), and each band
     sums the bins whose frequency lies strictly inside it (never the DC
-    bin)."""
+    bin). The scan takes one DFT per block of epochs, and each epoch's row
+    keeps the bits of a scan of its own."""
     if len(outputs_by_epoch) < 1:
         raise ValueError("need at least one epoch of outputs")
     if not 0.0 <= threshold < 1.0:
@@ -120,11 +122,24 @@ def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray
     total = float((np.abs(target_f) ** 2).sum())
     filled = [b for b, te in enumerate(target_energy) if te > 1e-12 * max(total, 1e-300)]
 
-    rel = np.full((len(outputs_by_epoch), len(bands)), np.nan)
-    for e, out in enumerate(outputs_by_epoch):
-        res_f = residual_spectrum(out, target)
+    epochs = len(outputs_by_epoch)
+    rel = np.full((epochs, len(bands)), np.nan)
+    # a block costs six float64 per sample: its outputs, their residual, and
+    # the complex copy and transform np.fft.fft makes. Within the element
+    # budget of a training stack, the scan reuses heap a training epoch
+    # freed and leaves the peak RSS where training set it
+    rows = max(1, optim.STACK_ELEMENTS // (6 * n))
+    for first in range(0, epochs, rows):
+        count = min(rows, epochs - first)
+        # an epoch's outputs may be an (n, 1) column, so each becomes one row
+        block = np.reshape(outputs_by_epoch[first:first + count], (count, -1))
+        res_f = residual_spectrum(block, target)
         for b in filled:
-            rel[e, b] = float((np.abs(res_f[masks[b]]) ** 2).sum()) / target_energy[b]
+            # compress keeps each row contiguous, so each row sums pairwise as
+            # an epoch's own would; a mask index lays the block out by column
+            # and sums a band of 8 or more bins in another order
+            band = np.abs(res_f.compress(masks[b], axis=-1)) ** 2
+            rel[first:first + count, b] = band.sum(axis=-1) / target_energy[b]
 
     # NaN is never below the threshold, so an empty band is never captured
     captures = [int(c.argmax()) if c.any() else None for c in (rel < threshold).T]

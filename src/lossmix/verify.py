@@ -471,16 +471,24 @@ def check_pacbayes_dp_branch_continuity():
 
 def gaussian_kl_matches_mc(q, p, seed):
     """kl_gaussians(q, p) is within 3 standard errors of the mean
-    log-density ratio over 100,000 draws from q."""
+    log-density ratio over 100,000 draws from q.
+
+    The draws come in blocks of at most optim.STACK_ELEMENTS elements. A
+    Generator fills successive blocks with the values of one large draw,
+    and each ratio is a row's own, so the result has the bits of a single
+    (100,000, dim) draw."""
     dim = q.mean.size
     closed = pacbayes.kl_gaussians(q, p)
     rng = np.random.default_rng(seed)
     n = 100_000
-    w = q.mean + q.sigma * rng.standard_normal((n, dim))
-    log_q = (losses.row_sum(-0.5 * ((w - q.mean) / q.sigma) ** 2)
-             - dim * math.log(q.sigma))
-    log_p = losses.row_sum(-0.5 * (w / p.lambda_p) ** 2) - dim * math.log(p.lambda_p)
-    ratio = log_q - log_p
+    rows = max(1, optim.STACK_ELEMENTS // dim)
+    ratio = np.empty(n)
+    for first in range(0, n, rows):
+        w = q.mean + q.sigma * rng.standard_normal((min(rows, n - first), dim))
+        log_q = (losses.row_sum(-0.5 * ((w - q.mean) / q.sigma) ** 2)
+                 - dim * math.log(q.sigma))
+        log_p = losses.row_sum(-0.5 * (w / p.lambda_p) ** 2) - dim * math.log(p.lambda_p)
+        ratio[first:first + len(w)] = log_q - log_p
     mc, se = float(ratio.mean()), float(ratio.std(ddof=1) / math.sqrt(n))
     return abs(mc - closed) <= 3 * se, (closed, mc, se)
 

@@ -43,6 +43,15 @@ class TestGaussianKL:
         q = GaussianPosterior(mean=np.linspace(-0.5, 1.0, 4), sigma=0.7)
         assert verify.gaussian_kl_matches_mc(q, GaussianPrior(lambda_p=1.2), 0)[0]
 
+    def test_mc_oracle_bits_are_pinned(self):
+        # verify's own arguments; the bits of one (100,000, 5) draw, which
+        # the oracle's blocked draws keep
+        q = GaussianPosterior(mean=np.linspace(-1, 1, 5), sigma=0.8)
+        ok, (closed, mc, se) = verify.gaussian_kl_matches_mc(q, GaussianPrior(lambda_p=1.3), 30)
+        assert ok
+        assert [float.hex(v) for v in (closed, mc, se)] == [
+            "0x1.9d2a7db33c724p+0", "0x1.9d534e91de1bbp+0", "0x1.fd934ef2210b3p-9"]
+
 
 class TestEmpiricalRisk:
     def setup_method(self):

@@ -126,6 +126,26 @@ class TestFrequencyCapture:
     def test_bands_up_to_nyquist_accepted(self, bands, n):
         check_bands(bands, n)
 
+    def test_blocked_scan_gives_each_epochs_own_bits(self):
+        # 600 epochs at n = 256 span many blocks of the scan, the last one
+        # short; the wide last band sums 178 bins, pairwise in numpy
+        n = 256
+        x = self.grid(n)
+        tones = [1, 5, 20, 50]
+        target = sum(np.sin(k * x) for k in tones)
+        bands = default_bands(tones[:3]) + [(30.0, 120.0)]
+        rng = np.random.default_rng(8)
+        outputs = [target[:, None] + rng.uniform(0.0, 2.0) * rng.standard_normal((n, 1))
+                   for _ in range(600)]
+        report = frequency_capture(outputs, target, bands, 0.2)
+        freqs = np.minimum(np.arange(n), n - np.arange(n))
+        masks = [(freqs > lo) & (freqs < hi) for lo, hi in bands]
+        target_f = np.fft.fft(target)
+        want = np.array([[float((np.abs(np.fft.fft(out[:, 0] - target)[m]) ** 2).sum())
+                          / float((np.abs(target_f[m]) ** 2).sum()) for m in masks]
+                         for out in outputs])
+        assert report.rel_errors.tobytes() == want.tobytes()
+
     def test_band_validation(self):
         x = self.grid()
         with pytest.raises(ValueError, match="Nyquist"):

@@ -4,6 +4,7 @@ one run of the command, so the suite checks what the command reports."""
 import hashlib
 import json
 import pkgutil
+import tracemalloc
 
 import pytest
 
@@ -32,3 +33,19 @@ def test_summary_bytes_are_pinned(verify_run):
     assert verify_run[0] == 0
     assert hashlib.sha256(verify_run[1]).hexdigest() == (
         "f2c9e2d17894e14997ed9f4721aff6f715afbd585f77b2f5a196ab2c42e96ecb")
+
+
+def test_every_invariant_works_within_4_mib():
+    # an invariant's short-lived peak stays mapped (netcore._keep_freed_pages),
+    # so one large oracle would set the command's peak RSS
+    peaks = {}
+    for name, fn in verify.INVARIANTS:
+        tracemalloc.start()
+        try:
+            fn()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    over = {name: f"{peak / 2 ** 20:.2f} MiB" for name, peak in peaks.items()
+            if peak > 4 * 2 ** 20}
+    assert not over, over
