@@ -23,6 +23,7 @@ from . import netcore
 from .composite import BetaWeights, power_mean, weight_vector
 from .losses import LossKind, loss_means
 from .netcore import Batch, MLPSpec
+from .schema import check_fields, setting
 
 MAX_GRID_POINTS = int(1e7)
 DENSITY_TOL = 1e-9
@@ -35,18 +36,17 @@ RESTARTS = 5  # sharpness starting points, nu = 0 included
 class Grid:
     """Uniform 1-d lattice of n_points from lo to hi, with its cell width."""
 
-    lo: float
-    hi: float
-    n_points: int
+    lo: float = setting(type="number")
+    hi: float = setting(type="number")
+    n_points: int = setting(type="integer", minimum=3, key="points")
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
         object.__setattr__(self, "n_points", int(self.n_points))
         if self.lo >= self.hi:
             raise ValueError(f"bad bounds ({self.lo}, {self.hi})")
-        if self.n_points < 3:
-            raise ValueError("n_points must be at least 3")
         if self.n_points > MAX_GRID_POINTS:
             raise ValueError("grid exceeds the point budget")
 

@@ -1,16 +1,22 @@
 """Batch experiment runner: verify | train | klsweep | spectral | bounds.
 
 Configs are JSON documents checked at load time against a published JSON
-Schema (2020-12) by this module's own checker. Load time rejects, with exit
-1, unknown keys (so a typo cannot silently drop a hyperparameter), values out
-of range or of the wrong type, and the literals NaN, Infinity and -Infinity
-and number literals that overflow to infinity: a float such as 1e400, or in
-a number field an integer no float holds, such as 1 followed by 400 zeros
-(an integer field takes any integer). A number with a zero fraction, such
-as 3.0, in an integer field is read as the integer 3.
-Every output directory is named by the SHA-256 of the config as parsed, so
-reruns land in the same place with the same bytes: every seed is a config
-key, and no flag (--config, --out, train's --jobs) changes a result.
+Schema (2020-12) by ``schema.check``. Each block that builds a type (the
+model, the train block, a scheme, the grid, the posterior, the prior and
+the bound) has the schema of that type's settings, whose keywords live
+in their dataclass fields; this module writes only the dataset block,
+which builds no type, and each command's own keys. Load time rejects,
+with exit 1, unknown keys (so a typo cannot silently drop a
+hyperparameter), values out of range or of the wrong type, and the
+literals NaN, Infinity and -Infinity and number literals that overflow to
+infinity: a float such as 1e400, or in a number field an integer no float
+holds, such as 1 followed by 400 zeros (an integer field takes any
+integer). A number with a zero fraction, such as 3.0, in an integer field
+is read as the integer 3.
+Every output directory is named by the SHA-256 of the config as parsed,
+and holds that document as config.json, so reruns land in the same place
+with the same bytes: every seed is a config key, and no flag (--config,
+--out, train's --jobs) changes a result.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime failure,
 3 invariant failure. main records a run that stops being finite in
@@ -23,7 +29,6 @@ import argparse
 import hashlib
 import json
 import math
-import operator
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -31,42 +36,27 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, data, optim, pacbayes, spectral, verify
-from .composite import MODES, SCHEME_KINDS, BetaWeights, Scheme
-from .losses import LossKind
-from .netcore import HIDDEN_ACTIVATIONS, OUTPUT_KINDS, MLPSpec
+from .composite import BetaWeights, Scheme
+from .netcore import MLPSpec
+from .schema import check, finite, object_schema
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_INVARIANT = 3
 
-_SCHEME_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": list(SCHEME_KINDS)},
-        "index": {"type": "integer", "minimum": 0},
-        "p": {"type": "number", "minimum": 1.0},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
+# the fields that only one dataset kind reads; every kind reads the others
+_DATASET_KIND_FIELDS = {
+    "two_moons": ("n", "noise"),
+    "blobs": ("classes", "per_class", "dim", "spread"),
+    "cifar10_bin": ("path", "max_records"),
 }
 
-_MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "layer_widths": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                         "minItems": 2},
-        "hidden_activation": {"enum": list(HIDDEN_ACTIVATIONS)},
-        "output_kind": {"enum": list(OUTPUT_KINDS)},
-    },
-    "required": ["layer_widths"],
-    "additionalProperties": False,
-}
-
+# the dataset block builds no type, so its rules are written here alone
 _DATASET_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["two_moons", "blobs", "cifar10_bin"]},
+        "kind": {"enum": list(_DATASET_KIND_FIELDS)},
         "n": {"type": "integer", "minimum": 2},
         "noise": {"type": "number", "minimum": 0},
         "classes": {"type": "integer", "minimum": 2},
@@ -86,44 +76,10 @@ _DATASET_SCHEMA = {
     "additionalProperties": False,
 }
 
-# the fields that only one dataset kind reads; every kind reads the others
-_DATASET_KIND_FIELDS = {
-    "two_moons": ("n", "noise"),
-    "blobs": ("classes", "per_class", "dim", "spread"),
-    "cifar10_bin": ("path", "max_records"),
-}
-
-_TRAIN_FIELDS = {
-    # the 0-1 loss has no gradient, so it cannot be a training term
-    "terms": {"type": "array", "minItems": 1, "items": {
-        "enum": [k.value for k in LossKind if k is not LossKind.ZERO_ONE]}},
-    "mode": {"enum": list(MODES)},
-    "optimizer": {"enum": list(optim.OPTIMIZERS)},
-    "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-    "momentum": {"type": "number", "minimum": 0},
-    "epochs": {"type": "integer", "minimum": 1},
-    "batch_size": {"type": "integer", "minimum": 1},
-    "noise_eps": {"type": "number", "minimum": 0},
-    "warmup_epochs": {"type": "integer", "minimum": 0},
-    "l2_reg": {"type": "number", "minimum": 0},
-    "init_scale": {"type": "number", "minimum": 0},
-    "beta_rule": {"enum": list(optim.BETA_RULES)},
-    "fixed_betas": {"type": "array", "items": {"type": "number"}},
-}
-_TRAIN_SCHEMA = {"type": "object", "properties": _TRAIN_FIELDS,
-                 "additionalProperties": False}
-
-_BOUND_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "lambda": {"type": "number"},
-        "l_max": {"type": "number", "exclusiveMinimum": 0},
-        "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "eps_dp": {"type": "number", "minimum": 0},
-    },
-    "required": ["lambda", "l_max", "delta"],
-    "additionalProperties": False,
-}
+_SCHEME_SCHEMA = object_schema(Scheme)
+_MODEL_SCHEMA = object_schema(MLPSpec)
+_TRAIN_SCHEMA = object_schema(optim.TrainConfig)
+_TRAIN_FIELDS = _TRAIN_SCHEMA["properties"]
 
 TRAIN_SCHEMA = {
     "type": "object",
@@ -141,16 +97,7 @@ TRAIN_SCHEMA = {
 KLSWEEP_SCHEMA = {
     "type": "object",
     "properties": {
-        "grid": {
-            "type": "object",
-            "properties": {
-                "lo": {"type": "number"},
-                "hi": {"type": "number"},
-                "points": {"type": "integer", "minimum": 3},
-            },
-            "required": ["lo", "hi", "points"],
-            "additionalProperties": False,
-        },
+        "grid": object_schema(analysis.Grid),
         "p_list": {"type": "array", "items": {"type": "number", "minimum": 1},
                    "minItems": 1},
         "betas": {"type": "array", "items": {"type": "number"}, "minItems": 2,
@@ -168,10 +115,11 @@ SPECTRAL_SCHEMA = {
                         "minItems": 1},
         "amplitudes": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "n_points": {"type": "integer", "minimum": 8},
-        "width": {"type": "integer", "minimum": 1},
-        "epochs": {"type": "integer", "minimum": 1},
-        "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-        "init_scale": {"type": "number", "minimum": 0},
+        # the hidden layer's width
+        "width": _MODEL_SCHEMA["properties"]["layer_widths"]["items"],
+        "epochs": _TRAIN_FIELDS["epochs"],
+        "learning_rate": _TRAIN_FIELDS["learning_rate"],
+        "init_scale": _TRAIN_FIELDS["init_scale"],
         "threshold": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
         "schemes": {"type": "array", "items": _SCHEME_SCHEMA, "minItems": 1},
         "seed": {"type": "integer"},
@@ -187,22 +135,10 @@ BOUNDS_SCHEMA = {
         "model": _MODEL_SCHEMA,
         "train": _TRAIN_SCHEMA,
         "scheme": _SCHEME_SCHEMA,
-        "posterior": {
-            "type": "object",
-            "properties": {
-                "sigma": {"type": "number", "exclusiveMinimum": 0},
-                "params_file": {"type": "string"},
-            },
-            "required": ["sigma"],
-            "additionalProperties": False,
-        },
-        "prior": {
-            "type": "object",
-            "properties": {"lambda_p": {"type": "number", "exclusiveMinimum": 0}},
-            "required": ["lambda_p"],
-            "additionalProperties": False,
-        },
-        "bound": _BOUND_SCHEMA,
+        "posterior": object_schema(pacbayes.GaussianPosterior,
+                                   {"params_file": {"type": "string"}}),
+        "prior": object_schema(pacbayes.GaussianPrior),
+        "bound": object_schema(pacbayes.BoundParams),
         "n_samples": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer"},
     },
@@ -211,106 +147,20 @@ BOUNDS_SCHEMA = {
 }
 
 
-# keyword -> (test that fails a number, the failure's message)
-_BOUNDS = {
-    "minimum": (operator.lt, "is less than the minimum of"),
-    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
-    "maximum": (operator.gt, "is greater than the maximum of"),
-    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
-}
-
-
-def _is_type(value, name: str) -> bool:
-    """JSON Schema's types: a bool is not a number, and 2.0 is an integer."""
-    if name in ("integer", "number"):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        return name == "number" or isinstance(value, int) or value.is_integer()
-    return isinstance(value, {"object": dict, "array": list, "string": str}[name])
-
-
-def _checked(value, schema: dict, path: list, errors: list):
-    """value with each integer field's float made an int. Appends (path,
-    message) for each keyword of schema that value breaks, in the order
-    jsonschema's iter_errors yields them and with its message texts. An
-    integer in a number field that no float holds raises ValueError, as a
-    float literal beyond range does at parse time."""
-    out = value
-    for key, rule in schema.items():
-        fail = None
-        if key == "type":
-            if not _is_type(value, rule):
-                fail = f"is not of type {rule!r}"
-            elif rule == "integer":
-                out = int(value)
-            elif isinstance(value, int):  # a number; it may lie beyond float range
-                _finite(str(value))
-        elif key == "enum":
-            if value not in rule:
-                fail = f"is not one of {rule!r}"
-        elif key in _BOUNDS:
-            test, text = _BOUNDS[key]
-            if _is_type(value, "number") and test(value, rule):
-                fail = f"{text} {rule!r}"
-        elif isinstance(value, list):
-            if key == "items":
-                out = [_checked(v, rule, path + [i], errors) for i, v in enumerate(value)]
-            elif key == "minItems" and len(value) < rule:
-                fail = "should be non-empty" if rule == 1 else "is too short"
-            elif key == "maxItems" and len(value) > rule:
-                fail = "is too long"
-        elif isinstance(value, dict):
-            if key == "properties":
-                out = {k: _checked(v, rule[k], path + [k], errors) if k in rule else v
-                       for k, v in value.items()}
-            elif key == "required":
-                errors.extend((path, f"{k!r} is a required property")
-                              for k in rule if k not in value)
-            elif key == "additionalProperties":
-                extras = sorted(set(value) - set(schema.get("properties", {})), key=str)
-                if extras:
-                    names = ", ".join(map(repr, extras))
-                    verb = "was" if len(extras) == 1 else "were"
-                    errors.append((path, f"Additional properties are not allowed "
-                                         f"({names} {verb} unexpected)"))
-        if fail is not None:
-            errors.append((path, f"{value!r} {fail}"))
-    return out
-
-
-def _check(config, schema: dict):
-    """config as the program reads it, or ValueError naming the first
-    error in path order, ties kept in schema keyword order."""
-    errors = []
-    checked = _checked(config, schema, [], errors)
-    if errors:
-        path, message = min(errors, key=lambda e: e[0])
-        where = "/".join(map(str, path)) or "<root>"
-        raise ValueError(f"config field {where}: {message}")
-    return checked
-
-
-def _finite(text: str) -> float:
-    """A JSON number literal as a float, or ValueError if it is not finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"config number {text} is not finite")
-    return value
-
-
-def _load_config(path: str, schema: dict) -> tuple[dict, str]:
+def _load_config(path: str, schema: dict) -> tuple[dict, dict, str]:
+    """The config at path as the program reads it, the document as parsed,
+    and the SHA-256 of that document, which names the output directory."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
     try:
         # json.loads hands NaN, Infinity and -Infinity to parse_constant
-        config = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        doc = json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
-    digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()).hexdigest()
-    return _check(config, schema), digest
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return check(doc, schema), doc, digest
 
 
 def _scheme_from(doc: dict) -> Scheme:
@@ -324,6 +174,9 @@ def _dataset_from(doc: dict) -> tuple[data.Dataset, data.Dataset]:
     if unread:
         raise ValueError(f"config field dataset/{unread[0]}: a {kind} dataset does not "
                          f"read it")
+    if "randomize_seed" in doc and doc.get("randomize_level", 0.0) <= 0:
+        raise ValueError("config field dataset/randomize_seed: only a positive "
+                         "randomize_level reads it")
     seed = doc.get("seed", 0)
     if kind == "two_moons":
         full = data.two_moons(doc.get("n", 400), doc.get("noise", 0.1), seed)
@@ -346,7 +199,10 @@ def _dataset_from(doc: dict) -> tuple[data.Dataset, data.Dataset]:
 
 
 def _model_from(doc: dict) -> MLPSpec:
-    return MLPSpec(**doc)
+    if "hidden_activation" in doc and len(doc["layer_widths"]) == 2:
+        raise ValueError("config field model/hidden_activation: a net with no hidden "
+                         "layer does not read it")
+    return _reading("model/layer_widths", MLPSpec, **doc)
 
 
 def _schemes(config: dict) -> dict[str, Scheme]:
@@ -428,7 +284,7 @@ def cmd_verify(out: Path) -> int:
 
 
 def cmd_train(config: dict, digest: str, out: Path) -> int:
-    spec = _reading("model/layer_widths", _model_from, config["model"])
+    spec = _model_from(config["model"])
     train_set, val_set = _dataset_from(config["dataset"])
     _check_widths(spec, train_set)
     seeds = config["seeds"]
@@ -480,8 +336,6 @@ def cmd_spectral(config: dict, digest: str, out: Path) -> int:
     # read as integers, but a target's frequencies are floats
     freqs = tuple(map(float, config.get("frequencies", [1.0, 3.0, 5.0])))
     amps = tuple(config.get("amplitudes", [1.0] * len(freqs)))
-    if len(amps) != len(freqs):
-        raise ValueError("config field amplitudes: must match frequencies")
     target = _reading("frequencies", spectral.SpectralTarget, frequencies=freqs,
                       amplitudes=amps, n_points=config.get("n_points", 256))
     _reading("amplitudes", lambda: target.data)  # built once, and kept
@@ -508,7 +362,7 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
         if key in config and "params_file" in post_doc:
             raise ValueError(f"config field {key}: a posterior mean read from "
                              f"posterior/params_file is not trained")
-    spec = _reading("model/layer_widths", _model_from, config["model"])
+    spec = _model_from(config["model"])
     train_set, val_set = _dataset_from(config["dataset"])
     _check_widths(spec, train_set)
     seed = config.get("seed", 0)
@@ -518,8 +372,7 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
                      lambda_p=config["prior"]["lambda_p"])
     _reading("posterior/sigma", pacbayes.kl_spread_term, spec.n_params,
              post_doc["sigma"], prior)
-    # m is the training set's size; with m checked here, the schema's bounds
-    # on l_max, delta and eps_dp leave lambda the one field BoundParams rejects
+    # m is the training set's size
     if train_set.n < 2:
         raise ValueError(f"config field dataset: a certificate needs at least 2 "
                          f"training points, got {train_set.n}")
@@ -605,9 +458,11 @@ def main(argv=None) -> int:
     try:
         if schema is None:
             return handler(out)
-        config, digest = _load_config(args.config, schema)
+        config, doc, digest = _load_config(args.config, schema)
         out = out / f"{args.command}-{digest[:12]}"
-        return handler(config, digest, out)
+        code = handler(config, digest, out)
+        _write_json(out / "config.json", doc)
+        return code
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -618,6 +473,7 @@ def main(argv=None) -> int:
             cfg = exc.record.config
             record.update(run=cfg.scheme.label(), seed=cfg.seed, epoch=exc.epoch)
         _write_json(out / "failure.json", record)
+        _write_json(out / "config.json", doc)
         print(f"runtime error: {exc}; failure record in {out}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .netcore import softmax
+from .schema import check_fields, setting
 
 VALUE_FLOOR = 1e-12
 SIMPLEX_TOL = 1e-12
@@ -87,13 +88,12 @@ class Scheme:
     nonlinear(1) in weighted mode, which the tests assert.
     """
 
-    kind: str
-    index: int = 0
-    p: float = 1.0
+    kind: str = setting(enum=list(SCHEME_KINDS))
+    index: int = setting(0, type="integer", minimum=0)
+    p: float = setting(1.0, type="number", minimum=1.0)
 
     def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
+        check_fields(self)
         if self.kind == "nonlinear":
             _power(self.p)
         # a field the kind ignores would train the same run under another name

@@ -55,8 +55,6 @@ def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
 
 def gaussian_blobs(k: int, n_per_class: int, d: int, spread: float, seed: int) -> Dataset:
     """k isotropic Gaussian clusters with seeded random centers."""
-    if k < 2 or n_per_class < 1 or d < 1:
-        raise ValueError("need k >= 2 classes, positive samples and dimension")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-3.0, 3.0, size=(k, d))
     inputs = np.vstack([
@@ -68,8 +66,6 @@ def gaussian_blobs(k: int, n_per_class: int, d: int, spread: float, seed: int) -
 
 def two_moons(n: int, noise: float, seed: int) -> Dataset:
     """Two interleaved half-circles; not linearly separable even at noise 0."""
-    if n < 2:
-        raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
     n_top = n // 2
     n_bot = n - n_top
@@ -109,8 +105,6 @@ def randomize_labels(data: Dataset, r: float, seed: int) -> Dataset:
     Exactly round(r n) rows are drawn again, and a replacement may repeat
     the original class, so the expected changed fraction is r (1 - 1/K).
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"randomization level must be in [0, 1], got {r}")
     if not data.is_classification:
         raise ValueError("label randomization needs a classification dataset")
     n, k = data.n, data.k_classes
@@ -130,8 +124,6 @@ def load_cifar10_bin(path, max_records: int) -> Dataset:
     planes, row-major 32x32). Pixels are scaled to [0, 1] and flattened;
     labels become one-hot rows.
     """
-    if max_records < 1:
-        raise ValueError("empty request: max_records must be >= 1")
     raw = Path(path).read_bytes()
     if len(raw) % CIFAR_RECORD_BYTES != 0:
         raise ValueError(
@@ -171,8 +163,6 @@ def write_cifar10_bin(path, labels: np.ndarray, pixels: np.ndarray) -> None:
 
 def train_val_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle then split; the two sides are disjoint and exhaustive."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be strictly between 0 and 1")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(data.n)
     n_train = int(round(fraction * data.n))

@@ -85,6 +85,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .losses import LossKind, loss_means, loss_output_grad, row_max, row_sum
+from .schema import check_fields, setting
 
 HIDDEN_ACTIVATIONS = ("sigmoid", "tanh", "relu")
 OUTPUT_KINDS = ("linear", "softmax", "sigmoid")
@@ -121,20 +122,14 @@ _keep_freed_pages()
 class MLPSpec:
     """Architecture of a fully-connected net, input width first."""
 
-    layer_widths: tuple[int, ...]
-    hidden_activation: str = "tanh"
-    output_kind: str = "softmax"
+    layer_widths: tuple[int, ...] = setting(
+        type="array", items={"type": "integer", "minimum": 1}, minItems=2)
+    hidden_activation: str = setting("tanh", enum=list(HIDDEN_ACTIVATIONS))
+    output_kind: str = setting("softmax", enum=list(OUTPUT_KINDS))
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
-        if len(self.layer_widths) < 2:
-            raise ValueError("need at least an input and an output layer")
-        if any(w < 1 for w in self.layer_widths):
-            raise ValueError(f"layer widths must be >= 1, got {self.layer_widths}")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
-        if self.output_kind not in OUTPUT_KINDS:
-            raise ValueError(f"unknown output kind {self.output_kind!r}")
         if self.output_kind == "softmax" and self.layer_widths[-1] < 2:
             raise ValueError(
                 "softmax output needs width >= 2; use output_kind='sigmoid' "

@@ -33,6 +33,7 @@ from .composite import (MODES, VALUE_FLOOR, BetaWeights, Scheme, adaptive_betas,
 from .data import Dataset
 from .losses import LossKind, loss_means
 from .netcore import MLPSpec
+from .schema import check_fields, setting
 
 OPTIMIZERS = ("sgd", "momentum", "adam")
 BETA_RULES = ("softmax", "paper-max", "fixed")
@@ -61,43 +62,32 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     scheme: Scheme
-    terms: tuple[LossKind, ...] = (LossKind.CE, LossKind.MSE)
-    mode: str = "weighted"
-    optimizer: str = "adam"
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    epochs: int = 50
-    batch_size: int = 32
-    noise_eps: float = 0.0
-    warmup_epochs: int = 0
-    l2_reg: float = 0.0
+    # the 0-1 loss has no gradient, so it cannot be a training term
+    terms: tuple[LossKind, ...] = setting(
+        (LossKind.CE, LossKind.MSE), type="array", minItems=1,
+        items={"enum": [k.value for k in LossKind if k is not LossKind.ZERO_ONE]})
+    mode: str = setting("weighted", enum=list(MODES))
+    optimizer: str = setting("adam", enum=list(OPTIMIZERS))
+    learning_rate: float = setting(0.01, type="number", exclusiveMinimum=0)
+    momentum: float = setting(0.9, type="number", minimum=0)
+    epochs: int = setting(50, type="integer", minimum=1)
+    batch_size: int = setting(32, type="integer", minimum=1)
+    noise_eps: float = setting(0.0, type="number", minimum=0)
+    warmup_epochs: int = setting(0, type="integer", minimum=0)
+    l2_reg: float = setting(0.0, type="number", minimum=0)
     seed: int = 0
-    init_scale: float = 0.5
-    beta_rule: str = "softmax"
-    fixed_betas: tuple[float, ...] | None = None
+    init_scale: float = setting(0.5, type="number", minimum=0)
+    beta_rule: str = setting("softmax", enum=list(BETA_RULES))
+    fixed_betas: tuple[float, ...] | None = setting(
+        None, type="array", items={"type": "number"})
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "terms", tuple(LossKind(t) for t in self.terms))
         if self.fixed_betas is not None:
             object.__setattr__(self, "fixed_betas", tuple(self.fixed_betas))
-        if not self.terms:
-            raise ValueError("need at least one term")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if not 0 <= self.warmup_epochs < self.epochs:
+        if self.warmup_epochs >= self.epochs:
             raise ValueError("warmup_epochs must be in [0, epochs)")
-        if any(v < 0 for v in (self.momentum, self.noise_eps, self.l2_reg,
-                               self.init_scale)):
-            raise ValueError("momentum, noise_eps, l2_reg and init_scale must be "
-                             "nonnegative")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.beta_rule not in BETA_RULES:
-            raise ValueError(f"unknown beta rule {self.beta_rule!r}")
         if self.beta_rule == "fixed" and self.fixed_betas is None:
             raise ValueError("beta_rule 'fixed' needs fixed_betas")
         if self.beta_rule != "fixed" and self.fixed_betas is not None:
@@ -110,10 +100,8 @@ class TrainConfig:
                                  f"{len(self.terms)} terms")
         if self.beta_rule == "paper-max" and len(self.terms) != 2:
             raise ValueError("paper-max rule needs exactly two terms")
-        if self.scheme.kind == "single" and not 0 <= self.scheme.index < len(self.terms):
+        if self.scheme.kind == "single" and self.scheme.index >= len(self.terms):
             raise ValueError(f"single-scheme index {self.scheme.index} out of range")
-        if LossKind.ZERO_ONE in self.terms:
-            raise ValueError("the zero_one loss has no gradient to train on")
         if self.warmup_epochs > 0 and LossKind.CE not in self.terms:
             raise ValueError("warm-start needs a cross-entropy term")
 

@@ -24,6 +24,7 @@ from . import netcore, optim
 from .data import Dataset
 from .losses import LossKind, loss_means
 from .netcore import MLPSpec
+from .schema import check_fields, setting
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,11 @@ class GaussianPosterior:
     """Isotropic Gaussian over the flat weight vector."""
 
     mean: np.ndarray
-    sigma: float
+    sigma: float = setting(type="number", exclusiveMinimum=0)
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
 
     @property
     def dim(self) -> int:
@@ -50,11 +50,10 @@ class GaussianPosterior:
 class GaussianPrior:
     """Zero-mean isotropic Gaussian prior with standard deviation lambda_p."""
 
-    lambda_p: float
+    lambda_p: float = setting(type="number", exclusiveMinimum=0)
 
     def __post_init__(self):
-        if self.lambda_p <= 0:
-            raise ValueError("lambda_p must be positive")
+        check_fields(self)
         try:
             two_var = 2.0 * self.lambda_p ** 2
         except OverflowError:
@@ -66,25 +65,20 @@ class GaussianPrior:
 
 @dataclass(frozen=True)
 class BoundParams:
-    lam: float
-    l_max: float
-    delta: float
-    m: int
-    eps_dp: float = 0.0
+    lam: float = setting(type="number", key="lambda")
+    l_max: float = setting(type="number", exclusiveMinimum=0)
+    delta: float = setting(type="number", exclusiveMinimum=0, exclusiveMaximum=1)
+    m: int  # the training set's size, not a config key
+    eps_dp: float = setting(0.0, type="number", minimum=0)
 
     def __post_init__(self):
+        check_fields(self)
         if self.lam <= 0.5:
             raise ValueError(
                 "lambda must be greater than 1/2: the linear risk bound's "
                 "(1 - 1/(2 lambda)) factor must be positive")
-        if self.l_max <= 0:
-            raise ValueError("l_max must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
         if self.m < 2:
             raise ValueError("m must be at least 2")
-        if self.eps_dp < 0:
-            raise ValueError("privacy budget must be nonnegative")
 
 
 def kl_spread_term(d: int, sigma: float, P: GaussianPrior) -> float:

@@ -108,8 +108,6 @@ def frequency_capture(outputs_by_epoch: Sequence[np.ndarray], target: np.ndarray
     keeps the bits of a scan of its own."""
     if len(outputs_by_epoch) < 1:
         raise ValueError("need at least one epoch of outputs")
-    if not 0.0 <= threshold < 1.0:
-        raise ValueError("threshold must be in [0, 1)")
     target = np.asarray(target, dtype=np.float64).ravel()
     n = target.size
     check_bands(bands, n)

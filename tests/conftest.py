@@ -6,8 +6,10 @@ from hypothesis import settings
 
 from lossmix import cli
 
-# criterion 08 trains nine 1200-epoch width-200 nets: most of the suite's time
-SLOW = {"test_acceptance.py::test_criterion_08_f_principle_reproduction"}
+# criterion 08 trains nine 1200-epoch width-200 nets: most of the suite's
+# time; the shipped spectral config trains three, twice
+SLOW = {"test_acceptance.py::test_criterion_08_f_principle_reproduction",
+        "test_cli.py::test_config_json_reruns_into_its_own_directory[spectral-spectral]"}
 
 # property tests draw the same examples on every run and keep no example
 # database, so the suite is deterministic; no deadline, so a slow host

@@ -23,7 +23,7 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError, match="bounds"):
             Grid(1.0, 0.0, 11)
-        with pytest.raises(ValueError, match="n_points"):
+        with pytest.raises(ValueError, match="^points: 2 is less than the minimum of 3$"):
             Grid(0.0, 1.0, 2)
         with pytest.raises(ValueError, match="budget"):
             Grid(0.0, 1.0, analysis.MAX_GRID_POINTS + 1)

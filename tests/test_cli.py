@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lossmix
-from lossmix import analysis, cli, composite, data, optim, spectral
+from lossmix import analysis, cli, composite, data, optim, pacbayes, spectral
+from lossmix.netcore import MLPSpec
+from lossmix.schema import check
 
 
 def run_cli(argv):
@@ -299,7 +301,7 @@ class TestTrainCommand:
         (failure,) = (tmp_path / "o").rglob("failure.json")
         assert json.loads(failure.read_text())["seed"] == 6
         assert sorted(p.name for p in failure.parent.iterdir()) == [
-            "failure.json", "multi-seed5", "multi-seed6"]
+            "config.json", "failure.json", "multi-seed5", "multi-seed6"]
         assert (failure.parent / "multi-seed6" / "trajectory.csv").exists()
         (params,) = (tmp_path / "o").rglob("params.npz")
         assert params.parent.name == "multi-seed5"
@@ -871,13 +873,16 @@ def test_runtime_failure_writes_one_record(tmp_path, capsys, command, doc, recor
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"runtime error: {record['message']}; failure record in {out_dir}"
     assert json.loads((out_dir / "failure.json").read_text()) == record
+    # the directory holds the config it is named by
+    assert (out_dir / "config.json").read_text() == json.dumps(doc, sort_keys=True,
+                                                                 indent=2)
     written = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*"))
     if command != "train":
-        assert written == ["failure.json"]
+        assert written == ["config.json", "failure.json"]
         return
     # train still writes the diverged run's directory, with every complete epoch
-    assert written == ["failure.json", "single0-seed3", "single0-seed3/run.json",
-                       "single0-seed3/trajectory.csv"]
+    assert written == ["config.json", "failure.json", "single0-seed3",
+                       "single0-seed3/run.json", "single0-seed3/trajectory.csv"]
     rows = (out_dir / "single0-seed3" / "trajectory.csv").read_text().splitlines()
     assert len(rows) == 1 + record["epoch"]
 
@@ -951,9 +956,13 @@ def test_scheme_field_its_kind_ignores_rejected_before_training(
      "dataset/path: a cifar10_bin dataset needs a path"),
     ("bounds", "dataset", {"kind": "cifar10_bin", "path": "no/such/dir/batch.bin"},
      "dataset/path: cannot read no/such/dir/batch.bin: No such file or directory"),
+    ("train", "dataset/randomize_seed", 7,
+     "dataset/randomize_seed: only a positive randomize_level reads it"),
+    ("train", "model", {"layer_widths": [2, 2], "hidden_activation": "relu"},
+     "model/hidden_activation: a net with no hidden layer does not read it"),
 ], ids=["moons-classes", "moons-spread", "moons-path", "moons-max_records", "blobs-noise",
         "cifar-dim", "adam-momentum", "sgd-momentum", "cifar-without-path",
-        "cifar-missing-file"])
+        "cifar-missing-file", "randomize_seed-without-level", "activation-without-hidden"])
 def test_field_no_result_reads_rejected_before_training(tmp_path, no_training, capsys,
                                                         command, path, value, message):
     cfg = write_config(tmp_path, with_value(SMALL_CONFIGS[command], path, value))
@@ -996,11 +1005,14 @@ def test_field_no_result_reads_rejected_before_training(tmp_path, no_training, c
     ("spectral", "spectral", "amplitudes", [0, 0, 0],
      "amplitudes: amplitudes [0, 0, 0] at frequencies [1.0, 3.0, 5.0] give a constant "
      "target"),
+    ("spectral", "spectral", "amplitudes", [1.0, 0.5],
+     "amplitudes: need matching nonempty frequency and amplitude lists"),
 ], ids=["klsweep-betas", "two_moons-val_fraction", "bounds-lambda", "bounds-m",
         "two_moons-multi-p", "spectral-multi-p", "bounds-multi-p", "two_moons-softmax-width",
         "two_moons-fixed-without-betas", "two_moons-warmup-without-ce",
         "bounds-paper-max-three-terms", "two_moons-single-index", "spectral-single-index",
-        "klsweep-points", "klsweep-bounds", "spectral-constant-target"])
+        "klsweep-points", "klsweep-bounds", "spectral-constant-target",
+        "spectral-amplitudes-length"])
 def test_load_time_error_names_its_field(tmp_path, no_training, monkeypatch, capsys,
                                          config, command, path, value, message):
     def no_testbed(*args, **kwargs):
@@ -1016,9 +1028,121 @@ def test_load_time_error_names_its_field(tmp_path, no_training, monkeypatch, cap
     assert not (tmp_path / "o").exists()
 
 
+# sha256 of json.dumps(schema, sort_keys=True) for each published schema:
+# a change to a config rule changes one of these, and says so here
+PUBLISHED_SCHEMA_SHA256 = {
+    "TRAIN_SCHEMA": "9c9fa6cfe50c9f56d6033a706de2495c08ba8c4a60c5e9e482a7a48a540db46e",
+    "KLSWEEP_SCHEMA": "b3a2afb31d93b380355221aedc55536deb9a5a81ad749c51962ff889d42274cc",
+    "SPECTRAL_SCHEMA": "12d906fed3d6305241ed0cda4c92c34521e1cfee3555167ea5bf0264ce051677",
+    "BOUNDS_SCHEMA": "f364a63ce6df2ca05e814b91e4711babbec449ad51a58dacd3d9f87827b77223",
+}
+
+
+def test_published_schemas_are_pinned():
+    got = {name: hashlib.sha256(json.dumps(getattr(cli, name), sort_keys=True)
+                                .encode()).hexdigest() for name in PUBLISHED_SCHEMA_SHA256}
+    assert got == PUBLISHED_SCHEMA_SHA256
+
+
+def _train_config(**kwargs):
+    return optim.TrainConfig(scheme=composite.Scheme.multi(), **kwargs)
+
+
+def _bound_params(**kwargs):
+    return pacbayes.BoundParams(**{"lam": 1.0, "l_max": 1.0, "delta": 0.05, "m": 100,
+                                   **kwargs})
+
+
+# each bound and enum a type's setting carries: the shipped config and the
+# block the type is built from, the setting's config key, a value it
+# rejects, and the same value given to the type directly
+MOVED_RULES = [
+    ("two_moons", "train", "terms", [], lambda v: _train_config(terms=v)),
+    ("two_moons", "train", "terms", ["ce", "zero_one"], lambda v: _train_config(terms=v)),
+    ("two_moons", "train", "mode", "bogus", lambda v: _train_config(mode=v)),
+    ("two_moons", "train", "optimizer", "rmsprop", lambda v: _train_config(optimizer=v)),
+    ("two_moons", "train", "learning_rate", 0, lambda v: _train_config(learning_rate=v)),
+    ("two_moons", "train", "momentum", -0.5, lambda v: _train_config(momentum=v)),
+    ("two_moons", "train", "epochs", 0, lambda v: _train_config(epochs=v)),
+    ("two_moons", "train", "batch_size", 0, lambda v: _train_config(batch_size=v)),
+    ("two_moons", "train", "noise_eps", -1e-4, lambda v: _train_config(noise_eps=v)),
+    ("two_moons", "train", "warmup_epochs", -1,
+     lambda v: _train_config(warmup_epochs=v)),
+    ("two_moons", "train", "l2_reg", -1.0, lambda v: _train_config(l2_reg=v)),
+    ("two_moons", "train", "init_scale", -0.5, lambda v: _train_config(init_scale=v)),
+    ("two_moons", "train", "beta_rule", "max", lambda v: _train_config(beta_rule=v)),
+    ("two_moons", "train", "fixed_betas", ["x", 1.0],
+     lambda v: _train_config(beta_rule="fixed", fixed_betas=v)),
+    ("two_moons", "model", "layer_widths", [2], lambda v: MLPSpec(v)),
+    ("two_moons", "model", "layer_widths", [2, 0, 2], lambda v: MLPSpec(v)),
+    ("two_moons", "model", "hidden_activation", "gelu",
+     lambda v: MLPSpec((2, 4, 2), hidden_activation=v)),
+    ("two_moons", "model", "output_kind", "logits",
+     lambda v: MLPSpec((2, 4, 2), output_kind=v)),
+    ("two_moons", "schemes/0", "kind", "double", lambda v: composite.Scheme(kind=v)),
+    ("two_moons", "schemes/0", "index", -1,
+     lambda v: composite.Scheme(kind="single", index=v)),
+    ("two_moons", "schemes/2", "p", 0.5, lambda v: composite.Scheme(kind="nonlinear", p=v)),
+    ("bounds", "scheme", "p", 0.5, lambda v: composite.Scheme(kind="nonlinear", p=v)),
+    ("bounds", "posterior", "sigma", 0,
+     lambda v: pacbayes.GaussianPosterior(mean=np.zeros(3), sigma=v)),
+    ("bounds", "prior", "lambda_p", -1.0, lambda v: pacbayes.GaussianPrior(lambda_p=v)),
+    ("bounds", "bound", "lambda", "1", lambda v: _bound_params(lam=v)),
+    ("bounds", "bound", "l_max", 0, lambda v: _bound_params(l_max=v)),
+    ("bounds", "bound", "delta", 0, lambda v: _bound_params(delta=v)),
+    ("bounds", "bound", "delta", 1, lambda v: _bound_params(delta=v)),
+    ("bounds", "bound", "eps_dp", -0.01, lambda v: _bound_params(eps_dp=v)),
+    ("klsweep", "grid", "points", 2, lambda v: analysis.Grid(-3.0, 3.0, v)),
+]
+
+
+@pytest.mark.parametrize("config, block, key, value, make", MOVED_RULES,
+                         ids=[f"{row[1]}/{row[2]}={row[3]!r}" for row in MOVED_RULES])
+def test_type_and_config_reject_a_value_with_one_message(tmp_path, config, block, key,
+                                                         value, make):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+    doc = with_value(json.loads(shipped.read_text()), f"{block}/{key}", value)
+    schema_name = {"two_moons": "TRAIN_SCHEMA"}.get(config, f"{config.upper()}_SCHEMA")
+    with pytest.raises(ValueError) as at_load:
+        cli._load_config(write_config(tmp_path, doc), getattr(cli, schema_name))
+    with pytest.raises(ValueError) as direct:
+        make(value)
+    prefix = f"config field {block}/"
+    assert str(at_load.value).startswith(prefix + key)
+    assert str(direct.value) == str(at_load.value).removeprefix(prefix)
+
+
+# the generators do not check what the dataset block's schema already holds
+@pytest.mark.parametrize("dataset, message", [
+    ({"kind": "two_moons", "n": 1}, "dataset/n: 1 is less than the minimum of 2"),
+    ({"kind": "blobs", "classes": 1}, "dataset/classes: 1 is less than the minimum of 2"),
+    ({"kind": "blobs", "per_class": 0},
+     "dataset/per_class: 0 is less than the minimum of 1"),
+    ({"kind": "blobs", "dim": 0}, "dataset/dim: 0 is less than the minimum of 1"),
+    ({"kind": "cifar10_bin", "path": "x.bin", "max_records": 0},
+     "dataset/max_records: 0 is less than the minimum of 1"),
+    ({"kind": "two_moons", "randomize_level": 1.2},
+     "dataset/randomize_level: 1.2 is greater than the maximum of 1"),
+    ({"kind": "two_moons", "randomize_level": -0.1},
+     "dataset/randomize_level: -0.1 is less than the minimum of 0"),
+    ({"kind": "two_moons", "val_fraction": 0},
+     "dataset/val_fraction: 0 is less than or equal to the minimum of 0"),
+    ({"kind": "two_moons", "val_fraction": 1},
+     "dataset/val_fraction: 1 is greater than or equal to the maximum of 1"),
+], ids=["moons-n", "blobs-classes", "blobs-per_class", "blobs-dim", "cifar-max_records",
+        "randomize_level-above", "randomize_level-below", "val_fraction-0",
+        "val_fraction-1"])
+def test_dataset_value_no_generator_checks_rejected_at_load(tmp_path, no_training, capsys,
+                                                           dataset, message):
+    cfg = write_config(tmp_path, with_value(SMALL_CONFIGS["train"], "dataset", dataset))
+    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"validation error: config field {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_integer_fields_take_any_integer():
     doc = dict(SMALL_CONFIGS["train"], seeds=[10 ** 400])
-    assert cli._check(doc, cli.TRAIN_SCHEMA) == doc
+    assert check(doc, cli.TRAIN_SCHEMA) == doc
 
 
 def result_files(root: Path) -> dict:
@@ -1061,6 +1185,38 @@ def test_integral_float_in_integer_field_is_read_as_int(tmp_path, capsys, comman
         assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0
         results.append(result_files(out))
     assert results[0] and results[0] == results[1]
+
+
+def _written(root: Path) -> dict:
+    """Each file under root by its path below root; run.json without its
+    wall-clock times."""
+    found = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            content = path.read_bytes()
+            if path.name == "run.json":
+                content = json.loads(content)
+                del content["wall_clock"]
+            found[path.relative_to(root).as_posix()] = content
+    return found
+
+
+@pytest.mark.parametrize("config, command", [
+    ("two_moons", "train"), ("klsweep", "klsweep"), ("spectral", "spectral"),
+    ("bounds", "bounds")])
+def test_config_json_reruns_into_its_own_directory(tmp_path, capsys, config, command):
+    # config.json is the document the directory's digest was taken of, so
+    # it reruns into a directory of the same name with the same results
+    shipped = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+    assert run_cli([command, "--config", str(shipped), "--out", str(tmp_path / "a")]) == 0
+    (first,) = (tmp_path / "a").iterdir()
+    saved = first / "config.json"
+    doc = json.loads(shipped.read_text())
+    assert saved.read_text() == json.dumps(doc, sort_keys=True, indent=2)
+    assert run_cli([command, "--config", str(saved), "--out", str(tmp_path / "b")]) == 0
+    (second,) = (tmp_path / "b").iterdir()
+    assert second.name == first.name
+    assert _written(second) == _written(first)
 
 
 def _oracle_documents():
@@ -1164,7 +1320,7 @@ def test_checker_agrees_with_jsonschema(data):
         where = "/".join(str(p) for p in errors[0].absolute_path) or "<root>"
         expected = f"config field {where}: {errors[0].message}"
     try:
-        checked, got = cli._check(doc, schema), None
+        checked, got = check(doc, schema), None
     except ValueError as exc:
         got = str(exc)
     assert got == expected

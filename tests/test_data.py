@@ -90,11 +90,6 @@ class TestRandomizeLabels:
         with pytest.raises(ValueError, match="classification"):
             randomize_labels(ds, 0.2, seed=0)
 
-    def test_level_validation(self):
-        ds = gaussian_blobs(3, 10, 2, 0.5, seed=12)
-        with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            randomize_labels(ds, 1.2, seed=0)
-
 
 class TestCifarLoader:
     def make_file(self, tmp_path, n=50, seed=0):
@@ -135,8 +130,10 @@ class TestCifarLoader:
             load_cifar10_bin(path, 4)
 
     def test_zero_request(self, tmp_path):
+        # a config's max_records below 1 exits 1 at load time; a direct call
+        # reads no record, and a dataset holds at least one
         path, _, _ = self.make_file(tmp_path, n=4)
-        with pytest.raises(ValueError, match="empty request"):
+        with pytest.raises(ValueError, match="at least one sample"):
             load_cifar10_bin(path, 0)
 
     def test_too_many_records(self, tmp_path):
