@@ -18,6 +18,14 @@ and holds that document as config.json, so reruns land in the same place
 with the same bytes: every seed is a config key, and no flag (--config,
 --out, train's --jobs) changes a result.
 
+Each command loads only the modules it runs. Importing this module loads
+what ``train`` runs: ``data`` and ``optim``, and with them ``netcore``,
+``composite``, ``losses`` and ``schema``. ``verify``, ``klsweep``,
+``spectral`` and ``bounds`` import ``verify``, ``analysis``, ``spectral``
+and ``pacbayes`` when they run, and ``KLSWEEP_SCHEMA`` and
+``BOUNDS_SCHEMA``, which need the types of ``analysis`` and ``pacbayes``,
+are built when first read.
+
 Exit codes: 0 success, 1 validation failure, 2 runtime failure,
 3 invariant failure. main records a run that stops being finite in
 failure.json, in the command's output directory.
@@ -35,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, data, optim, pacbayes, spectral, verify
+from . import data, optim
 from .composite import BetaWeights, Scheme
 from .netcore import MLPSpec
 from .schema import check, finite, object_schema
@@ -94,19 +102,6 @@ TRAIN_SCHEMA = {
     "additionalProperties": False,
 }
 
-KLSWEEP_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "grid": object_schema(analysis.Grid),
-        "p_list": {"type": "array", "items": {"type": "number", "minimum": 1},
-                   "minItems": 1},
-        "betas": {"type": "array", "items": {"type": "number"}, "minItems": 2,
-                  "maxItems": 2},
-    },
-    "required": [],
-    "additionalProperties": False,
-}
-
 SPECTRAL_SCHEMA = {
     "type": "object",
     "properties": {
@@ -128,23 +123,57 @@ SPECTRAL_SCHEMA = {
     "additionalProperties": False,
 }
 
-BOUNDS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "dataset": _DATASET_SCHEMA,
-        "model": _MODEL_SCHEMA,
-        "train": _TRAIN_SCHEMA,
-        "scheme": _SCHEME_SCHEMA,
-        "posterior": object_schema(pacbayes.GaussianPosterior,
-                                   {"params_file": {"type": "string"}}),
-        "prior": object_schema(pacbayes.GaussianPrior),
-        "bound": object_schema(pacbayes.BoundParams),
-        "n_samples": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-    },
-    "required": ["dataset", "model", "posterior", "prior", "bound"],
-    "additionalProperties": False,
-}
+
+def _klsweep_schema() -> dict:
+    from . import analysis
+
+    return {
+        "type": "object",
+        "properties": {
+            "grid": object_schema(analysis.Grid),
+            "p_list": {"type": "array", "items": {"type": "number", "minimum": 1},
+                       "minItems": 1},
+            "betas": {"type": "array", "items": {"type": "number"}, "minItems": 2,
+                      "maxItems": 2},
+        },
+        "required": [],
+        "additionalProperties": False,
+    }
+
+
+def _bounds_schema() -> dict:
+    from . import pacbayes
+
+    return {
+        "type": "object",
+        "properties": {
+            "dataset": _DATASET_SCHEMA,
+            "model": _MODEL_SCHEMA,
+            "train": _TRAIN_SCHEMA,
+            "scheme": _SCHEME_SCHEMA,
+            "posterior": object_schema(pacbayes.GaussianPosterior,
+                                       {"params_file": {"type": "string"}}),
+            "prior": object_schema(pacbayes.GaussianPrior),
+            "bound": object_schema(pacbayes.BoundParams),
+            "n_samples": {"type": "integer", "minimum": 1},
+            "seed": {"type": "integer"},
+        },
+        "required": ["dataset", "model", "posterior", "prior", "bound"],
+        "additionalProperties": False,
+    }
+
+
+# the published schemas whose types live in modules only their own command
+# loads: each is built on its first read and then kept as a module global
+_DEFERRED_SCHEMAS = {"KLSWEEP_SCHEMA": _klsweep_schema, "BOUNDS_SCHEMA": _bounds_schema}
+
+
+def __getattr__(name: str):
+    # called only for a name the module does not hold (PEP 562)
+    if name not in _DEFERRED_SCHEMAS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    schema = globals()[name] = _DEFERRED_SCHEMAS[name]()
+    return schema
 
 
 def _load_config(path: str, schema: dict) -> tuple[dict, dict, str]:
@@ -270,6 +299,8 @@ def _slug(scheme: Scheme) -> str:
 
 
 def cmd_verify(out: Path) -> int:
+    from . import verify
+
     summary = verify.run_all()
     path = _write_json(out / "verify_summary.json", summary)
     for item in summary["invariants"]:
@@ -312,6 +343,8 @@ def cmd_train(config: dict, digest: str, out: Path) -> int:
 
 
 def cmd_klsweep(config: dict, digest: str, out: Path) -> int:
+    from . import analysis
+
     grid = config.get("grid", {})
     if grid:
         _reading("grid", analysis.Grid, grid["lo"], grid["hi"], grid["points"])
@@ -333,6 +366,8 @@ def cmd_klsweep(config: dict, digest: str, out: Path) -> int:
 
 
 def cmd_spectral(config: dict, digest: str, out: Path) -> int:
+    from . import spectral
+
     # read as integers, but a target's frequencies are floats
     freqs = tuple(map(float, config.get("frequencies", [1.0, 3.0, 5.0])))
     amps = tuple(config.get("amplitudes", [1.0] * len(freqs)))
@@ -357,6 +392,8 @@ def cmd_spectral(config: dict, digest: str, out: Path) -> int:
 
 
 def cmd_bounds(config: dict, digest: str, out: Path) -> int:
+    from . import pacbayes
+
     post_doc = config["posterior"]
     for key in ("scheme", "train"):
         if key in config and "params_file" in post_doc:
@@ -409,13 +446,14 @@ def cmd_bounds(config: dict, digest: str, out: Path) -> int:
     return EXIT_OK
 
 
-# command -> (its config schema, or None for a command with no config; its handler)
+# command -> (the name of its config schema, or None for a command with no
+# config; its handler)
 COMMANDS = {
     "verify": (None, cmd_verify),
-    "train": (TRAIN_SCHEMA, cmd_train),
-    "klsweep": (KLSWEEP_SCHEMA, cmd_klsweep),
-    "spectral": (SPECTRAL_SCHEMA, cmd_spectral),
-    "bounds": (BOUNDS_SCHEMA, cmd_bounds),
+    "train": ("TRAIN_SCHEMA", cmd_train),
+    "klsweep": ("KLSWEEP_SCHEMA", cmd_klsweep),
+    "spectral": ("SPECTRAL_SCHEMA", cmd_spectral),
+    "bounds": ("BOUNDS_SCHEMA", cmd_bounds),
 }
 
 
@@ -458,7 +496,8 @@ def main(argv=None) -> int:
     try:
         if schema is None:
             return handler(out)
-        config, doc, digest = _load_config(args.config, schema)
+        config, doc, digest = _load_config(args.config,
+                                           getattr(sys.modules[__name__], schema))
         out = out / f"{args.command}-{digest[:12]}"
         code = handler(config, digest, out)
         _write_json(out / "config.json", doc)

@@ -79,7 +79,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -310,6 +310,16 @@ def forward(spec: MLPSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     return preds
 
 
+@cache
+def _capture_tail(spec: MLPSpec) -> tuple[int, MLPSpec]:
+    """The first layer with fan-in > 1, or the output layer, and the net of
+    the layers from there on: built once per spec, not once per epoch."""
+    ws = spec.layer_widths
+    # the output layer's input is activation len(ws) - 2
+    k = next((i for i, w in enumerate(ws[:-2]) if w > 1), len(ws) - 2)
+    return k, replace(spec, layer_widths=ws[k:])
+
+
 def predictions_in_data_order(spec: MLPSpec, params: np.ndarray, acts,
                               orders: np.ndarray) -> np.ndarray:
     """The bits of ``forward(spec, params, inputs)``, in data order, from the
@@ -324,9 +334,7 @@ def predictions_in_data_order(spec: MLPSpec, params: np.ndarray, acts,
     (n, h) @ (h, k) product by whether it falls in its kernel's 4-row tail,
     which exists where n % 4 != 0.
     """
-    # acts[-2] enters the output layer
-    k = next((i for i, w in enumerate(spec.layer_widths[:-2]) if w > 1), len(acts) - 2)
-    tail = replace(spec, layer_widths=spec.layer_widths[k:])
+    k, tail = _capture_tail(spec)
     ordered = np.empty_like(acts[k])
     # row i of run r's pass is data row orders[r, i]
     ordered[(*np.indices(orders.shape)[:-1], orders)] = acts[k]

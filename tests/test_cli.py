@@ -662,19 +662,23 @@ def test_flags_are_config_out_and_jobs():
                      "bounds": {"--config", "--out"}}
 
 
-def test_only_spectral_loads_scipy_and_only_expits_extension(tmp_path):
-    # one fresh interpreter runs the commands in turn and lists the scipy
-    # modules loaded after each: sigmoid nets, which only spectral builds,
-    # load the one compiled extension that holds expit
-    configs = {
+def quick_configs():
+    """A config for each command that takes one, each run in well under a second."""
+    return {
         "klsweep": {"grid": {"lo": -3.0, "hi": 3.0, "points": 61}, "p_list": [1.0, 2.0]},
         "bounds": bounds_config(),
         "train": moons_train_config(),
         "spectral": {"frequencies": [1.0, 3.0], "n_points": 64, "width": 8,
                      "epochs": 3, "schemes": [{"kind": "multi"}]},
     }
+
+
+def test_only_spectral_loads_scipy_and_only_expits_extension(tmp_path):
+    # one fresh interpreter runs the commands in turn and lists the scipy
+    # modules loaded after each: sigmoid nets, which only spectral builds,
+    # load the one compiled extension that holds expit
     runs = [["verify", "--out", str(tmp_path / "verify")]]
-    for command, doc in configs.items():
+    for command, doc in quick_configs().items():
         runs.append([command, "--config", write_config(tmp_path, doc, f"{command}.json"),
                      "--out", str(tmp_path / command)])
     probe = ("import json, sys; from lossmix import cli; seen = []\n"
@@ -690,6 +694,69 @@ def test_only_spectral_loads_scipy_and_only_expits_extension(tmp_path):
     assert json.loads(out.stdout.splitlines()[-1]) == [
         ["verify", 0, []], ["klsweep", 0, []], ["bounds", 0, []], ["train", 0, []],
         ["spectral", 0, ["scipy.special._special_ufuncs"]]]
+
+
+# what `from lossmix import cli` loads: the modules train runs, which every
+# other command runs on as well
+CLI_MODULES = ["cli", "composite", "data", "losses", "netcore", "optim", "schema"]
+# command -> (its shipped config, or None; the modules reading its schema
+# adds; the modules running it adds). verify checks every module
+COMMAND_MODULES = {
+    "verify": (None, [], ["analysis", "pacbayes", "spectral", "verify"]),
+    "train": ("two_moons", [], []),
+    "klsweep": ("klsweep", ["analysis"], ["analysis"]),
+    "spectral": ("spectral", [], ["spectral"]),
+    "bounds": ("bounds", ["pacbayes"], ["pacbayes"]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    # a fresh interpreter imports cli, loads the command's shipped config and
+    # runs the command on a quick config, listing the lossmix modules loaded
+    # after each step
+    shipped, by_schema, by_run = COMMAND_MODULES[command]
+    argv = [command, "--out", str(tmp_path / "o")]
+    if shipped is not None:
+        argv += ["--config", write_config(tmp_path, quick_configs()[command])]
+        shipped = str(Path(__file__).resolve().parents[1] / "configs" / f"{shipped}.json")
+    probe = ("import json, sys\n"
+             "def loaded():\n"
+             "    return sorted(m[8:] for m in sys.modules if m.startswith('lossmix.'))\n"
+             "from lossmix import cli\n"
+             "seen = [loaded()]\n"
+             "shipped, argv = json.loads(sys.argv[1])\n"
+             "if shipped is not None:\n"
+             "    cli._load_config(shipped, getattr(cli, cli.COMMANDS[argv[0]][0]))\n"
+             "seen.append(loaded())\n"
+             "seen.append([cli.main(argv), loaded()])\n"
+             "print(json.dumps(seen))")
+    src = str(Path(lossmix.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps([shipped, argv])],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(out.stdout.splitlines()[-1]) == [
+        CLI_MODULES, sorted(CLI_MODULES + by_schema), [0, sorted(CLI_MODULES + by_run)]]
+
+
+def test_published_schemas_are_built_on_first_read():
+    # klsweep's and bounds' schemas need the types of modules that only their
+    # own command loads, so cli builds them when they are first read; each
+    # read after that gives the same dict, with the pinned bytes
+    probe = ("import hashlib, json, sys\n"
+             "from lossmix import cli\n"
+             "names = json.loads(sys.argv[1])\n"
+             "first = {name: getattr(cli, name) for name in names}\n"
+             "print(json.dumps([{name: hashlib.sha256(json.dumps(schema, sort_keys=True)"
+             ".encode()).hexdigest() for name, schema in first.items()},"
+             " all(getattr(cli, name) is first[name] for name in names)]))")
+    src = str(Path(lossmix.__file__).resolve().parents[1])
+    names = json.dumps(list(PUBLISHED_SCHEMA_SHA256))
+    out = subprocess.run([sys.executable, "-c", probe, names], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(out.stdout.splitlines()[-1]) == [PUBLISHED_SCHEMA_SHA256, True]
+    with pytest.raises(AttributeError, match="has no attribute 'NO_SUCH_SCHEMA'"):
+        getattr(cli, "NO_SUCH_SCHEMA")
 
 
 def test_start_up_loads_no_schema_library(tmp_path):
@@ -741,9 +808,10 @@ def test_declared_dependencies_are_the_imported_ones():
     assert imported - set(sys.stdlib_module_names) == declared
 
 
-# the frozen acceptance test's API, and argparse's hook for a bad command line
+# the frozen acceptance test's API, argparse's hook for a bad command line,
+# and the module hook (PEP 562) that builds cli's deferred schemas
 NAMED_OUTSIDE_THE_PACKAGE = {"Dataset.as_batch", "Scheme.single", "box_sharpness",
-                             "_Parser.error"}
+                             "_Parser.error", "__getattr__"}
 
 
 def test_every_definition_is_named_by_other_package_code():

@@ -212,6 +212,28 @@ class TestSchemeCompare:
         assert nets == [net] + [net, net[1:]] * 4 + [net]
         assert backwards == [(len(config.terms), 3)] * 5
 
+    def test_capture_builds_its_tail_net_once(self, monkeypatch):
+        # the capture's tail net is built once per spec, not once per epoch:
+        # a spectral training builds as many MLPSpecs at 12 epochs as at 3
+        built = []
+        post_init = netcore.MLPSpec.__post_init__
+
+        def counted(spec):
+            built.append(spec.layer_widths)
+            post_init(spec)
+
+        monkeypatch.setattr(netcore.MLPSpec, "__post_init__", counted)
+        target = SpectralTarget(frequencies=(1.0, 3.0), amplitudes=(1.0, 1.0),
+                                n_points=32)
+        schemes = [Scheme.single(0), Scheme.multi(), Scheme.nonlinear(2.0)]
+        for epochs in (3, 12):
+            netcore._capture_tail.cache_clear()
+            built.clear()
+            spectral.spectral_scheme_compare(self.base_config(epochs), schemes, target,
+                                             epochs=epochs, seed=4, width=8,
+                                             threshold=0.2)
+            assert built == [(1, 8, 1), (8, 1)], epochs
+
     def test_capture_bytes_are_pinned(self):
         # the digest of the capture CSV that full telemetry rows gave; the
         # capture reads only predictions, so skipping the rows moves no byte
